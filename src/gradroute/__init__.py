@@ -13,8 +13,6 @@ from .learner import (
     EligibilityTrace,
     LearnerConfig,
     RunningAverageReward,
-    apply_reward,
-    begin_tick_accumulate,
     observe_reward,
 )
 from .network import (
@@ -69,8 +67,6 @@ __all__ = [
     "TrafficSpec",
     "ValidationReport",
     "action_probabilities",
-    "apply_reward",
-    "begin_tick_accumulate",
     "detect_cycle",
     "load_config",
     "log_policy_gradient",

@@ -201,23 +201,59 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: must be a list")
+    return value
+
+
 def _require(d: dict, key: str, where: str):
-    if key not in d:
+    if key not in _object(d, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
     return d[key]
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: must be a number, got {value!r}") from None
+
+
+def _integer(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}") from None
+
+
+def _optional_str(value, where: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where}: must be a string or null")
+    return value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     net = _require(doc, "network", "config")
     labels = _require(net, "nodes", "network")
-    if not isinstance(labels, list) or not labels:
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(isinstance(lb, str) for lb in labels)
+    ):
         raise ConfigError("network.nodes: must be a non-empty list of labels")
     ids = {lb: i for i, lb in enumerate(labels)}
     if len(ids) != len(labels):
         raise ConfigError("network.nodes: labels must be unique")
 
     def node(label, where):
-        if label not in ids:
+        if not isinstance(label, str) or label not in ids:
             raise ConfigError(f"{where}: unknown node {label!r}")
         return ids[label]
 
@@ -227,7 +263,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"network.cost_model: unknown value {net.get('cost_model')!r}")
 
     links = []
-    for i, ld in enumerate(_require(net, "links", "network")):
+    for i, ld in enumerate(_list(_require(net, "links", "network"), "network.links")):
         where = f"network.links[{i}]"
         delay = _require(ld, "delay", where)
         if not isinstance(delay, int) or delay < 1:
@@ -241,18 +277,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 dst=node(_require(ld, "to", where), where),
                 delay=delay,
                 capacity=capacity,
-                label=ld.get("label"),
+                label=_optional_str(ld.get("label"), f"{where}.label"),
             )
         )
 
     node_costs = None
     if "node_costs" in net:
         node_costs = {}
-        for lb, cd in net["node_costs"].items():
+        for lb, cd in _object(net["node_costs"], "network.node_costs").items():
             where = f"network.node_costs.{lb}"
             node_costs[node(lb, where)] = NodeCost(
-                base=float(_require(cd, "base", where)),
-                per_flow=float(_require(cd, "per_flow", where)),
+                base=_number(_require(cd, "base", where), f"{where}.base"),
+                per_flow=_number(_require(cd, "per_flow", where), f"{where}.per_flow"),
             )
 
     topology = Topology(
@@ -265,60 +301,68 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     tr = _require(doc, "traffic", "config")
     n = len(labels)
     rates = [0] * n
-    for lb, r in _require(tr, "rates", "traffic").items():
+    for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
         if not isinstance(r, int) or r < 0:
             raise ConfigError(f"traffic.rates.{lb}: must be a non-negative integer")
         rates[node(lb, f"traffic.rates.{lb}")] = r
     dest_rows = [[0.0] * n for _ in range(n)]
-    for lb, row in _require(tr, "destinations", "traffic").items():
-        s = node(lb, f"traffic.destinations.{lb}")
-        for dlb, p in row.items():
-            dest_rows[s][node(dlb, f"traffic.destinations.{lb}.{dlb}")] = float(p)
+    destinations = _object(_require(tr, "destinations", "traffic"), "traffic.destinations")
+    for lb, row in destinations.items():
+        where = f"traffic.destinations.{lb}"
+        s = node(lb, where)
+        for dlb, p in _object(row, where).items():
+            dest_rows[s][node(dlb, f"{where}.{dlb}")] = _number(p, f"{where}.{dlb}")
     traffic = TrafficSpec(
         rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows)
     )
 
-    le = doc.get("learner", {})
+    le = _object(doc.get("learner", {}), "learner")
     try:
         schedule = StepSchedule(le.get("schedule", "constant"))
     except ValueError:
         raise ConfigError(f"learner.schedule: unknown value {le.get('schedule')!r}")
+    credit_current_tick = le.get("credit_current_tick", True)
+    if not isinstance(credit_current_tick, bool):
+        raise ConfigError("learner.credit_current_tick: must be true or false")
     learner = LearnerConfig(
-        beta=float(le.get("beta", 0.99)),
-        gamma=float(le.get("gamma", 1e-5)),
+        beta=_number(le.get("beta", 0.99), "learner.beta"),
+        gamma=_number(le.get("gamma", 1e-5), "learner.gamma"),
         schedule=schedule,
-        credit_current_tick=bool(le.get("credit_current_tick", True)),
+        credit_current_tick=credit_current_tick,
     )
 
-    sh = doc.get("shaping", {})
+    sh = _object(doc.get("shaping", {}), "shaping")
     shaping = ShapingConfig(
-        cycle_penalty=float(sh.get("cycle_penalty", 0.0)),
-        history_length=int(sh.get("history_length", 2)),
-        drop_penalty=float(sh.get("drop_penalty", 0.0)),
+        cycle_penalty=_number(sh.get("cycle_penalty", 0.0), "shaping.cycle_penalty"),
+        history_length=_integer(sh.get("history_length", 2), "shaping.history_length"),
+        drop_penalty=_number(sh.get("drop_penalty", 0.0), "shaping.drop_penalty"),
     )
 
-    run = doc.get("run", {})
+    run = _object(doc.get("run", {}), "run")
     tracked = []
-    for j, td in enumerate(run.get("tracked_probabilities", [])):
+    tracked_docs = _list(
+        run.get("tracked_probabilities", []), "run.tracked_probabilities"
+    )
+    for j, td in enumerate(tracked_docs):
         where = f"run.tracked_probabilities[{j}]"
         router = node(_require(td, "router", where), where)
         dest = node(_require(td, "dest", where), where)
         link_index = _resolve_link(topology, router, _require(td, "link", where), where)
         tracked.append(TrackedProbability(router, dest, link_index))
 
-    out = doc.get("output", {})
+    out = _object(doc.get("output", {}), "output")
     cfg = ExperimentConfig(
         topology=topology,
         traffic=traffic,
         learner=learner,
         shaping=shaping,
-        steps=int(run.get("steps", 100_000)),
-        seed=int(run.get("seed", 1)),
-        sample_every=int(run.get("sample_every", 100)),
-        ma_window=int(run.get("ma_window", 1000)),
+        steps=_integer(run.get("steps", 100_000), "run.steps"),
+        seed=_integer(run.get("seed", 1), "run.seed"),
+        sample_every=_integer(run.get("sample_every", 100), "run.sample_every"),
+        ma_window=_integer(run.get("ma_window", 1000), "run.ma_window"),
         tracked=tuple(tracked),
-        csv_path=out.get("csv"),
-        theta_path=out.get("theta"),
+        csv_path=_optional_str(out.get("csv"), "output.csv"),
+        theta_path=_optional_str(out.get("theta"), "output.theta"),
     )
     cfg.validate()
     return cfg

@@ -16,6 +16,14 @@ Two engine modes share the learner plumbing:
   per hop; node costs are evaluated at the per-tick node flows produced
   jointly by all packets, so congestion externalities act within a tick.
 
+Both modes update the learners lazily (see gradroute.learner): a tick
+touches only the trace rows that received a gradient, and every other
+logit row is owed its share of the reward until it is read. Every read
+therefore settles the row first: the routing kernel settles a row on a
+softmax-cache miss, `logits()` serves readers outside the engine, and
+`result()` settles every row before the snapshot. Outside code reads
+logits through these, never through `tables` directly.
+
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
 invariant (generated == delivered + dropped + in-flight, cumulatively) is
@@ -34,10 +42,12 @@ from .learner import (
     EligibilityTrace,
     RunningAverageReward,
     observe_reward,
+    settle,
+    settle_all,
     tick_update,
 )
 from .network import CostModel
-from .policy import ParamTable, make_tables, snapshot, softmax_row
+from .policy import ParamTable, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
 
 
@@ -174,6 +184,8 @@ class Simulation:
         return self.result()
 
     def result(self) -> RunResult:
+        for router, table in self.tables.items():
+            settle_all(table, self.traces[router])
         return RunResult(
             steps=self.tick_count,
             theta=snapshot(self.tables, self.topology),
@@ -184,10 +196,9 @@ class Simulation:
             cycles_detected=self.cycles_total,
         )
 
-    def probability(self, router: int, dest: int, link_index: int) -> float:
-        """Current policy probability of routing (router, dest) onto the link."""
-        slot = self.topology.out_link_indices(router).index(link_index)
-        return softmax_row(self.tables[router].rows[dest])[slot]
+    def logits(self, router: int, dest: int) -> list[float]:
+        """Up-to-date logit row of `router` for packets destined `dest`."""
+        return settle(self.tables[router], self.traces[router], dest)
 
     def max_in_flight_age(self) -> int:
         """Age in ticks of the oldest packet currently on a link."""
@@ -253,11 +264,13 @@ class Simulation:
             self._out_links
         )
         tables = self.tables
+        traces = self.traces
         out_links = self._out_links
         out_indices = self._out_indices
         arrivals_by_tick = self._arrivals
         # theta is frozen during routing, so softmax parts are shared by all
-        # packets with the same (router, destination) this tick
+        # packets with the same (router, destination) this tick; a miss
+        # settles the row's owed reward credit before reading it
         softmax_cache: dict[tuple[int, int], tuple[list[float], float]] = {}
         for node, pid, packet in to_route:
             dest = packet.destination
@@ -270,7 +283,7 @@ class Simulation:
                         f"packet {pid} stranded at {self.topology.label(node)}: "
                         "no outgoing links"
                     )
-                logits = table.rows[dest]
+                logits = settle(table, traces[node], dest)
                 m = logits[0]
                 for v in logits:
                     if v > m:
@@ -339,6 +352,7 @@ class Simulation:
         rng = self.rng
         n_nodes = self.topology.n_nodes
         tables = self.tables
+        traces = self.traces
         out_links = self._out_links
 
         # every packet walks its full path now; flows are counted jointly
@@ -369,7 +383,7 @@ class Simulation:
                                 f"packet stranded at {self.topology.label(node)}: "
                                 "no outgoing links"
                             )
-                        logits = table.rows[dest]
+                        logits = settle(table, traces[node], dest)
                         m = logits[0]
                         for v in logits:
                             if v > m:

@@ -91,7 +91,7 @@ def run_experiment(
             t = stats.tick
             if t % sample_every == 0 or t == cfg.steps:
                 probs = tuple(
-                    softmax_row(sim.tables[r].rows[d])[slot] for r, d, slot in tracked
+                    softmax_row(sim.logits(r, d))[slot] for r, d, slot in tracked
                 )
                 ma = reward_ma.push(stats.reward.total)
                 u_ma = underlying_ma.push(stats.reward.underlying)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .config import ExperimentConfig
 from .network import Topology
@@ -86,13 +86,6 @@ def format_row(row: MetricsRow) -> str:
         str(row.cycles),
     ]
     return ",".join(fields)
-
-
-def write_csv(path, cfg: ExperimentConfig, rows: Iterable[MetricsRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_header(fh, cfg)
-        for row in rows:
-            fh.write(format_row(row) + "\n")
 
 
 def write_header(fh: TextIO, cfg: ExperimentConfig) -> None:

@@ -9,6 +9,7 @@ action distribution built on top of the topology.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -258,8 +259,8 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
                 v.append(f"missing node cost for node {nd.label}")
             else:
                 c = costs[nd.id]
-                if c.base < 0 or c.per_flow < 0:
-                    v.append(f"node cost for {nd.label} must be non-negative")
+                if not (0 <= c.base < math.inf and 0 <= c.per_flow < math.inf):
+                    v.append(f"node cost for {nd.label} must be finite and non-negative")
     elif topology.node_costs:
         v.append("node_costs present in link-delay mode")
 
@@ -272,12 +273,12 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
         row = traffic.dest_probs[s]
         if rate < 0:
             v.append(f"negative traffic rate at node {labels[s]}")
-        if any(p < 0 for p in row):
-            v.append(f"negative destination weight at node {labels[s]}")
+        if not all(0 <= p < math.inf for p in row):
+            v.append(f"negative or non-finite destination weight at node {labels[s]}")
         if row[s] != 0.0:
             v.append(f"destination distribution of {labels[s]} puts weight on itself")
         if rate > 0:
-            if abs(sum(row) - 1.0) > 1e-12:
+            if not abs(sum(row) - 1.0) <= 1e-12:
                 v.append(f"destination distribution of {labels[s]} does not sum to 1")
             reach = _reachable(topology, s)
             targets = [y for y in range(n) if row[y] > 0.0]

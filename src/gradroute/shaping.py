@@ -4,6 +4,7 @@ reward; both components are reported separately every tick.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,12 +19,12 @@ class ShapingConfig:
     drop_penalty: float = 0.0  # >= 0, subtracted per dropped packet
 
     def validate(self) -> None:
-        if self.cycle_penalty > 0:
-            raise ValueError("cycle_penalty must be <= 0")
+        if not -math.inf < self.cycle_penalty <= 0:
+            raise ValueError(f"cycle_penalty must be finite and <= 0, got {self.cycle_penalty}")
         if self.history_length < 1:
             raise ValueError("history_length must be >= 1")
-        if self.drop_penalty < 0:
-            raise ValueError("drop_penalty must be >= 0")
+        if not 0 <= self.drop_penalty < math.inf:
+            raise ValueError(f"drop_penalty must be finite and >= 0, got {self.drop_penalty}")
 
 
 def detect_cycle(packet: "Packet", arriving_at: int) -> bool:

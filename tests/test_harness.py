@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradroute.cli import main as cli_main
 from gradroute.config import ConfigError, config_from_dict, config_to_dict, load_config, save_config
@@ -87,6 +89,69 @@ class TestConfigRoundTrip:
         doc["run"]["steps"] = 0
         with pytest.raises(ConfigError, match="steps"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("learner", "gamma", math.inf),
+            ("learner", "gamma", "abc"),
+            ("learner", "beta", math.nan),
+            ("learner", "credit_current_tick", "false"),
+            ("shaping", "cycle_penalty", math.nan),
+            ("shaping", "drop_penalty", math.inf),
+            ("shaping", "history_length", None),
+            ("traffic", "rates", [1, 0, 0]),
+            ("run", "seed", "one"),
+            ("output", "csv", 5),
+        ],
+    )
+    def test_bad_value_names_key(self, section, key, value):
+        doc = config_to_dict(preset("triangle"))
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, prefix + (k,))
+
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PRESET_NAMES), st.data())
+    def test_mutated_preset_loads_or_raises_config_error(self, name, data):
+        doc = config_to_dict(preset(name))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            parent = doc
+            for k in path[:-1]:
+                parent = parent[k]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_ODD_VALUES)
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        # an accepted config holds no NaN: it survives a round trip equal
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 class TestRunExperiment:
