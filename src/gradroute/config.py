@@ -15,8 +15,7 @@ A config file is one JSON document with top-level keys
         "rates": {"A": 1, ...},                       # omitted nodes are silent
         "destinations": {"A": {"B": 0.5, "C": 0.5}}    # per-source distribution
       },
-      "learner": {"beta": 0.99, "gamma": 1e-5,
-                  "schedule": "constant", "credit_current_tick": true},
+      "learner": {"beta": 0.99, "gamma": 1e-5, "credit_current_tick": true},
       "shaping": {"cycle_penalty": 0.0, "history_length": 2, "drop_penalty": 0.0},
       "run": {"steps": 1000000, "seed": 1, "sample_every": 100, "ma_window": 1000,
               "tracked_probabilities": [{"router": "A", "dest": "C", "link": "AB"}]},
@@ -33,7 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .learner import LearnerConfig, StepSchedule
+from .learner import LearnerConfig
 from .network import (
     CostModel,
     Link,
@@ -175,7 +174,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "learner": {
             "beta": cfg.learner.beta,
             "gamma": cfg.learner.gamma,
-            "schedule": cfg.learner.schedule.value,
             "credit_current_tick": cfg.learner.credit_current_tick,
         },
         "shaping": {
@@ -317,17 +315,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
 
     le = _object(doc.get("learner", {}), "learner")
-    try:
-        schedule = StepSchedule(le.get("schedule", "constant"))
-    except ValueError:
-        raise ConfigError(f"learner.schedule: unknown value {le.get('schedule')!r}")
+    # the step size is constant; older files spell that out
+    schedule = le.get("schedule", "constant")
+    if schedule != "constant":
+        raise ConfigError(f"learner.schedule: unknown value {schedule!r}")
     credit_current_tick = le.get("credit_current_tick", True)
     if not isinstance(credit_current_tick, bool):
         raise ConfigError("learner.credit_current_tick: must be true or false")
     learner = LearnerConfig(
         beta=_number(le.get("beta", 0.99), "learner.beta"),
         gamma=_number(le.get("gamma", 1e-5), "learner.gamma"),
-        schedule=schedule,
         credit_current_tick=credit_current_tick,
     )
 

@@ -418,11 +418,11 @@ class Simulation:
                 for nd in path:
                     flows[nd] += 1
 
-        node_costs = self._node_costs
+        costs = [c.cost(f) for c, f in zip(self._node_costs, flows)]
         total_cost = 0.0
         for path in paths:
             for nd in path:
-                total_cost += node_costs[nd].cost(flows[nd])
+                total_cost += costs[nd]
         underlying = -total_cost
         reward = TickReward(underlying, 0.0, underlying)
 

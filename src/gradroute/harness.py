@@ -42,18 +42,6 @@ class RunResult:
     csv_path: str | None
     theta_path: str | None
 
-    def final_window_mean(self, column: str) -> float:
-        """Mean of a column over the trailing ma_window sampled rows."""
-        rows = self.rows[-self.config.ma_window :]
-        if not rows:
-            raise ValueError("no sampled rows")
-        if column.startswith("p["):
-            from .metrics import probability_column_names
-
-            idx = probability_column_names(self.config).index(column)
-            return statistics.fmean(r.probs[idx] for r in rows)
-        return statistics.fmean(getattr(r, column) for r in rows)
-
 
 def run_experiment(
     cfg: ExperimentConfig,

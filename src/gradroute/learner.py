@@ -41,21 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .policy import ParamTable
-
-
-class StepSchedule(Enum):
-    CONSTANT = "constant"
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     beta: float = 0.99
     gamma: float = 1e-5
-    schedule: StepSchedule = StepSchedule.CONSTANT
     credit_current_tick: bool = True
 
     def validate(self) -> None:
@@ -234,7 +228,8 @@ def tick_update(
 
 @dataclass
 class RunningAverageReward:
-    """Exact arithmetic mean of every per-tick reward seen so far."""
+    """Mean of every per-tick reward seen so far: a left-to-right float
+    sum divided by the count, as sum(rewards) / len(rewards) computes it."""
 
     count: int = 0
     total: float = 0.0

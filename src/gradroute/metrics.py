@@ -7,11 +7,14 @@ the run length is not a multiple). Schema, in fixed column order:
     running_mean,<one column per tracked probability>,delivered,dropped,cycles
 
 * reward_* columns are the instantaneous values of the sampled tick.
-* reward_ma is the exact mean of the last `ma_window` sampled
-  reward_total values (fewer while the window fills); recomputing it
-  offline from the reward_total column reproduces the column exactly.
-* running_mean is the exact mean of the per-tick reward over *all* ticks
-  so far, not just sampled ones.
+* reward_ma is the mean of the last `ma_window` sampled reward_total
+  values (fewer while the window fills): their correctly rounded sum,
+  divided by their count. Recomputing it offline as
+  math.fsum(window) / len(window) from the reward_total column
+  reproduces the column exactly.
+* running_mean is the mean of the per-tick reward over *all* ticks so
+  far, not just sampled ones: a left-to-right float sum divided by the
+  tick count, so it carries that sum's rounding.
 * delivered/dropped/cycles are cumulative counters.
 * probability columns are named p[<router>-><link>|dest=<node>].
 
@@ -19,7 +22,6 @@ Floats are written with repr, so equal runs produce byte-identical files.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TextIO
@@ -42,16 +44,48 @@ class MetricsRow:
     cycles: int
 
 
+# every finite double is an integer multiple of 2**-1074
+_UNIT = 1 << 1074
+
+
 class SampledMovingAverage:
-    """Exact mean over the last `window` observed values (fsum each query,
-    so offline recomputation matches bit for bit)."""
+    """Mean over the last `window` pushed values, bit-identical to
+    math.fsum(window) / len(window) at O(1) cost per push.
+
+    The window's sum is kept exactly, as a Python int in units of
+    2**-1074 (Kulisch's long accumulator): each pushed float is an
+    integer multiple of that unit, so adding the new value's integer and
+    subtracting the evicted one never rounds. Dividing the int by 2**1074
+    is correctly rounded in CPython, and so is fsum (Shewchuk's exact
+    expansion), so both give the same float: the exact sum, rounded once.
+    The window holds the values as these ints. A window of only -0.0
+    gives +0.0, as CPython 3.11's fsum does.
+
+    One difference from fsum: fsum raises OverflowError when a partial
+    sum leaves the float range even if the whole sum does not; this
+    raises OverflowError only when the rounded sum does not fit a float.
+    Non-finite values raise ValueError.
+    """
 
     def __init__(self, window: int):
-        self.values: deque[float] = deque(maxlen=window)
+        self.window = window
+        self.units: deque[int] = deque()
+        self.total = 0  # exact sum of self.units
 
     def push(self, value: float) -> float:
-        self.values.append(value)
-        return math.fsum(self.values) / len(self.values)
+        try:
+            n, d = value.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise ValueError(f"moving average: non-finite value {value!r}") from None
+        # d is a power of two no larger than 2**1074
+        u = n << (1075 - d.bit_length())
+        units = self.units
+        units.append(u)
+        total = self.total + u
+        if len(units) > self.window:
+            total -= units.popleft()
+        self.total = total
+        return total / _UNIT / len(units)
 
 
 def probability_column_names(cfg: ExperimentConfig) -> list[str]:

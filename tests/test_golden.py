@@ -1,0 +1,60 @@
+"""Golden digests: the metrics CSV and theta JSON of a short run of every
+preset, pinned by SHA-256.
+
+A change that only makes the program faster or smaller must leave these
+files byte-identical. The digests hold for CPython 3.11 on x86-64 Linux;
+another interpreter version or platform may format or round a float
+differently. Regenerate them with `python3 scripts/golden_digests.py`
+only for a change meant to alter some run's output, and record why in
+CHANGES.md. braess1's learning amplifies rounding, so any change to the
+order or precision of its arithmetic moves its digests.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gradroute.presets import PRESET_NAMES
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_digests.py"
+
+GOLDEN = {
+    "triangle": (
+        "abc9bab4cd802d4f2cfd0a8b6cb3b15d91fba39d5f0995676cb413a12bbe376a",
+        "9d30cfceca78fb510e8e953a9b6d682b9e54bdc1cf2f0ed6c63fd54c35c69baa",
+    ),
+    "contention": (
+        "96fa755b47aa567070f58b1e1084bd773e767c5df8c3fa1464920370f7cd9918",
+        "890a7a55486287bb81cf5e9768170d42034472f72c43dc42964d785293df3150",
+    ),
+    "six_node": (
+        "7d93ce9866245931e017eb82c75d610d261695e9f34b4e3dd6658d5e232175cb",
+        "c24a6f30f7c386bcb1915a10d7681bd0d140d8ecb2462c5fe2d2afd98ec7cbda",
+    ),
+    "braess1": (
+        "f4d0284de936d3932bd426c8640419ff67cc95fb10595517ffaa0e56b6a488d8",
+        "d0146151353e8b6f8c50acc3f674c5c43e0579b74553dee24f4632b5bb9ca11e",
+    ),
+}
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("golden_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_outputs_match_golden_digests(name, tmp_path):
+    script = _script()
+    # the window must evict, or the moving average's eviction goes unchecked
+    assert script.MA_WINDOW < script.STEPS // script.SAMPLE_EVERY
+    csv_sha, theta_sha = script.golden_digests(name, tmp_path)
+    hint = (
+        f"{name}: outputs differ from the golden run; if the change is meant "
+        "to alter them, regenerate with `python3 scripts/golden_digests.py` "
+        "and record why in CHANGES.md"
+    )
+    assert csv_sha == GOLDEN[name][0], hint
+    assert theta_sha == GOLDEN[name][1], hint

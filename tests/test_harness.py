@@ -103,6 +103,7 @@ class TestConfigRoundTrip:
             ("traffic", "rates", [1, 0, 0]),
             ("run", "seed", "one"),
             ("output", "csv", 5),
+            ("learner", "schedule", "linear"),
         ],
     )
     def test_bad_value_names_key(self, section, key, value):
@@ -110,6 +111,12 @@ class TestConfigRoundTrip:
         doc[section][key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
+
+    def test_constant_schedule_still_loads(self):
+        doc = config_to_dict(preset("triangle"))
+        assert "schedule" not in doc["learner"]
+        doc["learner"]["schedule"] = "constant"
+        assert config_from_dict(doc) == preset("triangle")
 
 
 def _paths(node, prefix=()):
@@ -161,8 +168,17 @@ class TestRunExperiment:
             res = run_experiment(cfg)
             assert len(res.rows) == expected, steps
 
-    def test_csv_schema_and_ma_recompute(self, tmp_path):
-        cfg = preset("six_node").with_overrides(steps=3_000, ma_window=7)
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("six_node", {"steps": 3_000}),
+            # the node-flow kernel, sampled every tick
+            ("braess1", {"steps": 1_500, "sample_every": 1}),
+        ],
+        ids=["six_node", "braess1"],
+    )
+    def test_csv_schema_and_ma_recompute(self, name, overrides, tmp_path):
+        cfg = preset(name).with_overrides(ma_window=7, **overrides)
         res = run_experiment(cfg, tmp_path)
         header, rows = read_csv(res.csv_path)
         assert header == column_names(cfg)
