@@ -7,22 +7,28 @@ Two engine modes share the learner plumbing:
   arrivals that reached their destination, scoring -(trip time) each,
   (3) generate new traffic, (4) route everything that needs a decision
   in (node id, packet id) order, with cycle detection at arrival and
-  capacity drops at placement, (5) fold the tick's decision gradients
-  into the traces and apply the tick reward to every router,
-  (6) emit per-tick stats.
+  capacity drops at placement, (5) hand every router its decisions and
+  the tick reward (one learner tail for both modes), (6) emit per-tick
+  stats.
 
 * node-flow traversal (synchronous): each generated packet walks its
   whole source-to-destination path within the tick, one policy sample
   per hop; node costs are evaluated at the per-tick node flows produced
   jointly by all packets, so congestion externalities act within a tick.
 
+A routing decision is recorded as a (row, slot) pair. The first packet
+a router routes for a destination in a tick reads the row through
+learner.sampling_weights, which settles it and records its Gibbs weights
+in the router's trace; later packets reuse them, and tick_update forms
+the decisions' gradients from them.
+
 Both modes update the learners lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until it is read. Every read
-therefore settles the row first: the routing kernel settles a row on a
-softmax-cache miss, `logits()` serves readers outside the engine, and
-`result()` settles every row before the snapshot. Outside code reads
-logits through these, never through `tables` directly.
+therefore settles the row first: sampling_weights for the routing
+kernel, `logits()` for readers outside the engine, and `result()` for
+every row before the snapshot. Outside code reads logits through these,
+never through `tables` directly.
 
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import exp
 from random import Random
 from typing import Callable
 
@@ -42,6 +47,7 @@ from .learner import (
     EligibilityTrace,
     RunningAverageReward,
     observe_reward,
+    sampling_weights,
     settle,
     settle_all,
     tick_update,
@@ -116,6 +122,12 @@ class Simulation:
             r: EligibilityTrace(t) for r, t in self.tables.items()
         }
         self.average_reward = RunningAverageReward()
+        # by node: the sampling weights its trace recorded this tick, which
+        # tick_update empties; nodes without a table get an empty dict
+        self._recorded = [
+            self.traces[n].weights if n in self.traces else {}
+            for n in range(topo.n_nodes)
+        ]
 
         # traffic, flattened for the generation loop: (source, cumulative dest probs)
         self._sources: list[tuple[int, int, list[float]]] = []
@@ -127,9 +139,12 @@ class Simulation:
                     cum.append(acc)
                 self._sources.append((s, rate, cum))
 
-        self._out_indices = [topo.out_link_indices(n) for n in range(topo.n_nodes)]
-        self._out_links = [
-            [topo.links[i] for i in topo.out_link_indices(n)]
+        # per node, per outgoing slot: (link index, capacity, delay, next node)
+        self._hops: list[list[tuple[int, int | None, int, int]]] = [
+            [
+                (i, topo.links[i].capacity, topo.links[i].delay, topo.links[i].dst)
+                for i in topo.out_link_indices(n)
+            ]
             for n in range(topo.n_nodes)
         ]
 
@@ -209,6 +224,16 @@ class Simulation:
                     oldest = p.birth_tick
         return 0 if oldest is None else self.tick_count - oldest
 
+    def _update_learners(
+        self, decisions: list[list[tuple[int, int]]], reward: float
+    ) -> None:
+        """Apply the tick's update to every router: its (row, slot) routing
+        decisions, indexed by router, and the one shared reward."""
+        learner_cfg = self.cfg.learner
+        traces = self.traces
+        for router, table in self.tables.items():
+            tick_update(table, traces[router], learner_cfg, decisions[router], reward)
+
     # -- link-delay mode ----------------------------------------------------
 
     def _step_link_delay(self) -> TickStats:
@@ -220,7 +245,7 @@ class Simulation:
 
         # (1) advance transit; (2) deliver what arrived at its destination
         arrivals = self._arrivals.pop(t, ())
-        self.in_flight -= len(arrivals)
+        in_flight = self.in_flight - len(arrivals)
         underlying = 0.0
         delivered = 0
         cycles = 0
@@ -260,22 +285,17 @@ class Simulation:
         to_route.sort()
         dropped = 0
         placed = [0] * len(self.topology.links)
-        decisions: list[list[tuple[int, list[float]]] | None] = [None] * len(
-            self._out_links
-        )
+        hops = self._hops
+        decisions: list[list[tuple[int, int]]] = [[] for _ in hops]
         tables = self.tables
         traces = self.traces
-        out_links = self._out_links
-        out_indices = self._out_indices
         arrivals_by_tick = self._arrivals
-        # theta is frozen during routing, so softmax parts are shared by all
-        # packets with the same (router, destination) this tick; a miss
-        # settles the row's owed reward credit before reading it
-        softmax_cache: dict[tuple[int, int], tuple[list[float], float]] = {}
+        # theta is frozen during routing, so the weights recorded for a
+        # (router, destination) serve every packet routed there this tick
+        recorded = self._recorded
         for node, pid, packet in to_route:
             dest = packet.destination
-            key = (node, dest)
-            parts = softmax_cache.get(key)
+            parts = recorded[node].get(dest)
             if parts is None:
                 table = tables.get(node)
                 if table is None:
@@ -283,14 +303,7 @@ class Simulation:
                         f"packet {pid} stranded at {self.topology.label(node)}: "
                         "no outgoing links"
                     )
-                logits = settle(table, traces[node], dest)
-                m = logits[0]
-                for v in logits:
-                    if v > m:
-                        m = v
-                exps = [exp(v - m) for v in logits]
-                parts = (exps, sum(exps))
-                softmax_cache[key] = parts
+                parts = sampling_weights(table, traces[node], dest)
             exps, s = parts
             u = rng_random() * s
             acc = 0.0
@@ -300,39 +313,21 @@ class Simulation:
                 if u < acc:
                     slot = i
                     break
-            grad = [-e / s for e in exps]
-            grad[slot] += 1.0
-            bucket = decisions[node]
-            if bucket is None:
-                decisions[node] = [(dest, grad)]
-            else:
-                bucket.append((dest, grad))
-            link_index = out_indices[node][slot]
-            link = out_links[node][slot]
+            decisions[node].append((dest, slot))
+            link_index, capacity, delay, dst = hops[node][slot]
             count = placed[link_index] + 1
             placed[link_index] = count
-            if link.capacity is not None and count > link.capacity:
+            if capacity is not None and count > capacity:
                 dropped += 1  # placement beyond capacity: packet is lost
             else:
-                arrivals_by_tick.setdefault(t + link.delay, []).append(
-                    (packet, link.dst)
-                )
-                self.in_flight += 1
+                arrivals_by_tick.setdefault(t + delay, []).append((packet, dst))
+                in_flight += 1
+        self.in_flight = in_flight
 
         # (5) learner updates: one shared reward for every router
         shaping = shaping_reward(cycles, dropped, shaping_cfg)
         reward = TickReward(underlying, shaping, underlying + shaping)
-        learner_cfg = self.cfg.learner
-        empty: list = []
-        for router, table in tables.items():
-            grads = decisions[router]
-            tick_update(
-                table,
-                self.traces[router],
-                learner_cfg,
-                grads if grads is not None else empty,
-                reward.total,
-            )
+        self._update_learners(decisions, reward.total)
 
         return TickStats(
             tick=t,
@@ -340,7 +335,7 @@ class Simulation:
             delivered=delivered,
             dropped=dropped,
             cycles_detected=cycles,
-            in_flight=self.in_flight,
+            in_flight=in_flight,
             reward=reward,
         )
 
@@ -353,15 +348,15 @@ class Simulation:
         n_nodes = self.topology.n_nodes
         tables = self.tables
         traces = self.traces
-        out_links = self._out_links
+        hops = self._hops
 
         # every packet walks its full path now; flows are counted jointly
         generated = 0
         paths: list[list[int]] = []
-        decisions: list[list[tuple[int, list[float]]] | None] = [None] * n_nodes
+        decisions: list[list[tuple[int, int]]] = [[] for _ in hops]
         flows = [0] * n_nodes
         rng_random = rng.random
-        softmax_cache: dict[tuple[int, int], tuple[list[float], float]] = {}
+        recorded = self._recorded
         for source, rate, cum in self._sources:
             for _ in range(rate):
                 u = rng_random()
@@ -374,8 +369,7 @@ class Simulation:
                 node = source
                 path = [source]
                 while node != dest:
-                    key = (node, dest)
-                    parts = softmax_cache.get(key)
+                    parts = recorded[node].get(dest)
                     if parts is None:
                         table = tables.get(node)
                         if table is None:
@@ -383,14 +377,7 @@ class Simulation:
                                 f"packet stranded at {self.topology.label(node)}: "
                                 "no outgoing links"
                             )
-                        logits = settle(table, traces[node], dest)
-                        m = logits[0]
-                        for v in logits:
-                            if v > m:
-                                m = v
-                        exps = [exp(v - m) for v in logits]
-                        parts = (exps, sum(exps))
-                        softmax_cache[key] = parts
+                        parts = sampling_weights(table, traces[node], dest)
                     exps, s = parts
                     u2 = rng_random() * s
                     acc = 0.0
@@ -400,14 +387,8 @@ class Simulation:
                         if u2 < acc:
                             slot = i
                             break
-                    grad = [-e / s for e in exps]
-                    grad[slot] += 1.0
-                    bucket = decisions[node]
-                    if bucket is None:
-                        decisions[node] = [(dest, grad)]
-                    else:
-                        bucket.append((dest, grad))
-                    node = out_links[node][slot].dst
+                    decisions[node].append((dest, slot))
+                    node = hops[node][slot][3]
                     path.append(node)
                     if len(path) > n_nodes:
                         raise SimulationError(
@@ -425,18 +406,7 @@ class Simulation:
                 total_cost += costs[nd]
         underlying = -total_cost
         reward = TickReward(underlying, 0.0, underlying)
-
-        learner_cfg = self.cfg.learner
-        empty: list = []
-        for router, table in tables.items():
-            grads = decisions[router]
-            tick_update(
-                table,
-                self.traces[router],
-                learner_cfg,
-                grads if grads is not None else empty,
-                reward.total,
-            )
+        self._update_learners(decisions, reward.total)
 
         return TickStats(
             tick=t,

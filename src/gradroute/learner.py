@@ -7,6 +7,12 @@ gradients), and the globally shared tick reward is then applied as
 theta <- theta + gamma * r * z. Several decisions in one tick accumulate
 additively into the trace.
 
+A routing decision reaches the learner as a (row, slot) pair. The router
+samples from the row's weights as sampling_weights() computes and records
+them for the tick; tick_update() pops them and forms the decision's
+log-policy gradient, e_slot - exps / sum(exps). Weights never outlive
+their tick, and a decision on a row without them raises.
+
 By default the reward of tick t multiplies the trace *after* tick-t
 decisions were folded in, so a penalty incurred in the same tick as the
 decision that caused it (e.g. a drop) credits that decision. Set
@@ -23,15 +29,15 @@ plus O(width) per row that received a gradient, not O(active rows):
   credit a row is owed since tick u is (acc_now - acc_u) * rows[y];
 * `mark[y]` is the value of acc when theta[y] was last brought up to date.
 
-theta[y] is therefore current only after settle(): the engine settles a
-row before sampling from it, and anything else that reads logits goes
-through settle() or settle_all(). When scale falls below RESCALE_BELOW,
-every row is settled, the scale is folded into the rows, and scale, acc
-and the marks restart from 1, 0 and 0. The threshold is set for
-accuracy, not only against underflow: the rounding error of acc - mark
-grows as 1/scale. Over 20k ticks of sparse decisions the lazy rule
-agrees with the dense one to better than 1e-12 relative at 1e-3, but
-only to ~5e-10 at 1e-6.
+theta[y] is therefore current only after settle(): sampling_weights()
+settles a row before the router samples from it, and anything else that
+reads logits goes through settle() or settle_all(). When scale falls
+below RESCALE_BELOW, every row is settled, the scale is folded into the
+rows, and scale, acc and the marks restart from 1, 0 and 0. The
+threshold is set for accuracy, not only against underflow: the rounding
+error of acc - mark grows as 1/scale. Over 20k ticks of sparse decisions
+the lazy rule agrees with the dense one to better than 1e-12 relative at
+1e-3, but only to ~5e-10 at 1e-6.
 
 beta = 0 keeps the trace unscaled (scale would be 0) and is applied
 densely; it is memoryless, so only the rows of the last tick's decisions
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp
 from typing import Iterable
 
 from .policy import ParamTable
@@ -70,9 +77,10 @@ class EligibilityTrace:
     `active` tracks rows that received a gradient; rows outside it are
     exactly zero, so rescaling and settling may skip them. `acc` and
     `mark` hold the reward credit not yet applied to theta (module doc).
+    `weights` holds the sampling weights recorded this tick, by row.
     """
 
-    __slots__ = ("rows", "active", "scale", "acc", "mark")
+    __slots__ = ("rows", "active", "scale", "acc", "mark", "weights")
 
     def __init__(self, table: ParamTable):
         self.rows: dict[int, list[float]] = {
@@ -82,6 +90,7 @@ class EligibilityTrace:
         self.scale = 1.0
         self.acc = 0.0
         self.mark: dict[int, float] = {}
+        self.weights: dict[int, tuple[list[float], float]] = {}
 
 
 def settle(table: ParamTable, trace: EligibilityTrace, dest: int) -> list[float]:
@@ -103,14 +112,35 @@ def settle_all(table: ParamTable, trace: EligibilityTrace) -> None:
         settle(table, trace, y)
 
 
+def sampling_weights(
+    table: ParamTable, trace: EligibilityTrace, dest: int
+) -> tuple[list[float], float]:
+    """Settle row `dest`, record its Gibbs sampling weights in the trace for
+    this tick's tick_update, and return them: the max-subtracted
+    exponentials of its logits and their sum."""
+    logits = settle(table, trace, dest)
+    m = logits[0]
+    for v in logits:
+        if v > m:
+            m = v
+    exps = [exp(v - m) for v in logits]
+    weights = trace.weights[dest] = (exps, sum(exps))
+    return weights
+
+
 def _rescale(table: ParamTable, trace: EligibilityTrace) -> None:
-    settle_all(table, trace)
+    """Settle every active row and fold the scale into it, in one pass."""
     s = trace.scale
-    zrows = trace.rows
+    acc = trace.acc
+    mark = trace.mark
+    trows = table.rows
     for y in trace.active:
-        row = zrows[y]
-        for i, v in enumerate(row):
-            row[i] = v * s
+        zrow = trace.rows[y]
+        trow = trows[y]
+        d = acc - mark.get(y, acc)
+        for i, z in enumerate(zrow):
+            trow[i] += d * z
+            zrow[i] = z * s
     trace.scale = 1.0
     trace.acc = 0.0
     trace.mark = dict.fromkeys(trace.active, 0.0)
@@ -124,11 +154,36 @@ def _credit_unscaled(table: ParamTable, trace: EligibilityTrace, gr: float) -> N
                 trow[i] += gr * z
 
 
+def _decided_rows(
+    table: ParamTable, trace: EligibilityTrace, decisions: Iterable[tuple[int, int]]
+) -> dict[int, tuple[list[float], float, list[int]]]:
+    """Consume the tick's decision records: for each decided row, its
+    recorded weights (exps, sum) and the slots drawn, in decision order (the
+    order its gradients are summed in). Weights that no decision used are
+    dropped, so none outlive their tick."""
+    width = table.n_links
+    weights = trace.weights
+    by_row: dict = {}
+    for dest, slot in decisions:
+        if not 0 <= slot < width:
+            raise ValueError(f"decision row {dest}: slot {slot} not in [0, {width})")
+        row = by_row.get(dest)
+        if row is None:
+            w = weights.pop(dest, None)
+            if w is None:
+                raise ValueError(f"decision row {dest}: no weights recorded this tick")
+            by_row[dest] = (w[0], w[1], [slot])
+        else:
+            row[2].append(slot)
+    weights.clear()
+    return by_row
+
+
 def _memoryless_update(
     table: ParamTable,
     trace: EligibilityTrace,
     credit_current_tick: bool,
-    grads: Iterable[tuple[int, list[float]]],
+    decided: dict[int, tuple[list[float], float, list[int]]],
     gr: float,
 ) -> None:
     """beta = 0: the trace is just this tick's gradient sum, kept unscaled."""
@@ -141,12 +196,14 @@ def _memoryless_update(
         for i in range(len(row)):
             row[i] = 0.0
     active.clear()
-    for dest, g in grads:
-        row = zrows.get(dest)
-        if row is None:
-            raise ValueError(f"gradient for unknown destination row {dest}")
-        for i, gi in enumerate(g):
-            row[i] += gi
+    for dest, (exps, total, slots) in decided.items():
+        row = zrows[dest]
+        for slot in slots:
+            for i, e in enumerate(exps):
+                gi = -e / total
+                if i == slot:
+                    gi += 1.0
+                row[i] += gi
         active.add(dest)
     if credit_current_tick:
         _credit_unscaled(table, trace, gr)
@@ -156,23 +213,25 @@ def tick_update(
     table: ParamTable,
     trace: EligibilityTrace,
     cfg: LearnerConfig,
-    grads: Iterable[tuple[int, list[float]]],
+    decisions: Iterable[tuple[int, int]],
     reward: float,
 ) -> None:
     """One full per-tick update in the configured order, applied lazily.
 
-    grads is a sequence of (destination, gradient-vector) pairs, one per
-    routing decision this router made in the tick. Only the rows in grads
-    are touched: each is settled, gets the sum of its gradients and is
-    credited with this tick's reward in one pass; every other row is owed
-    its credit through trace.acc until its next settle. The simulation
-    calls this once per router per tick.
+    decisions is a sequence of (row, slot) pairs, one per routing decision
+    this router made in the tick: the destination row sampled from and the
+    slot drawn, from the weights sampling_weights recorded for the row this
+    tick. Only the decided rows are touched: each is settled, gets the sum
+    of its gradients and is credited with this tick's reward in one pass;
+    every other row is owed its credit through trace.acc until its next
+    settle. The simulation calls this once per router per tick.
     """
     if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
+    decided = _decided_rows(table, trace, decisions)
     gr = cfg.gamma * reward
     if cfg.beta == 0.0:
-        _memoryless_update(table, trace, cfg.credit_current_tick, grads, gr)
+        _memoryless_update(table, trace, cfg.credit_current_tick, decided, gr)
         return
     s_prev = trace.scale
     s = s_prev * cfg.beta
@@ -182,38 +241,34 @@ def tick_update(
     else:
         c = 0.0
         acc = trace.acc + gr * s_prev
-    if grads:
-        by_dest: dict[int, list[list[float]]] = {}
-        for dest, g in grads:
-            glist = by_dest.get(dest)
-            if glist is None:
-                by_dest[dest] = [g]
-            else:
-                glist.append(g)
+    if decided:
         inv = 1.0 / s
         zrows = trace.rows
         trows = table.rows
         marks = trace.mark
         active = trace.active
-        for dest, glist in by_dest.items():
-            zrow = zrows.get(dest)
-            if zrow is None:
-                raise ValueError(f"gradient for unknown destination row {dest}")
+        for dest, (exps, total, slots) in decided.items():
+            zrow = zrows[dest]
             trow = trows[dest]
             # settle the row as it stood before this tick's gradient (this
             # tick's credit included), add the gradient and credit it
             d = acc - marks.get(dest, acc)
-            if len(glist) == 1:
-                for i, gi in enumerate(glist[0]):
+            if len(slots) == 1:
+                slot = slots[0]
+                for i, e in enumerate(exps):
+                    gi = -e / total
+                    if i == slot:
+                        gi += 1.0
                     gi *= inv
                     y = zrow[i]
                     zrow[i] = y + gi
                     trow[i] += d * y + c * gi
             else:
-                for i in range(len(zrow)):
+                for i, e in enumerate(exps):
+                    ne = -e / total
                     gi = 0.0
-                    for g in glist:
-                        gi += g[i]
+                    for slot in slots:
+                        gi += ne + 1.0 if i == slot else ne
                     gi *= inv
                     y = zrow[i]
                     zrow[i] = y + gi

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .config import ExperimentConfig
-from .network import Topology
 
 
 @dataclass(frozen=True)

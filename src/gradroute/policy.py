@@ -108,31 +108,6 @@ def log_policy_gradient(table: ParamTable, destination: int, slot: int) -> list[
     return [(1.0 - p) if u == slot else -p for u, p in enumerate(probs)]
 
 
-def draw_with_gradient(logits: list[float], rng: Random) -> tuple[int, list[float]]:
-    """Fused sample + gradient on a raw logit row; the simulation hot path.
-
-    Semantically identical to sample_slot(softmax_row(row)) followed by
-    log_policy_gradient for the drawn slot.
-    """
-    m = logits[0]
-    for v in logits:
-        if v > m:
-            m = v
-    exps = [math.exp(v - m) for v in logits]
-    s = sum(exps)
-    u = rng.random() * s
-    acc = 0.0
-    slot = len(exps) - 1
-    for i, e in enumerate(exps):
-        acc += e
-        if u < acc:
-            slot = i
-            break
-    grad = [-e / s for e in exps]
-    grad[slot] += 1.0
-    return slot, grad
-
-
 def snapshot(tables: dict[int, ParamTable], topology: Topology) -> dict:
     """Read-only logits export: {router label: {destination label: [logits]}}."""
     return {

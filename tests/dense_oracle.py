@@ -85,6 +85,23 @@ def dense_tick_update(
         begin_tick_accumulate(trace, cfg, grads)
 
 
+def gibbs_weights(logits: list[float]) -> tuple[list[float], float]:
+    """Sampling weights of a logit row, as learner.sampling_weights computes
+    them: the max-subtracted exponentials and their sum."""
+    m = max(logits)
+    exps = [math.exp(v - m) for v in logits]
+    return exps, sum(exps)
+
+
+def decision_gradient(weights: tuple[list[float], float], slot: int) -> list[float]:
+    """Log-policy gradient of drawing `slot` from `weights`, built the way
+    the learner forms it: -e/sum per slot, then 1 added at the drawn slot."""
+    exps, total = weights
+    g = [-e / total for e in exps]
+    g[slot] += 1.0
+    return g
+
+
 def true_trace(trace: EligibilityTrace) -> dict[int, list[float]]:
     """The trace a lazily updated EligibilityTrace stands for: scale * rows."""
     return {y: [trace.scale * v for v in row] for y, row in trace.rows.items()}

@@ -9,17 +9,11 @@ import random
 import statistics
 import time
 
-import pytest
-
 from gradroute.engine import Simulation
-from gradroute.harness import batch, run_experiment
-from gradroute.learner import LearnerConfig
-from gradroute.metrics import read_csv
+from gradroute.harness import run_experiment
 from gradroute.oracles import (
-    braess_expected_cost,
     contention_expected_reward,
     contention_optimal_p,
-    triangle_optimal_average_reward,
 )
 from gradroute.policy import ParamTable, action_probabilities, log_policy_gradient
 from gradroute.presets import preset

@@ -1,12 +1,10 @@
-import statistics
-
 import pytest
 
 from gradroute.config import ExperimentConfig
 from gradroute.engine import Simulation, SimulationError, run
 from gradroute.learner import LearnerConfig
-from gradroute.network import Topology, TrafficSpec, shortest_path_delay
-from gradroute.presets import braess_network, preset, six_node_network
+from gradroute.network import Topology, shortest_path_delay
+from gradroute.presets import braess_network, preset
 
 FROZEN = LearnerConfig(beta=0.99, gamma=1e-300)  # effectively no learning
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from dense_oracle import (
     apply_reward,
     begin_tick_accumulate,
+    decision_gradient,
     dense_tick_update,
+    gibbs_weights,
     true_trace,
 )
 from gradroute import engine
@@ -19,14 +21,15 @@ from gradroute.learner import (
     LearnerConfig,
     RunningAverageReward,
     observe_reward,
+    sampling_weights,
     settle_all,
     tick_update,
 )
 from gradroute.network import Topology, TrafficSpec
 from gradroute.policy import (
     ParamTable,
-    draw_with_gradient,
     make_tables,
+    sample_slot,
     snapshot,
     softmax_row,
 )
@@ -170,18 +173,25 @@ class TestTickUpdate:
             beta=beta, gamma=1e-3, credit_current_tick=credit_current_tick
         )
         dests = (1, 2, 3, 4, 5, 6)
-        weights = (50, 20, 10, 5, 1, 0.2)  # rows 5 and 6 go stale for long spans
+        odds = (50, 20, 10, 5, 1, 0.2)  # rows 5 and 6 go stale for long spans
         table_l, trace_l = fresh(3, dests=dests)
         table_d, trace_d = fresh(3, dests=dests)
         rescales = 0
         for t in range(1, 20_001):
-            grads = [
-                (rng.choices(dests, weights)[0], [rng.uniform(-1, 1) for _ in range(3)])
-                for _ in range(rng.choice((0, 0, 0, 1, 1, 2)))
-            ]
+            decisions, grads = [], []
+            for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+                dest = rng.choices(dests, odds)[0]
+                if dest not in trace_l.weights:
+                    # weights from random logits, recorded as sampling_weights
+                    # would; a second decision on the row shares them
+                    logits = [rng.uniform(-3, 3) for _ in range(3)]
+                    trace_l.weights[dest] = gibbs_weights(logits)
+                slot = rng.randrange(3)
+                decisions.append((dest, slot))
+                grads.append((dest, decision_gradient(trace_l.weights[dest], slot)))
             r = rng.uniform(-20, 2)
             scale_before = trace_l.scale
-            tick_update(table_l, trace_l, cfg, grads, r)
+            tick_update(table_l, trace_l, cfg, decisions, r)
             dense_tick_update(table_d, trace_d, cfg, grads, r)
             rescales += trace_l.scale > scale_before
             if t % 2_500 == 0:
@@ -196,16 +206,52 @@ class TestTickUpdate:
             assert rescales >= 20
 
     def test_two_orderings_differ_only_in_same_tick_credit(self):
-        # with the alternative ordering, tick-t reward cannot reach tick-t decisions
-        g = [0.5, -0.5]
+        # with the alternative ordering, tick-t reward cannot reach tick-t
+        # decisions; slot 0 drawn from uniform weights has gradient [0.5, -0.5]
         cfg_now = LearnerConfig(beta=0.9, gamma=1.0, credit_current_tick=True)
         cfg_prev = LearnerConfig(beta=0.9, gamma=1.0, credit_current_tick=False)
         table_now, trace_now = fresh()
         table_prev, trace_prev = fresh()
-        tick_update(table_now, trace_now, cfg_now, [(1, g)], -2.0)
-        tick_update(table_prev, trace_prev, cfg_prev, [(1, g)], -2.0)
+        assert sampling_weights(table_now, trace_now, 1) == ([1.0, 1.0], 2.0)
+        sampling_weights(table_prev, trace_prev, 1)
+        tick_update(table_now, trace_now, cfg_now, [(1, 0)], -2.0)
+        tick_update(table_prev, trace_prev, cfg_prev, [(1, 0)], -2.0)
         assert table_now.rows[1] == [-1.0, 1.0]
         assert table_prev.rows[1] == [0.0, 0.0]  # trace was still empty
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_decision_needs_weights_recorded_this_tick(self, beta):
+        table, trace = fresh()
+        cfg = LearnerConfig(beta=beta, gamma=1.0)
+        with pytest.raises(ValueError, match="decision row 1: no weights"):
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+        weights = sampling_weights(table, trace, 1)
+        assert trace.weights == {1: weights}
+        tick_update(table, trace, cfg, [(1, 0), (1, 1)], -1.0)
+        assert trace.weights == {}  # consumed by the tick that used them
+        with pytest.raises(ValueError, match="decision row 1: no weights"):
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+        sampling_weights(table, trace, 1)
+        tick_update(table, trace, cfg, [], -1.0)  # recorded, unused: dropped
+        with pytest.raises(ValueError, match="decision row 1: no weights"):
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+
+    @pytest.mark.parametrize(
+        "decision, message",
+        [((9, 0), "row 9: no weights"), ((1, 2), "slot 2"), ((1, -1), "slot -1")],
+        ids=["unknown_row", "slot_past_end", "negative_slot"],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_unknown_row_or_slot_rejected(self, beta, decision, message):
+        # sampling_weights cannot record weights for a row the table lacks
+        table, trace = fresh()
+        cfg = LearnerConfig(beta=beta, gamma=1.0)
+        with pytest.raises(KeyError):
+            sampling_weights(table, trace, 9)
+        sampling_weights(table, trace, 1)
+        with pytest.raises(ValueError, match=message):
+            tick_update(table, trace, cfg, [decision], -1.0)
+        assert table.rows[1] == [0.0, 0.0]  # rejected before any update
 
 
 class TestBanditAscent:
@@ -215,8 +261,9 @@ class TestBanditAscent:
         table, trace = fresh()
         cfg = LearnerConfig(beta=0.0, gamma=0.01)
         for _ in range(100_000):
-            slot, grad = draw_with_gradient(table.rows[1], rng)
-            tick_update(table, trace, cfg, [(1, grad)], -1.0 if slot == 0 else -2.0)
+            sampling_weights(table, trace, 1)
+            slot = sample_slot(softmax_row(table.rows[1]), rng)
+            tick_update(table, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
         assert softmax_row(table.rows[1])[0] > 0.95
 
 
@@ -287,9 +334,12 @@ class TestLazyMatchesDenseInSimulation:
         calls = []
         real = engine.tick_update
 
-        def recording(table, trace, learner_cfg, grads, reward):
-            calls.append((table.router, [(d, list(g)) for d, g in grads], reward))
-            real(table, trace, learner_cfg, grads, reward)
+        def recording(table, trace, learner_cfg, decisions, reward):
+            # rebuild each decision's gradient before the real call pops
+            # the row's recorded weights
+            grads = [(d, decision_gradient(trace.weights[d], s)) for d, s in decisions]
+            calls.append((table.router, grads, reward))
+            real(table, trace, learner_cfg, decisions, reward)
 
         monkeypatch.setattr(engine, "tick_update", recording)
         res = run_experiment(cfg)

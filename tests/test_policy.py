@@ -10,7 +10,6 @@ from gradroute.policy import (
     PolicyError,
     RoutingDecision,
     action_probabilities,
-    draw_with_gradient,
     log_policy_gradient,
     make_tables,
     sample_link,
@@ -88,17 +87,6 @@ class TestSampling:
         # 3-sigma binomial band around 0.75
         sigma = math.sqrt(0.75 * 0.25 / n)
         assert abs(hits / n - 0.75) < 3 * sigma
-
-    def test_fused_draw_matches_separate_ops(self):
-        rng_a, rng_b = random.Random(99), random.Random(99)
-        row = [0.3, -1.2, 0.8]
-        table = table_with_row(row)
-        for _ in range(2000):
-            slot_a, grad_a = draw_with_gradient(row, rng_a)
-            slot_b = sample_link(table, 1, rng_b).slot
-            assert slot_a == slot_b
-            grad_b = log_policy_gradient(table, 1, slot_b)
-            assert grad_a == pytest.approx(grad_b, abs=1e-12)
 
 
 class TestLogPolicyGradient:
