@@ -35,7 +35,7 @@ def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str]:
     res = run_experiment(cfg, out_dir)
     return tuple(
         hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        for p in (res.csv_path, res.theta_path)
+        for p in (res.config.csv_path, res.config.theta_path)
     )
 
 

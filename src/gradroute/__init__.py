@@ -8,13 +8,8 @@ from .config import (
     load_config,
     save_config,
 )
-from .engine import Packet, RunResult, Simulation, SimulationError, TickReward, TickStats, run
-from .learner import (
-    EligibilityTrace,
-    LearnerConfig,
-    RunningAverageReward,
-    observe_reward,
-)
+from .engine import Packet, Simulation, SimulationError
+from .learner import EligibilityTrace, LearnerConfig
 from .network import (
     CostModel,
     Link,
@@ -23,20 +18,10 @@ from .network import (
     Topology,
     TopologyError,
     TrafficSpec,
-    ValidationReport,
-    outgoing_links,
     shortest_path_delay,
     validate_topology,
 )
-from .policy import (
-    ParamTable,
-    PolicyError,
-    RoutingDecision,
-    action_probabilities,
-    log_policy_gradient,
-    make_tables,
-    sample_link,
-)
+from .policy import ParamTable, make_tables
 from .presets import preset, PRESET_NAMES
 from .shaping import ShapingConfig, detect_cycle, shaping_reward
 
@@ -51,31 +36,18 @@ __all__ = [
     "NodeCost",
     "Packet",
     "ParamTable",
-    "PolicyError",
     "PRESET_NAMES",
-    "RoutingDecision",
-    "RunResult",
-    "RunningAverageReward",
     "ShapingConfig",
     "Simulation",
     "SimulationError",
-    "TickReward",
-    "TickStats",
     "Topology",
     "TopologyError",
     "TrackedProbability",
     "TrafficSpec",
-    "ValidationReport",
-    "action_probabilities",
     "detect_cycle",
     "load_config",
-    "log_policy_gradient",
     "make_tables",
-    "observe_reward",
-    "outgoing_links",
     "preset",
-    "run",
-    "sample_link",
     "save_config",
     "shaping_reward",
     "shortest_path_delay",

@@ -7,7 +7,9 @@
 
 The default output directory is $GRADROUTE_OUT, falling back to ./runs.
 Each run writes metrics-seed<S>.csv, theta-seed<S>.json and the resolved
-config.json into the output directory.
+config.json into the output directory, whatever the config's `output`
+section names. A batch writes each seed's CSV and theta files only when
+given --out, and refuses a config that names output files without it.
 """
 from __future__ import annotations
 
@@ -81,14 +83,19 @@ def _out_dir(arg: str | None, name: str) -> Path:
     return base / name
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args.out, Path(args.config).stem + f"-seed{cfg.seed}")
+def _run_and_save(cfg, out: Path) -> int:
+    """Run cfg with its files in `out`, save the resolved config beside
+    them and print the summary."""
     res = run_experiment(cfg, out)
     save_config(res.config, out / "config.json")
     print(summary_line(res))
-    print(f"metrics: {res.csv_path}")
+    print(f"metrics: {res.config.csv_path}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    return _run_and_save(cfg, _out_dir(args.out, Path(args.config).stem + f"-seed{cfg.seed}"))
 
 
 def _cmd_preset(args) -> int:
@@ -104,12 +111,7 @@ def _cmd_preset(args) -> int:
         if v is not None
     }
     cfg = cfg.with_overrides(**overrides)
-    out = _out_dir(args.out, f"{args.name}-seed{cfg.seed}")
-    res = run_experiment(cfg, out)
-    save_config(res.config, out / "config.json")
-    print(summary_line(res))
-    print(f"metrics: {res.csv_path}")
-    return 0
+    return _run_and_save(cfg, _out_dir(args.out, f"{args.name}-seed{cfg.seed}"))
 
 
 def _cmd_batch(args) -> int:

@@ -26,7 +26,7 @@ Both modes update the learners lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until it is read. Every read
 therefore settles the row first: sampling_weights for the routing
-kernel, `logits()` for readers outside the engine, and `result()` for
+kernel, `logits()` for readers outside the engine, and `theta()` for
 every row before the snapshot. Outside code reads logits through these,
 never through `tables` directly.
 
@@ -40,13 +40,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
 
 from .config import ExperimentConfig
 from .learner import (
     EligibilityTrace,
-    RunningAverageReward,
-    observe_reward,
     sampling_weights,
     settle,
     settle_all,
@@ -93,19 +90,6 @@ class TickStats:
     reward: TickReward
 
 
-@dataclass
-class RunResult:
-    """Engine-level result: learned logits plus cumulative accounting."""
-
-    steps: int
-    theta: dict
-    average_reward: float
-    generated: int
-    delivered: int
-    dropped: int
-    cycles_detected: int
-
-
 class Simulation:
     """Owns all mutable run state; step() executes exactly one tick."""
 
@@ -121,7 +105,7 @@ class Simulation:
         self.traces: dict[int, EligibilityTrace] = {
             r: EligibilityTrace(t) for r, t in self.tables.items()
         }
-        self.average_reward = RunningAverageReward()
+        self.reward_sum = 0.0  # left-to-right sum of every tick's total reward
         # by node: the sampling weights its trace recorded this tick, which
         # tick_update empties; nodes without a table get an empty dict
         self._recorded = [
@@ -170,7 +154,7 @@ class Simulation:
 
     def step(self) -> TickStats:
         stats = self._step()
-        observe_reward(self.average_reward, stats.reward.total)
+        self.reward_sum += stats.reward.total
         self.generated_total += stats.generated
         self.delivered_total += stats.delivered
         self.dropped_total += stats.dropped
@@ -186,30 +170,16 @@ class Simulation:
             )
         return stats
 
-    def run(
-        self, steps: int | None = None, sink: Callable[[TickStats], None] | None = None
-    ) -> RunResult:
-        steps = self.cfg.steps if steps is None else steps
-        if sink is None:
-            for _ in range(steps):
-                self.step()
-        else:
-            for _ in range(steps):
-                sink(self.step())
-        return self.result()
+    @property
+    def running_mean(self) -> float:
+        """Mean total reward per tick so far (0.0 before the first tick)."""
+        return self.reward_sum / self.tick_count if self.tick_count else 0.0
 
-    def result(self) -> RunResult:
+    def theta(self) -> dict:
+        """Settle every logit row and return the snapshot of all tables."""
         for router, table in self.tables.items():
             settle_all(table, self.traces[router])
-        return RunResult(
-            steps=self.tick_count,
-            theta=snapshot(self.tables, self.topology),
-            average_reward=self.average_reward.mean,
-            generated=self.generated_total,
-            delivered=self.delivered_total,
-            dropped=self.dropped_total,
-            cycles_detected=self.cycles_total,
-        )
+        return snapshot(self.tables, self.topology)
 
     def logits(self, router: int, dest: int) -> list[float]:
         """Up-to-date logit row of `router` for packets destined `dest`."""
@@ -417,8 +387,3 @@ class Simulation:
             in_flight=0,
             reward=reward,
         )
-
-
-def run(cfg: ExperimentConfig) -> RunResult:
-    """Run cfg.steps ticks from cfg.seed; purely in-memory, no metrics I/O."""
-    return Simulation(cfg).run()

@@ -15,9 +15,15 @@ import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .engine import Simulation
-from .metrics import MetricsRow, SampledMovingAverage, format_row, write_header
+from .metrics import (
+    MetricsRow,
+    SampledMovingAverage,
+    format_row,
+    probability_column_names,
+    write_header,
+)
 from .policy import softmax_row
 
 OUTPUT_DIR_ENV = "GRADROUTE_OUT"
@@ -29,6 +35,9 @@ def default_output_dir() -> Path:
 
 @dataclass
 class RunResult:
+    """One run: its config (with the output paths it wrote), the sampled
+    rows, the final logits and the engine's counters at the last tick."""
+
     config: ExperimentConfig
     steps_run: int
     rows: list[MetricsRow]
@@ -39,8 +48,6 @@ class RunResult:
     dropped: int
     cycles_detected: int
     ticks_to_threshold: int | None
-    csv_path: str | None
-    theta_path: str | None
 
 
 def run_experiment(
@@ -49,10 +56,11 @@ def run_experiment(
     *,
     underlying_threshold: float | None = None,
     stop_at_threshold: bool = False,
-    quiet: bool = True,
 ) -> RunResult:
-    """Execute one run. Output files are written when cfg carries paths or
-    an out_dir is given; otherwise rows stay in memory only.
+    """Execute one run. Given an out_dir, the run writes
+    metrics-seed<S>.csv and theta-seed<S>.json there, whatever paths cfg
+    names; without one, it writes to cfg's paths, if any, and otherwise
+    keeps its rows in memory only.
 
     underlying_threshold arms the ticks-to-threshold detector; with
     stop_at_threshold the run ends at the first sampled tick whose
@@ -89,7 +97,7 @@ def run_experiment(
                     reward_underlying=stats.reward.underlying,
                     reward_shaping=stats.reward.shaping,
                     reward_ma=ma,
-                    running_mean=sim.average_reward.mean,
+                    running_mean=sim.running_mean,
                     probs=probs,
                     delivered=sim.delivered_total,
                     dropped=sim.dropped_total,
@@ -110,28 +118,23 @@ def run_experiment(
         if csv_fh:
             csv_fh.close()
 
-    result = sim.result()
+    theta = sim.theta()
     if cfg.theta_path:
         Path(cfg.theta_path).write_text(
-            json.dumps(result.theta, indent=2) + "\n", encoding="utf-8"
+            json.dumps(theta, indent=2) + "\n", encoding="utf-8"
         )
-    run_result = RunResult(
+    return RunResult(
         config=cfg,
-        steps_run=result.steps,
+        steps_run=sim.tick_count,
         rows=rows,
-        final_theta=result.theta,
-        final_running_mean=result.average_reward,
-        generated=result.generated,
-        delivered=result.delivered,
-        dropped=result.dropped,
-        cycles_detected=result.cycles_detected,
+        final_theta=theta,
+        final_running_mean=sim.running_mean,
+        generated=sim.generated_total,
+        delivered=sim.delivered_total,
+        dropped=sim.dropped_total,
+        cycles_detected=sim.cycles_total,
         ticks_to_threshold=ticks_to_threshold,
-        csv_path=cfg.csv_path,
-        theta_path=cfg.theta_path,
     )
-    if not quiet:
-        print(summary_line(run_result))
-    return run_result
 
 
 def summary_line(res: RunResult) -> str:
@@ -143,8 +146,6 @@ def summary_line(res: RunResult) -> str:
         f"cycles={res.cycles_detected}",
     ]
     if res.rows and res.rows[-1].probs:
-        from .metrics import probability_column_names
-
         for name, p in zip(probability_column_names(res.config), res.rows[-1].probs):
             parts.append(f"{name}={p:.4f}")
     if res.ticks_to_threshold is not None:
@@ -159,30 +160,22 @@ def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> Experim
     out.mkdir(parents=True, exist_ok=True)
     return replace(
         cfg,
-        csv_path=cfg.csv_path or str(out / f"metrics-seed{cfg.seed}.csv"),
-        theta_path=cfg.theta_path or str(out / f"theta-seed{cfg.seed}.json"),
+        csv_path=str(out / f"metrics-seed{cfg.seed}.csv"),
+        theta_path=str(out / f"theta-seed{cfg.seed}.json"),
     )
 
 
 @dataclass
-class SeedResult:
-    seed: int
-    final_running_mean: float
-    ticks_to_threshold: int | None
-    steps_run: int
-
-
-@dataclass
 class BatchResult:
-    seed_results: list[SeedResult]
+    runs: list[RunResult]  # one per seed, in the order given
     mean_final_reward: float
     median_ticks_to_threshold: float | None
 
     def table(self) -> str:
         lines = ["seed  ticks_to_threshold  final_running_mean"]
-        for r in self.seed_results:
+        for r in self.runs:
             ttt = "-" if r.ticks_to_threshold is None else str(r.ticks_to_threshold)
-            lines.append(f"{r.seed:<6}{ttt:<20}{r.final_running_mean:.4f}")
+            lines.append(f"{r.config.seed:<6}{ttt:<20}{r.final_running_mean:.4f}")
         med = self.median_ticks_to_threshold
         lines.append(
             f"aggregate: median_ticks_to_threshold="
@@ -204,33 +197,36 @@ def batch(
     Runs that never reach the threshold are counted at cfg.steps (a lower
     bound on their true crossing time), which can only understate the
     advantage of the faster arm in a comparison.
+
+    Each seed's files go to out_dir; without one, a config that names
+    output files is refused, since every seed would write to them.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    seed_results = []
-    for seed in seeds:
-        res = run_experiment(
+    if out_dir is None:
+        for key, path in (("output.csv", cfg.csv_path), ("output.theta", cfg.theta_path)):
+            if path:
+                raise ConfigError(
+                    f"{key}: every seed of a batch would write to {path!r}; "
+                    "give the batch an output directory instead"
+                )
+    runs = [
+        run_experiment(
             replace(cfg, seed=seed),
             out_dir,
             underlying_threshold=underlying_threshold,
             stop_at_threshold=stop_at_threshold,
         )
-        seed_results.append(
-            SeedResult(
-                seed=seed,
-                final_running_mean=res.final_running_mean,
-                ticks_to_threshold=res.ticks_to_threshold,
-                steps_run=res.steps_run,
-            )
-        )
+        for seed in seeds
+    ]
     median = None
     if underlying_threshold is not None:
         median = statistics.median(
             float(r.ticks_to_threshold if r.ticks_to_threshold is not None else cfg.steps)
-            for r in seed_results
+            for r in runs
         )
     return BatchResult(
-        seed_results=seed_results,
-        mean_final_reward=statistics.fmean(r.final_running_mean for r in seed_results),
+        runs=runs,
+        mean_final_reward=statistics.fmean(r.final_running_mean for r in runs),
         median_ticks_to_threshold=median,
     )

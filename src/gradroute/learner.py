@@ -280,21 +280,3 @@ def tick_update(
     if s < RESCALE_BELOW:
         _rescale(table, trace)
 
-
-@dataclass
-class RunningAverageReward:
-    """Mean of every per-tick reward seen so far: a left-to-right float
-    sum divided by the count, as sum(rewards) / len(rewards) computes it."""
-
-    count: int = 0
-    total: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-def observe_reward(avg: RunningAverageReward, reward: float) -> RunningAverageReward:
-    avg.count += 1
-    avg.total += reward
-    return avg

@@ -149,6 +149,8 @@ class Topology:
         return self.nodes[node].label
 
     def out_link_indices(self, node: int) -> tuple[int, ...]:
+        """Indices into `links` of the outgoing links of `node`, in
+        declaration order: the slot order of its policy rows and traces."""
         if not 0 <= node < len(self.nodes):
             raise TopologyError(f"unknown node id {node}")
         return self._out[node]
@@ -159,15 +161,6 @@ class Topology:
         if link.label:
             return link.label
         return f"{self.nodes[link.src].label}{self.nodes[link.dst].label}"
-
-
-def outgoing_links(topology: Topology, node: int) -> list[Link]:
-    """Outgoing links of `node` in declaration order.
-
-    This order is stable across calls and runs; it defines the slot order
-    used by policies and traces.
-    """
-    return [topology.links[i] for i in topology.out_link_indices(node)]
 
 
 def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:

@@ -1,5 +1,5 @@
 """The dense eligibility-trace update, kept as the reference that the lazy
-rule in gradroute.learner is tested against.
+rule in gradroute.learner is tested against, and the reference sampler.
 
 Every tick the dense rule decays every active trace row by beta, adds the
 tick's decision gradients and credits every active row with the tick's
@@ -9,6 +9,7 @@ these functions holds the true trace z in `rows` (its scale stays 1).
 from __future__ import annotations
 
 import math
+from random import Random
 from typing import Iterable
 
 from gradroute.learner import EligibilityTrace, LearnerConfig
@@ -100,6 +101,20 @@ def decision_gradient(weights: tuple[list[float], float], slot: int) -> list[flo
     g = [-e / total for e in exps]
     g[slot] += 1.0
     return g
+
+
+def sample_slot(probs: list[float], rng: Random) -> int:
+    """Inverse-CDF draw over the ordered slots; consumes exactly one uniform.
+    The engines make the same draw over the unnormalised weights, with the
+    uniform scaled by their sum."""
+    u = rng.random()
+    acc = 0.0
+    last = len(probs) - 1
+    for slot, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return slot
+    return last
 
 
 def true_trace(trace: EligibilityTrace) -> dict[int, list[float]]:

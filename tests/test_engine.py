@@ -1,12 +1,18 @@
 import pytest
 
 from gradroute.config import ExperimentConfig
-from gradroute.engine import Simulation, SimulationError, run
+from gradroute.engine import Simulation, SimulationError
+from gradroute.harness import run_experiment
 from gradroute.learner import LearnerConfig
 from gradroute.network import Topology, shortest_path_delay
 from gradroute.presets import braess_network, preset
 
 FROZEN = LearnerConfig(beta=0.99, gamma=1e-300)  # effectively no learning
+
+
+def advance(sim, steps):
+    for _ in range(steps):
+        sim.step()
 
 
 def force_row(sim, router_label, dest_label, logits):
@@ -44,9 +50,8 @@ class TestContentionArithmetic:
         from gradroute.oracles import contention_expected_reward
 
         cfg = preset("contention").with_overrides(steps=40_000, learner=FROZEN)
-        sim = Simulation(cfg)
-        res = sim.run()
-        assert res.average_reward == pytest.approx(
+        res = run_experiment(cfg)
+        assert res.final_running_mean == pytest.approx(
             contention_expected_reward(0.5, 21.0), abs=0.3
         )
 
@@ -78,9 +83,9 @@ class TestNodeFlowArithmetic:
         from gradroute.oracles import braess_expected_cost
 
         cfg = preset("braess1").with_overrides(steps=30_000, learner=FROZEN)
-        res = Simulation(cfg).run()
+        res = run_experiment(cfg)
         expected = -6.0 * braess_expected_cost(0.5, 0.5)
-        assert res.average_reward == pytest.approx(expected, rel=0.01)
+        assert res.final_running_mean == pytest.approx(expected, rel=0.01)
 
     def test_cycle_in_node_flow_topology_aborts(self):
         topo, traffic = braess_network(augmented=True)
@@ -122,29 +127,55 @@ class TestConservationAndDeterminism:
         stats_a = [run_a.step() for _ in range(300)]
         stats_b = [run_b.step() for _ in range(300)]
         assert stats_a == stats_b
-        assert run_a.result().theta == run_b.result().theta
+        assert run_a.theta() == run_b.theta()
 
     def test_different_seeds_differ(self):
         cfg = preset("triangle").with_overrides(steps=200)
-        a = Simulation(cfg.with_overrides(seed=1)).run()
-        b = Simulation(cfg.with_overrides(seed=2)).run()
-        assert a.average_reward != b.average_reward
+        a = run_experiment(cfg.with_overrides(seed=1))
+        b = run_experiment(cfg.with_overrides(seed=2))
+        assert a.final_running_mean != b.final_running_mean
 
     def test_zero_steps_returns_initial_state(self):
-        cfg = preset("triangle")
-        res = Simulation(cfg).run(steps=0)
-        assert res.steps == 0
-        assert res.generated == 0
+        sim = Simulation(preset("triangle"))
+        assert sim.tick_count == 0
+        assert sim.generated_total == 0
         assert all(
-            v == 0.0 for dests in res.theta.values() for row in dests.values() for v in row
+            v == 0.0 for dests in sim.theta().values() for row in dests.values() for v in row
         )
+
+
+class TestRunningAverage:
+    """Simulation.running_mean: the left-to-right sum of the tick rewards
+    over the tick count."""
+
+    def forced_contention(self, logits):
+        sim = Simulation(preset("contention").with_overrides(learner=FROZEN))
+        force_row(sim, "A", "B", logits)
+        return sim
+
+    def test_three_values(self):
+        sim = self.forced_contention([30.0, -30.0])
+        totals = [sim.step().reward.total for _ in range(3)]
+        assert totals == [-21.0, -22.0, -22.0]
+        assert sim.running_mean == (totals[0] + totals[1] + totals[2]) / 3
+
+    def test_single_value(self):
+        sim = self.forced_contention([30.0, -30.0])
+        sim.step()
+        assert sim.running_mean == -21.0
+
+    def test_zero_stream(self):
+        sim = self.forced_contention([-30.0, 30.0])
+        assert sim.running_mean == 0.0  # before the first tick
+        advance(sim, 6)  # nothing arrives during the first transit
+        assert sim.running_mean == 0.0
 
 
 class TestTripTimes:
     def test_trips_bounded_below_by_shortest_path(self):
         cfg = preset("triangle").with_overrides(steps=20_000, learner=FROZEN)
         sim = Simulation(cfg, record_trips=True)
-        sim.run()
+        advance(sim, cfg.steps)
         topo = cfg.topology
         assert len(sim.trip_log) > 50_000
         for source, dest, trip in sim.trip_log:
@@ -155,7 +186,7 @@ class TestTripTimes:
         # the tail of the trip distribution stays short
         cfg = preset("triangle").with_overrides(steps=100_000, learner=FROZEN)
         sim = Simulation(cfg, record_trips=True)
-        sim.run()
+        advance(sim, cfg.steps)
         trips = sorted(t for _, _, t in sim.trip_log)
         p99 = trips[int(0.99 * len(trips))]
         assert p99 <= 50
@@ -172,11 +203,11 @@ class TestTripTimes:
                     for i in topo.out_link_indices(router)
                 ]
                 table.rows[dest][:] = direct
-        res = sim.run()
-        assert res.cycles_detected == 0
+        advance(sim, cfg.steps)
+        assert sim.cycles_total == 0
         assert all(trip == 1 for _, _, trip in sim.trip_log)
         # reward equals the shortest-path optimum from the second tick on
-        assert res.average_reward == pytest.approx(-6.0, abs=0.1)
+        assert sim.running_mean == pytest.approx(-6.0, abs=0.1)
 
 
 class TestRewardDecomposition:
@@ -192,9 +223,12 @@ class TestRewardDecomposition:
 
     def test_run_helper_accumulates(self):
         cfg = preset("contention").with_overrides(steps=500)
-        res = run(cfg)
-        assert res.steps == 500
-        assert res.generated == 1000
-        assert res.generated == res.delivered + res.dropped + (
-            res.generated - res.delivered - res.dropped
-        )
+        res = run_experiment(cfg)
+        sim = Simulation(cfg)
+        stats = [sim.step() for _ in range(cfg.steps)]
+        assert res.steps_run == 500
+        assert res.generated == sum(s.generated for s in stats) == 1000
+        assert res.delivered == sum(s.delivered for s in stats)
+        assert res.dropped == sum(s.dropped for s in stats)
+        assert res.cycles_detected == sum(s.cycles_detected for s in stats)
+        assert res.final_running_mean == sim.running_mean

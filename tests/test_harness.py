@@ -180,7 +180,7 @@ class TestRunExperiment:
     def test_csv_schema_and_ma_recompute(self, name, overrides, tmp_path):
         cfg = preset(name).with_overrides(ma_window=7, **overrides)
         res = run_experiment(cfg, tmp_path)
-        header, rows = read_csv(res.csv_path)
+        header, rows = read_csv(res.config.csv_path)
         assert header == column_names(cfg)
         totals = [r[header.index("reward_total")] for r in rows]
         mas = [r[header.index("reward_ma")] for r in rows]
@@ -192,7 +192,7 @@ class TestRunExperiment:
         cfg = preset("triangle").with_overrides(steps=2_000)
         a = run_experiment(cfg, tmp_path / "a")
         b = run_experiment(cfg, tmp_path / "b")
-        with open(a.csv_path, "rb") as fa, open(b.csv_path, "rb") as fb:
+        with open(a.config.csv_path, "rb") as fa, open(b.config.csv_path, "rb") as fb:
             assert fa.read() == fb.read()
 
     def test_theta_snapshot_format(self, tmp_path):
@@ -220,7 +220,7 @@ class TestBatch:
         cfg = preset("contention").with_overrides(steps=2_000)
         single = run_experiment(cfg.with_overrides(seed=9))
         b = batch(cfg, [9])
-        assert b.seed_results[0].final_running_mean == single.final_running_mean
+        assert b.runs[0].final_running_mean == single.final_running_mean
         assert b.mean_final_reward == single.final_running_mean
 
     def test_empty_seed_list_rejected(self):
@@ -256,9 +256,30 @@ class TestCli:
         assert (out_dir / "theta-seed3.json").exists()
         saved = out_dir / "config.json"
         assert load_config(saved).learner.gamma == 1e-5
+        # the saved config names the files above in its output section
+        first = {p: p.read_bytes() for p in out_dir.iterdir()}
 
+        # an explicit --out decides where a re-run writes
         rc = cli_main(["run", str(saved), "--out", str(tmp_path / "again")])
         assert rc == 0
+        again = tmp_path / "again" / "config-seed3"
+        assert (again / "metrics-seed3.csv").exists()
+        assert (again / "theta-seed3.json").exists()
+        assert load_config(again / "config.json").csv_path == str(again / "metrics-seed3.csv")
+
+        # a batch writes each seed to its own files under --out
+        rc = cli_main(["batch", str(saved), "--seeds", "1,2", "--out", str(tmp_path / "b")])
+        assert rc == 0
+        batch_dir = tmp_path / "b" / "config-batch"
+        csvs = [(batch_dir / f"metrics-seed{s}.csv").read_bytes() for s in (1, 2)]
+        assert csvs[0] != csvs[1]
+        assert (batch_dir / "theta-seed2.json").exists()
+
+        # without --out, a batch cannot give each seed the config's one path
+        capsys.readouterr()
+        assert cli_main(["batch", str(saved), "--seeds", "1,2"]) == 2
+        assert "output.csv" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out_dir.iterdir()} == first
 
     def test_batch_cli(self, tmp_path, capsys):
         cfg = preset("contention").with_overrides(steps=300)

@@ -11,6 +11,7 @@ from dense_oracle import (
     decision_gradient,
     dense_tick_update,
     gibbs_weights,
+    sample_slot,
     true_trace,
 )
 from gradroute import engine
@@ -19,8 +20,6 @@ from gradroute.harness import run_experiment
 from gradroute.learner import (
     EligibilityTrace,
     LearnerConfig,
-    RunningAverageReward,
-    observe_reward,
     sampling_weights,
     settle_all,
     tick_update,
@@ -29,7 +28,6 @@ from gradroute.network import Topology, TrafficSpec
 from gradroute.policy import (
     ParamTable,
     make_tables,
-    sample_slot,
     snapshot,
     softmax_row,
 )
@@ -265,25 +263,6 @@ class TestBanditAscent:
             slot = sample_slot(softmax_row(table.rows[1]), rng)
             tick_update(table, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
         assert softmax_row(table.rows[1])[0] > 0.95
-
-
-class TestRunningAverage:
-    def test_three_values(self):
-        avg = RunningAverageReward()
-        for r in (-12.0, -22.0, -7.0):
-            observe_reward(avg, r)
-        assert avg.count == 3
-        assert avg.mean == pytest.approx(-41.0 / 3.0, rel=1e-15)
-
-    def test_single_value(self):
-        avg = observe_reward(RunningAverageReward(), -3.25)
-        assert avg.mean == -3.25
-
-    def test_zero_stream(self):
-        avg = RunningAverageReward()
-        for _ in range(100):
-            observe_reward(avg, 0.0)
-        assert avg.mean == 0.0
 
 
 def ring_config():

@@ -10,7 +10,6 @@ from gradroute.network import (
     Topology,
     TopologyError,
     TrafficSpec,
-    outgoing_links,
     shortest_path_delay,
     validate_topology,
 )
@@ -25,7 +24,7 @@ from gradroute.presets import (
 class TestOutgoingLinks:
     def test_triangle_order_is_declaration_order(self):
         topo, _ = triangle_network()
-        out = outgoing_links(topo, topo.node_id("A"))
+        out = [topo.links[i] for i in topo.out_link_indices(topo.node_id("A"))]
         assert [(topo.label(l.src), topo.label(l.dst)) for l in out] == [
             ("A", "B"),
             ("A", "C"),
@@ -33,23 +32,23 @@ class TestOutgoingLinks:
 
     def test_sink_has_no_outgoing_links(self):
         topo, _ = contention_network()
-        assert outgoing_links(topo, topo.node_id("B")) == []
+        assert topo.out_link_indices(topo.node_id("B")) == ()
 
     def test_braess_E_has_two_paths_onward(self):
         topo, _ = braess_network(augmented=True)
-        out = outgoing_links(topo, topo.node_id("E"))
-        assert [topo.label(l.dst) for l in out] == ["F", "G"]
+        out = topo.out_link_indices(topo.node_id("E"))
+        assert [topo.label(topo.links[i].dst) for i in out] == ["F", "G"]
 
     def test_unknown_node_rejected(self):
         topo, _ = triangle_network()
         with pytest.raises(TopologyError):
-            outgoing_links(topo, 17)
+            topo.out_link_indices(17)
 
     def test_order_stable_across_calls(self):
         topo, _ = six_node_network()
         for node in range(topo.n_nodes):
-            first = outgoing_links(topo, node)
-            assert outgoing_links(topo, node) == first
+            first = topo.out_link_indices(node)
+            assert topo.out_link_indices(node) == first
 
 
 class TestShortestPathDelay:

@@ -1,0 +1,58 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gradroute
+
+PUBLIC = [
+    "ConfigError",
+    "CostModel",
+    "EligibilityTrace",
+    "ExperimentConfig",
+    "LearnerConfig",
+    "Link",
+    "Node",
+    "NodeCost",
+    "PRESET_NAMES",
+    "Packet",
+    "ParamTable",
+    "ShapingConfig",
+    "Simulation",
+    "SimulationError",
+    "Topology",
+    "TopologyError",
+    "TrackedProbability",
+    "TrafficSpec",
+    "detect_cycle",
+    "load_config",
+    "make_tables",
+    "preset",
+    "save_config",
+    "shaping_reward",
+    "shortest_path_delay",
+    "validate_topology",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(gradroute.__all__) == PUBLIC
+    for name in gradroute.__all__:
+        assert getattr(gradroute, name) is not None, name
+
+
+def test_import_leaves_harness_and_cli_unloaded():
+    # the package root must stay cheap to import: the benchmark times it
+    code = (
+        "import sys, gradroute; "
+        "print(sorted(m for m in ('gradroute.harness', 'gradroute.cli') if m in sys.modules))"
+    )
+    src = str(Path(gradroute.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"

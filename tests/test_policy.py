@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradroute.policy import (
-    ParamTable,
-    PolicyError,
-    RoutingDecision,
-    action_probabilities,
-    log_policy_gradient,
-    make_tables,
-    sample_link,
-    sample_slot,
-)
+from dense_oracle import sample_slot
+from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
+from gradroute.policy import ParamTable, make_tables, softmax_row
 from gradroute.presets import braess_network, triangle_network
 
 logit_rows = st.lists(
@@ -28,27 +21,34 @@ def table_with_row(row):
     return t
 
 
+def applied_gradient(table, dest, slot):
+    """The change one decision (dest, slot) makes to its logit row. With
+    beta = 0.5, gamma = 1 and reward 1 the learner adds exactly that
+    decision's log-policy gradient to the row."""
+    before = list(table.rows[dest])
+    trace = EligibilityTrace(table)
+    sampling_weights(table, trace, dest)
+    tick_update(table, trace, LearnerConfig(beta=0.5, gamma=1.0), [(dest, slot)], 1.0)
+    return [a - b for a, b in zip(table.rows[dest], before)]
+
+
 class TestActionProbabilities:
     def test_uniform_for_zero_logits(self):
-        assert action_probabilities(table_with_row([0.0, 0.0]), 1) == [0.5, 0.5]
+        assert softmax_row([0.0, 0.0]) == [0.5, 0.5]
 
     def test_log3_row(self):
-        probs = action_probabilities(table_with_row([math.log(3), 0.0]), 1)
+        probs = softmax_row([math.log(3), 0.0])
         assert probs[0] == pytest.approx(0.75, abs=1e-12)
         assert probs[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_constant_row_is_uniform(self):
-        probs = action_probabilities(table_with_row([5.0, 5.0, 5.0]), 1)
+        probs = softmax_row([5.0, 5.0, 5.0])
         assert probs == pytest.approx([1 / 3] * 3, abs=1e-12)
-
-    def test_missing_destination_row(self):
-        with pytest.raises(PolicyError):
-            action_probabilities(table_with_row([0.0]), 2)
 
     @settings(max_examples=300)
     @given(logit_rows)
     def test_normalization(self, row):
-        probs = action_probabilities(table_with_row(row), 1)
+        probs = softmax_row(row)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         # strictly positive always; strictly below 1 whenever the spread
         # leaves room at float precision
@@ -59,18 +59,17 @@ class TestActionProbabilities:
     @settings(max_examples=300)
     @given(logit_rows, st.floats(min_value=-40, max_value=40, allow_nan=False))
     def test_shift_invariance(self, row, c):
-        base = action_probabilities(table_with_row(row), 1)
-        shifted = action_probabilities(table_with_row([v + c for v in row]), 1)
+        base = softmax_row(row)
+        shifted = softmax_row([v + c for v in row])
         for a, b in zip(base, shifted):
             assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestSampling:
     def test_extreme_logits_pick_the_dominant_slot(self):
-        table = table_with_row([30.0, -30.0])
+        probs = softmax_row([30.0, -30.0])
         for seed in range(20):
-            d = sample_link(table, 1, random.Random(seed), tick=7)
-            assert d == RoutingDecision(router=0, destination=1, slot=0, tick=7)
+            assert sample_slot(probs, random.Random(seed)) == 0
 
     def test_inverse_cdf_boundary(self):
         class FixedU:
@@ -80,10 +79,10 @@ class TestSampling:
         assert sample_slot([0.5, 0.5], FixedU()) == 1
 
     def test_empirical_frequencies(self):
-        table = table_with_row([math.log(3), 0.0])
+        probs = softmax_row([math.log(3), 0.0])
         rng = random.Random(123)
         n = 100_000
-        hits = sum(sample_link(table, 1, rng).slot == 0 for _ in range(n))
+        hits = sum(sample_slot(probs, rng) == 0 for _ in range(n))
         # 3-sigma binomial band around 0.75
         sigma = math.sqrt(0.75 * 0.25 / n)
         assert abs(hits / n - 0.75) < 3 * sigma
@@ -91,22 +90,22 @@ class TestSampling:
 
 class TestLogPolicyGradient:
     def test_uniform_case(self):
-        assert log_policy_gradient(table_with_row([0.0, 0.0]), 1, 0) == [0.5, -0.5]
+        assert applied_gradient(table_with_row([0.0, 0.0]), 1, 0) == [0.5, -0.5]
 
     def test_quarter_case(self):
-        g = log_policy_gradient(table_with_row([math.log(3), 0.0]), 1, 1)
+        g = applied_gradient(table_with_row([math.log(3), 0.0]), 1, 1)
         assert g[0] == pytest.approx(-0.75, abs=1e-12)
         assert g[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_slot(self):
-        with pytest.raises(PolicyError):
-            log_policy_gradient(table_with_row([0.0, 0.0]), 1, 2)
+        with pytest.raises(ValueError):
+            applied_gradient(table_with_row([0.0, 0.0]), 1, 2)
 
     @settings(max_examples=300)
     @given(logit_rows, st.randoms(use_true_random=False))
     def test_components_sum_to_zero(self, row, rng):
         slot = rng.randrange(len(row))
-        g = log_policy_gradient(table_with_row(row), 1, slot)
+        g = applied_gradient(table_with_row(row), 1, slot)
         assert sum(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference(self):
@@ -116,14 +115,14 @@ class TestLogPolicyGradient:
             n = rng.randint(1, 8)
             row = [rng.uniform(-5, 5) for _ in range(n)]
             slot = rng.randrange(n)
-            analytic = log_policy_gradient(table_with_row(row), 1, slot)
+            analytic = applied_gradient(table_with_row(row), 1, slot)
             for j in range(n):
                 up = list(row)
                 up[j] += h
                 down = list(row)
                 down[j] -= h
-                lo = math.log(action_probabilities(table_with_row(down), 1)[slot])
-                hi = math.log(action_probabilities(table_with_row(up), 1)[slot])
+                lo = math.log(softmax_row(down)[slot])
+                hi = math.log(softmax_row(up)[slot])
                 fd = (hi - lo) / (2 * h)
                 assert abs(fd - analytic[j]) < 1e-6
 
@@ -135,7 +134,8 @@ class TestMakeTables:
         c = topo.node_id("C")
         assert tables[c].n_links == 1
         # its gradient is identically zero: only one action to explain
-        assert log_policy_gradient(tables[c], topo.node_id("B"), 0) == [0.0]
+        assert applied_gradient(tables[c], topo.node_id("B"), 0) == [0.0]
+        assert tables[c].rows[topo.node_id("B")] == [0.0]
 
     def test_sink_gets_no_table_and_self_rows_are_absent(self):
         topo, _ = braess_network(augmented=True)
@@ -148,5 +148,5 @@ class TestMakeTables:
         topo, _ = triangle_network()
         for table in make_tables(topo).values():
             for dest in table.rows:
-                probs = action_probabilities(table, dest)
+                probs = softmax_row(table.rows[dest])
                 assert probs == pytest.approx([1 / len(probs)] * len(probs))
