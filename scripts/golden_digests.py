@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print the golden SHA-256 digests that tests/test_golden.py pins.
 
-Each preset in PRESET_NAMES runs for STEPS ticks from its own seed, with
-a row every SAMPLE_EVERY ticks and a moving-average window of MA_WINDOW
-rows (fewer than the rows written, so the window evicts). The metrics
-CSV and theta JSON are written to a temporary directory and hashed.
+Each config in GOLDEN_NAMES (every preset, plus `forced_hops`) runs for
+STEPS ticks from its own seed, with a row every SAMPLE_EVERY ticks and a
+moving-average window of MA_WINDOW rows (fewer than the rows written, so
+the window evicts). The metrics CSV and theta JSON are written to a
+temporary directory and hashed.
 
 Usage:  python3 scripts/golden_digests.py
 
@@ -19,17 +20,50 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gradroute.config import ExperimentConfig, TrackedProbability
 from gradroute.harness import run_experiment
+from gradroute.learner import LearnerConfig
+from gradroute.network import Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, preset
+from gradroute.shaping import ShapingConfig
 
 STEPS = 3000
 SAMPLE_EVERY = 7
 MA_WINDOW = 50
+GOLDEN_NAMES = PRESET_NAMES + ("forced_hops",)
+
+
+def forced_hops_config() -> ExperimentConfig:
+    """Link-delay network in which B and D have one out-link each, so half
+    the routers only ever forward: A->B (capacity 2), A->C (delay 2),
+    B->D (capacity 1), C->A, C->D, D->C. Uniform traffic from every node
+    loads B->D beyond its capacity, so packets drop, and A->C->A bounces
+    are caught as cycles."""
+    topo = Topology.build(
+        ["A", "B", "C", "D"],
+        [
+            ("A", "B", 1, 2),
+            ("A", "C", 2),
+            ("B", "D", 1, 1),
+            ("C", "A", 1),
+            ("C", "D", 1),
+            ("D", "C", 1),
+        ],
+    )
+    return ExperimentConfig(
+        topology=topo,
+        traffic=TrafficSpec.uniform(4, rate=1),
+        learner=LearnerConfig(beta=0.9, gamma=1e-4),
+        shaping=ShapingConfig(cycle_penalty=-5.0, history_length=2, drop_penalty=3.0),
+        seed=5,
+        tracked=(TrackedProbability(0, 3, topo.out_link_indices(0)[0]),),
+    )
 
 
 def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str]:
-    """(CSV SHA-256, theta SHA-256) of the golden run of preset `name`."""
-    cfg = preset(name).with_overrides(
+    """(CSV SHA-256, theta SHA-256) of the golden run of `name`."""
+    base = forced_hops_config() if name == "forced_hops" else preset(name)
+    cfg = base.with_overrides(
         steps=STEPS, sample_every=SAMPLE_EVERY, ma_window=MA_WINDOW
     )
     res = run_experiment(cfg, out_dir)
@@ -41,7 +75,7 @@ def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str]:
 
 def main() -> int:
     print("GOLDEN = {")
-    for name in PRESET_NAMES:
+    for name in GOLDEN_NAMES:
         with tempfile.TemporaryDirectory() as tmp:
             csv_sha, theta_sha = golden_digests(name, tmp)
         print(f'    "{name}": (')

@@ -1,5 +1,6 @@
 """Golden digests: the metrics CSV and theta JSON of a short run of every
-preset, pinned by SHA-256.
+preset, and of a link-delay network with one-link routers, capacity drops
+and cycles (`forced_hops`), pinned by SHA-256.
 
 A change that only makes the program faster or smaller must leave these
 files byte-identical. The digests hold for CPython 3.11 on x86-64 Linux;
@@ -35,6 +36,10 @@ GOLDEN = {
         "f4d0284de936d3932bd426c8640419ff67cc95fb10595517ffaa0e56b6a488d8",
         "d0146151353e8b6f8c50acc3f674c5c43e0579b74553dee24f4632b5bb9ca11e",
     ),
+    "forced_hops": (
+        "ebfb1efa9e0c55556a19b97487bc3f549f14899015fa395bb0f2c86ad60d92e3",
+        "2e73550add7c1c69e3e8e29549a86dcefcb392089fd7d832517303a4c9faa411",
+    ),
 }
 
 
@@ -45,9 +50,10 @@ def _script():
     return module
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", (*PRESET_NAMES, "forced_hops"))
 def test_outputs_match_golden_digests(name, tmp_path):
     script = _script()
+    assert set(script.GOLDEN_NAMES) == set(GOLDEN)
     # the window must evict, or the moving average's eviction goes unchecked
     assert script.MA_WINDOW < script.STEPS // script.SAMPLE_EVERY
     csv_sha, theta_sha = script.golden_digests(name, tmp_path)
