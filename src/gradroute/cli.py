@@ -14,6 +14,7 @@ given --out, and refuses a config that names output files without it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,15 @@ from .oracles import (
     triangle_optimal_average_reward,
 )
 from .presets import PRESET_NAMES, braess_network, preset
+
+# the parameters each oracle takes, as its usage line shows them
+ORACLE_USAGE = {
+    "contention-reward": "P D",
+    "contention-optimal": "D",
+    "braess-cost": "PATH=COUNT [PATH=COUNT ...]",
+    "braess-expected": "P_LEFT P_EF",
+    "triangle-optimal": "",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,16 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out", default=None, help="output directory")
 
     p_oracle = sub.add_parser("oracle", help="evaluate an analytic baseline")
-    p_oracle.add_argument(
-        "name",
-        choices=[
-            "contention-reward",
-            "contention-optimal",
-            "braess-cost",
-            "braess-expected",
-            "triangle-optimal",
-        ],
-    )
+    p_oracle.add_argument("name", choices=list(ORACLE_USAGE))
     p_oracle.add_argument("params", nargs="*")
     p_oracle.add_argument(
         "--braess0", action="store_true", help="use the network without the shortcut"
@@ -129,22 +130,60 @@ def _cmd_batch(args) -> int:
     return 0
 
 
+def _oracle_error(name: str, problem: str) -> ValueError:
+    usage = f"gradroute oracle {name} {ORACLE_USAGE[name]}".rstrip()
+    return ValueError(f"oracle {name} {problem}; usage: {usage}")
+
+
+def _oracle_numbers(name: str, params: list[str]) -> list[float]:
+    """The oracle's parameters as finite floats, exactly as many as it takes."""
+    want = len(ORACLE_USAGE[name].split())
+    if len(params) != want:
+        raise _oracle_error(name, f"takes {want} parameter(s), got {len(params)}")
+    values = []
+    for item in params:
+        try:
+            v = float(item)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise _oracle_error(name, f"needs finite numbers, got {item!r}")
+        values.append(v)
+    return values
+
+
+def _oracle_flows(name: str, params: list[str]) -> dict[str, int]:
+    """PATH=COUNT parameters as {path: count}; at least one, counts >= 0."""
+    if not params:
+        raise _oracle_error(name, "takes at least one parameter, got 0")
+    flows = {}
+    for item in params:
+        path, _, count = item.partition("=")
+        try:
+            n = int(count)
+        except ValueError:
+            n = -1
+        if not path or n < 0:
+            raise _oracle_error(
+                name, f"needs PATH=COUNT with a whole COUNT >= 0, got {item!r}"
+            )
+        flows[path] = n
+    return flows
+
+
 def _cmd_oracle(args) -> int:
     name, params = args.name, args.params
-    if name == "contention-reward":
-        p, d = float(params[0]), float(params[1])
-        print(contention_expected_reward(p, d))
-    elif name == "contention-optimal":
-        print(contention_optimal_p(float(params[0])))
-    elif name == "braess-cost":
+    if name == "braess-cost":
         topo, _ = braess_network(augmented=not args.braess0)
-        flows = {}
-        for item in params:
-            path, _, count = item.partition("=")
-            flows[path] = int(count)
-        print(braess_cost_for_flows(topo, flows))
+        print(braess_cost_for_flows(topo, _oracle_flows(name, params)))
+        return 0
+    values = _oracle_numbers(name, params)
+    if name == "contention-reward":
+        print(contention_expected_reward(*values))
+    elif name == "contention-optimal":
+        print(contention_optimal_p(*values))
     elif name == "braess-expected":
-        print(braess_expected_cost(float(params[0]), float(params[1])))
+        print(braess_expected_cost(*values))
     elif name == "triangle-optimal":
         print(triangle_optimal_average_reward())
     return 0
@@ -161,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_batch(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except (ConfigError, ValueError, IndexError, FileNotFoundError) as e:
+    except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -22,6 +22,16 @@ learner.sampling_weights, which settles it and records its Gibbs weights
 in the router's trace; later packets reuse them, and tick_update forms
 the decisions' gradients from them.
 
+A router with one out-link has nothing to choose: its Gibbs policy puts
+probability 1 on slot 0 and its log-policy gradient is exactly zero, so
+its logits never move. Both kernels forward a packet at such a node
+without reading the policy: they skip sampling_weights and the draw
+loop, use slot 0, and still record the decision (dest, 0), which the
+learner checks and otherwise ignores. They do still take the one
+uniform that a draw over the one-slot row would take, and discard it:
+the stream of draws, and so every later draw and every output, stays
+what it is when every hop samples.
+
 Both modes update the learners lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until it is read. Every read
@@ -38,8 +48,8 @@ checked every tick and any violation aborts the run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .config import ExperimentConfig
 from .learner import (
@@ -72,15 +82,18 @@ class Packet:
         self.history = deque((source,), maxlen=history_len)
 
 
-@dataclass(frozen=True)
-class TickReward:
+class TickReward(NamedTuple):
+    """One tick's reward: underlying + shaping = total. Immutable."""
+
     underlying: float
     shaping: float
     total: float
 
 
-@dataclass(frozen=True)
-class TickStats:
+class TickStats(NamedTuple):
+    """What one tick did, with its counts for that tick alone. Immutable;
+    the engine builds one per tick, positionally, in field order."""
+
     tick: int
     generated: int
     delivered: int
@@ -130,6 +143,11 @@ class Simulation:
                 for i in topo.out_link_indices(n)
             ]
             for n in range(topo.n_nodes)
+        ]
+        # per node: the next node of its only out-link, or None when it has
+        # none or several; a packet there skips the policy (module doc)
+        self._forced: list[int | None] = [
+            h[0][3] if len(h) == 1 else None for h in self._hops
         ]
 
         self._next_packet_id = 0
@@ -263,26 +281,31 @@ class Simulation:
         # theta is frozen during routing, so the weights recorded for a
         # (router, destination) serve every packet routed there this tick
         recorded = self._recorded
+        forced = self._forced
         for node, pid, packet in to_route:
             dest = packet.destination
-            parts = recorded[node].get(dest)
-            if parts is None:
-                table = tables.get(node)
-                if table is None:
-                    raise SimulationError(
-                        f"packet {pid} stranded at {self.topology.label(node)}: "
-                        "no outgoing links"
-                    )
-                parts = sampling_weights(table, traces[node], dest)
-            exps, s = parts
-            u = rng_random() * s
-            acc = 0.0
-            slot = len(exps) - 1
-            for i, e in enumerate(exps):
-                acc += e
-                if u < acc:
-                    slot = i
-                    break
+            if forced[node] is not None:
+                rng_random()  # the one-slot row's draw, kept for the stream
+                slot = 0
+            else:
+                parts = recorded[node].get(dest)
+                if parts is None:
+                    table = tables.get(node)
+                    if table is None:
+                        raise SimulationError(
+                            f"packet {pid} stranded at {self.topology.label(node)}: "
+                            "no outgoing links"
+                        )
+                    parts = sampling_weights(table, traces[node], dest)
+                exps, s = parts
+                u = rng_random() * s
+                acc = 0.0
+                slot = len(exps) - 1
+                for i, e in enumerate(exps):
+                    acc += e
+                    if u < acc:
+                        slot = i
+                        break
             decisions[node].append((dest, slot))
             link_index, capacity, delay, dst = hops[node][slot]
             count = placed[link_index] + 1
@@ -299,15 +322,7 @@ class Simulation:
         reward = TickReward(underlying, shaping, underlying + shaping)
         self._update_learners(decisions, reward.total)
 
-        return TickStats(
-            tick=t,
-            generated=generated,
-            delivered=delivered,
-            dropped=dropped,
-            cycles_detected=cycles,
-            in_flight=in_flight,
-            reward=reward,
-        )
+        return TickStats(t, generated, delivered, dropped, cycles, in_flight, reward)
 
     # -- node-flow mode -----------------------------------------------------
 
@@ -327,6 +342,7 @@ class Simulation:
         flows = [0] * n_nodes
         rng_random = rng.random
         recorded = self._recorded
+        forced = self._forced
         for source, rate, cum in self._sources:
             for _ in range(rate):
                 u = rng_random()
@@ -339,26 +355,32 @@ class Simulation:
                 node = source
                 path = [source]
                 while node != dest:
-                    parts = recorded[node].get(dest)
-                    if parts is None:
-                        table = tables.get(node)
-                        if table is None:
-                            raise SimulationError(
-                                f"packet stranded at {self.topology.label(node)}: "
-                                "no outgoing links"
-                            )
-                        parts = sampling_weights(table, traces[node], dest)
-                    exps, s = parts
-                    u2 = rng_random() * s
-                    acc = 0.0
-                    slot = len(exps) - 1
-                    for i, e in enumerate(exps):
-                        acc += e
-                        if u2 < acc:
-                            slot = i
-                            break
-                    decisions[node].append((dest, slot))
-                    node = hops[node][slot][3]
+                    nxt = forced[node]
+                    if nxt is not None:
+                        rng_random()  # the one-slot row's draw, kept for the stream
+                        decisions[node].append((dest, 0))
+                        node = nxt
+                    else:
+                        parts = recorded[node].get(dest)
+                        if parts is None:
+                            table = tables.get(node)
+                            if table is None:
+                                raise SimulationError(
+                                    f"packet stranded at {self.topology.label(node)}: "
+                                    "no outgoing links"
+                                )
+                            parts = sampling_weights(table, traces[node], dest)
+                        exps, s = parts
+                        u2 = rng_random() * s
+                        acc = 0.0
+                        slot = len(exps) - 1
+                        for i, e in enumerate(exps):
+                            acc += e
+                            if u2 < acc:
+                                slot = i
+                                break
+                        decisions[node].append((dest, slot))
+                        node = hops[node][slot][3]
                     path.append(node)
                     if len(path) > n_nodes:
                         raise SimulationError(
@@ -378,12 +400,4 @@ class Simulation:
         reward = TickReward(underlying, 0.0, underlying)
         self._update_learners(decisions, reward.total)
 
-        return TickStats(
-            tick=t,
-            generated=generated,
-            delivered=generated,
-            dropped=0,
-            cycles_detected=0,
-            in_flight=0,
-            reward=reward,
-        )
+        return TickStats(t, generated, generated, 0, 0, 0, reward)

@@ -89,19 +89,20 @@ def run_experiment(
                 probs = tuple(
                     softmax_row(sim.logits(r, d))[slot] for r, d, slot in tracked
                 )
-                ma = reward_ma.push(stats.reward.total)
-                u_ma = underlying_ma.push(stats.reward.underlying)
+                underlying, shaping, total = stats.reward
+                ma = reward_ma.push(total)
+                u_ma = underlying_ma.push(underlying)
                 row = MetricsRow(
-                    tick=t,
-                    reward_total=stats.reward.total,
-                    reward_underlying=stats.reward.underlying,
-                    reward_shaping=stats.reward.shaping,
-                    reward_ma=ma,
-                    running_mean=sim.running_mean,
-                    probs=probs,
-                    delivered=sim.delivered_total,
-                    dropped=sim.dropped_total,
-                    cycles=sim.cycles_total,
+                    t,
+                    total,
+                    underlying,
+                    shaping,
+                    ma,
+                    sim.running_mean,
+                    probs,
+                    sim.delivered_total,
+                    sim.dropped_total,
+                    sim.cycles_total,
                 )
                 rows.append(row)
                 if csv_fh:
@@ -156,7 +157,8 @@ def summary_line(res: RunResult) -> str:
 def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> ExperimentConfig:
     if out_dir is None:
         return cfg
-    out = Path(out_dir)
+    # absolute, so a saved config names the same files wherever it is loaded
+    out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     return replace(
         cfg,

@@ -13,6 +13,15 @@ them for the tick; tick_update() pops them and forms the decision's
 log-policy gradient, e_slot - exps / sum(exps). Weights never outlive
 their tick, and a decision on a row without them raises.
 
+A table with one column (a router with one out-link) is the exception.
+Its Gibbs policy is fixed at probability 1, and the log-policy gradient
+of every draw from it is exactly zero, so the OLPOMDP update can never
+move its logits. The engine forwards through such a router without
+recording weights, and tick_update only checks that each decision names
+one of the table's rows with slot 0 (raising ValueError naming the row
+otherwise); it leaves theta and the trace as they are, so the rows stay
+at their initial [0.0].
+
 By default the reward of tick t multiplies the trace *after* tick-t
 decisions were folded in, so a penalty incurred in the same tick as the
 decision that caused it (e.g. a drop) credits that decision. Set
@@ -224,10 +233,19 @@ def tick_update(
     tick. Only the decided rows are touched: each is settled, gets the sum
     of its gradients and is credited with this tick's reward in one pass;
     every other row is owed its credit through trace.acc until its next
-    settle. The simulation calls this once per router per tick.
+    settle. A one-column table only has its decisions checked (module
+    doc). The simulation calls this once per router per tick.
     """
     if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
+    if table.n_links == 1:
+        rows = table.rows
+        for dest, slot in decisions:
+            if dest not in rows:
+                raise ValueError(f"decision row {dest}: no such row")
+            if slot != 0:
+                raise ValueError(f"decision row {dest}: slot {slot} not in [0, 1)")
+        return
     decided = _decided_rows(table, trace, decisions)
     gr = cfg.gamma * reward
     if cfg.beta == 0.0:

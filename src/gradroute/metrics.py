@@ -23,14 +23,15 @@ Floats are written with repr, so equal runs produce byte-identical files.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .config import ExperimentConfig
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One sampled row, in CSV column order (probs expand to one column
+    each). Immutable."""
+
     tick: int
     reward_total: float
     reward_underlying: float

@@ -1,5 +1,10 @@
+import importlib.util
+from pathlib import Path
+from random import Random
+
 import pytest
 
+from gradroute import engine
 from gradroute.config import ExperimentConfig
 from gradroute.engine import Simulation, SimulationError
 from gradroute.harness import run_experiment
@@ -8,6 +13,17 @@ from gradroute.network import Topology, shortest_path_delay
 from gradroute.presets import braess_network, preset
 
 FROZEN = LearnerConfig(beta=0.99, gamma=1e-300)  # effectively no learning
+
+
+GOLDEN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_digests.py"
+
+
+def forced_hops_config():
+    """The golden link-delay network with one-link routers (B and D)."""
+    spec = importlib.util.spec_from_file_location("golden_digests", GOLDEN_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.forced_hops_config()
 
 
 def advance(sim, steps):
@@ -142,6 +158,55 @@ class TestConservationAndDeterminism:
         assert all(
             v == 0.0 for dests in sim.theta().values() for row in dests.values() for v in row
         )
+
+
+class CountingRandom(Random):
+    """A seeded stream that counts its uniform draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestRandomStream:
+    """Each tick draws one uniform per generated packet (its destination)
+    plus one per routing decision, whether the router sampled its policy
+    or had a single out-link and forwarded without it."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [preset("braess1").with_overrides(steps=300), forced_hops_config()],
+        ids=["braess1", "forced_hops"],
+    )
+    def test_one_draw_per_packet_and_per_decision(self, cfg, monkeypatch):
+        forced = sampled = 0
+        tick_decisions = 0
+        real = engine.tick_update
+
+        def counting(table, trace, learner_cfg, decisions, reward):
+            nonlocal forced, sampled, tick_decisions
+            tick_decisions += len(decisions)
+            if table.n_links == 1:
+                forced += len(decisions)
+            else:
+                sampled += len(decisions)
+            real(table, trace, learner_cfg, decisions, reward)
+
+        monkeypatch.setattr(engine, "tick_update", counting)
+        sim = Simulation(cfg)
+        sim.rng = CountingRandom(cfg.seed)
+        plain = Simulation(cfg)
+        for _ in range(300):
+            before = sim.rng.draws
+            tick_decisions = 0
+            stats = sim.step()
+            assert sim.rng.draws - before == stats.generated + tick_decisions
+            assert stats == plain.step()  # counting leaves the stream as it is
+        assert forced > 0 and sampled > 0
 
 
 class TestRunningAverage:

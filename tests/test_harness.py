@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,25 @@ class TestCli:
         assert "output.csv" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out_dir.iterdir()} == first
 
+    def test_saved_config_names_files_beside_it(self, tmp_path, monkeypatch):
+        # --out relative to the working directory: the saved config must
+        # still name the run's files after a change of directory
+        monkeypatch.chdir(tmp_path)
+        argv = ["preset", "contention", "--steps", "50", "--seed", "4", "--out", "rel"]
+        assert cli_main(argv) == 0
+        run_dir = tmp_path / "rel" / "contention-seed4"
+        files = [run_dir / "metrics-seed4.csv", run_dir / "theta-seed4.json"]
+        first = [f.read_bytes() for f in files]
+        for f in files:
+            f.unlink()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        res = run_experiment(load_config(run_dir / "config.json"))
+        assert [Path(res.config.csv_path), Path(res.config.theta_path)] == files
+        assert [f.read_bytes() for f in files] == first
+        assert not any(elsewhere.iterdir())
+
     def test_batch_cli(self, tmp_path, capsys):
         cfg = preset("contention").with_overrides(steps=300)
         path = tmp_path / "c.json"
@@ -301,6 +321,21 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "88.5"
         assert cli_main(["oracle", "triangle-optimal"]) == 0
         assert capsys.readouterr().out.strip() == "-4.0"
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["contention-reward"], "takes 2 parameter(s), got 0"),
+            (["braess-cost", "x"], "needs PATH=COUNT with a whole COUNT >= 0, got 'x'"),
+            (["triangle-optimal", "1", "2", "3"], "takes 0 parameter(s), got 3"),
+        ],
+        ids=["contention_reward_no_params", "braess_cost_malformed", "triangle_optimal_extra"],
+    )
+    def test_oracle_bad_parameters(self, argv, problem, capsys):
+        assert cli_main(["oracle", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"oracle {argv[0]} {problem}" in err
+        assert f"usage: gradroute oracle {argv[0]}" in err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -252,6 +252,54 @@ class TestTickUpdate:
         assert table.rows[1] == [0.0, 0.0]  # rejected before any update
 
 
+class TestOneColumnTable:
+    """A router with one out-link: every decision's gradient is exactly zero,
+    so tick_update checks the decisions and changes nothing."""
+
+    @staticmethod
+    def state(table, trace):
+        return (
+            {y: list(row) for y, row in table.rows.items()},
+            {y: list(row) for y, row in trace.rows.items()},
+            trace.scale,
+            trace.acc,
+            dict(trace.mark),
+            set(trace.active),
+            dict(trace.weights),
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_table_and_trace_untouched(self, beta):
+        table, trace = fresh(1, dests=(1, 2))
+        cfg = LearnerConfig(beta=beta, gamma=1.0)
+        before = self.state(table, trace)
+        for _ in range(3):
+            tick_update(table, trace, cfg, [(1, 0), (2, 0), (1, 0)], -7.5)
+            tick_update(table, trace, cfg, [], -1.0)
+        assert self.state(table, trace) == before
+        assert table.rows == {1: [0.0], 2: [0.0]}
+
+    @pytest.mark.parametrize(
+        "decision, message",
+        [((9, 0), "row 9: no such row"), ((1, 1), "row 1: slot 1"), ((1, -1), "row 1: slot -1")],
+        ids=["unknown_row", "slot_past_end", "negative_slot"],
+    )
+    def test_bad_decision_rejected(self, decision, message):
+        table, trace = fresh(1, dests=(1, 2))
+        before = self.state(table, trace)
+        with pytest.raises(ValueError, match=message):
+            tick_update(table, trace, LearnerConfig(), [(2, 0), decision], -1.0)
+        assert self.state(table, trace) == before
+
+    def test_non_finite_reward_checked_first(self):
+        table, trace = fresh(1, dests=(1,))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite reward"):
+                tick_update(table, trace, LearnerConfig(), [(1, 0)], bad)
+            with pytest.raises(ValueError, match="non-finite reward"):
+                tick_update(table, trace, LearnerConfig(), [(9, 5)], bad)
+
+
 class TestBanditAscent:
     def test_two_link_bandit_prefers_the_better_arm(self):
         # rewards -1 (slot 0) vs -2 (slot 1); exact gradient favors slot 0
@@ -291,6 +339,9 @@ def ring_config():
     )
 
 
+FORCED = ([1.0], 1.0)  # the Gibbs weights of a one-column row
+
+
 class TestLazyMatchesDenseInSimulation:
     """Replay every tick_update call of a run through the dense oracle; the
     lazily updated logits the run reports must match it."""
@@ -315,8 +366,12 @@ class TestLazyMatchesDenseInSimulation:
 
         def recording(table, trace, learner_cfg, decisions, reward):
             # rebuild each decision's gradient before the real call pops
-            # the row's recorded weights
-            grads = [(d, decision_gradient(trace.weights[d], s)) for d, s in decisions]
+            # the row's recorded weights; a one-link router records none,
+            # and a forced decision's weights are ([1.0], 1.0)
+            grads = [
+                (d, decision_gradient(trace.weights[d] if table.n_links > 1 else FORCED, s))
+                for d, s in decisions
+            ]
             calls.append((table.router, grads, reward))
             real(table, trace, learner_cfg, decisions, reward)
 
