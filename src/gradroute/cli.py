@@ -30,7 +30,7 @@ from .oracles import (
 from .presets import PRESET_NAMES, braess_network, preset
 
 # the parameters each oracle takes, as its usage line shows them
-ORACLE_USAGE = {
+_ORACLE_USAGE = {
     "contention-reward": "P D",
     "contention-optimal": "D",
     "braess-cost": "PATH=COUNT [PATH=COUNT ...]",
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out", default=None, help="output directory")
 
     p_oracle = sub.add_parser("oracle", help="evaluate an analytic baseline")
-    p_oracle.add_argument("name", choices=list(ORACLE_USAGE))
+    p_oracle.add_argument("name", choices=list(_ORACLE_USAGE))
     p_oracle.add_argument("params", nargs="*")
     p_oracle.add_argument(
         "--braess0", action="store_true", help="use the network without the shortcut"
@@ -131,13 +131,13 @@ def _cmd_batch(args) -> int:
 
 
 def _oracle_error(name: str, problem: str) -> ValueError:
-    usage = f"gradroute oracle {name} {ORACLE_USAGE[name]}".rstrip()
+    usage = f"gradroute oracle {name} {_ORACLE_USAGE[name]}".rstrip()
     return ValueError(f"oracle {name} {problem}; usage: {usage}")
 
 
 def _oracle_numbers(name: str, params: list[str]) -> list[float]:
     """The oracle's parameters as finite floats, exactly as many as it takes."""
-    want = len(ORACLE_USAGE[name].split())
+    want = len(_ORACLE_USAGE[name].split())
     if len(params) != want:
         raise _oracle_error(name, f"takes {want} parameter(s), got {len(params)}")
     values = []
@@ -153,7 +153,8 @@ def _oracle_numbers(name: str, params: list[str]) -> list[float]:
 
 
 def _oracle_flows(name: str, params: list[str]) -> dict[str, int]:
-    """PATH=COUNT parameters as {path: count}; at least one, counts >= 0."""
+    """PATH=COUNT parameters as {path: count}: at least one, each path
+    once, counts >= 0."""
     if not params:
         raise _oracle_error(name, "takes at least one parameter, got 0")
     flows = {}
@@ -167,6 +168,8 @@ def _oracle_flows(name: str, params: list[str]) -> dict[str, int]:
             raise _oracle_error(
                 name, f"needs PATH=COUNT with a whole COUNT >= 0, got {item!r}"
             )
+        if path in flows:
+            raise _oracle_error(name, f"names path {path} twice")
         flows[path] = n
     return flows
 

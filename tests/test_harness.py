@@ -328,8 +328,14 @@ class TestCli:
             (["contention-reward"], "takes 2 parameter(s), got 0"),
             (["braess-cost", "x"], "needs PATH=COUNT with a whole COUNT >= 0, got 'x'"),
             (["triangle-optimal", "1", "2", "3"], "takes 0 parameter(s), got 3"),
+            (["braess-cost", "ACDB=6", "ACDB=0"], "names path ACDB twice"),
         ],
-        ids=["contention_reward_no_params", "braess_cost_malformed", "triangle_optimal_extra"],
+        ids=[
+            "contention_reward_no_params",
+            "braess_cost_malformed",
+            "triangle_optimal_extra",
+            "braess_cost_repeated_path",
+        ],
     )
     def test_oracle_bad_parameters(self, argv, problem, capsys):
         assert cli_main(["oracle", *argv]) == 2
