@@ -117,7 +117,12 @@ def _cmd_preset(args) -> int:
 
 def _cmd_batch(args) -> int:
     cfg = load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--seeds takes comma-separated integers, got {args.seeds!r}"
+        ) from None
     out = _out_dir(args.out, Path(args.config).stem + "-batch") if args.out else None
     result = batch(
         cfg,

@@ -24,13 +24,14 @@ A config file is one JSON document with top-level keys
 
 Links are referenced by their display label (explicit label, else the
 concatenated endpoint labels). Presets serialize to this format and load
-back equal.
+back equal. Types are not coerced: an integer key takes a JSON integer,
+and a number key an integer or a float; a bool is neither.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .learner import LearnerConfig
 from .network import (
@@ -49,8 +50,7 @@ class ConfigError(ValueError):
     """Config parse or validation failure; the message names the bad key."""
 
 
-@dataclass(frozen=True)
-class TrackedProbability:
+class TrackedProbability(NamedTuple):
     """One policy probability to log: router's chance of picking the link
     at `link_index` for packets destined `dest`."""
 
@@ -59,12 +59,11 @@ class TrackedProbability:
     link_index: int
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     topology: Topology
     traffic: TrafficSpec
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-    shaping: ShapingConfig = field(default_factory=ShapingConfig)
+    learner: LearnerConfig = LearnerConfig()
+    shaping: ShapingConfig = ShapingConfig()
     steps: int = 100_000
     seed: int = 1
     sample_every: int = 100
@@ -110,16 +109,16 @@ class ExperimentConfig:
         cfg = self
         learner_keys = {k: kwargs.pop(k) for k in ("beta", "gamma") if k in kwargs}
         if learner_keys:
-            cfg = replace(cfg, learner=replace(cfg.learner, **learner_keys))
+            cfg = cfg._replace(learner=cfg.learner._replace(**learner_keys))
         shaping_keys = {
             k: kwargs.pop(k)
             for k in ("cycle_penalty", "drop_penalty", "history_length")
             if k in kwargs
         }
         if shaping_keys:
-            cfg = replace(cfg, shaping=replace(cfg.shaping, **shaping_keys))
+            cfg = cfg._replace(shaping=cfg.shaping._replace(**shaping_keys))
         if kwargs:
-            cfg = replace(cfg, **kwargs)
+            cfg = cfg._replace(**kwargs)
         return cfg
 
 
@@ -217,18 +216,24 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int, and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: must be a number, got {value!r}") from None
+    if _is_int(value) or isinstance(value, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where}: must be a number, got {value!r}")
 
 
 def _integer(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: must be an integer, got {value!r}") from None
+    if not _is_int(value):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    return value
 
 
 def _optional_str(value, where: str) -> str | None:
@@ -264,10 +269,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for i, ld in enumerate(_list(_require(net, "links", "network"), "network.links")):
         where = f"network.links[{i}]"
         delay = _require(ld, "delay", where)
-        if not isinstance(delay, int) or delay < 1:
+        if not _is_int(delay) or delay < 1:
             raise ConfigError(f"{where}.delay: must be a positive integer")
         capacity = ld.get("capacity")
-        if capacity is not None and (not isinstance(capacity, int) or capacity < 1):
+        if capacity is not None and (not _is_int(capacity) or capacity < 1):
             raise ConfigError(f"{where}.capacity: must be a positive integer or null")
         links.append(
             Link(
@@ -300,7 +305,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     n = len(labels)
     rates = [0] * n
     for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
-        if not isinstance(r, int) or r < 0:
+        if not _is_int(r) or r < 0:
             raise ConfigError(f"traffic.rates.{lb}: must be a non-negative integer")
         rates[node(lb, f"traffic.rates.{lb}")] = r
     dest_rows = [[0.0] * n for _ in range(n)]

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ConfigError, ExperimentConfig
 from .engine import Simulation
@@ -33,8 +33,7 @@ def default_output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """One run: its config (with the output paths it wrote), the sampled
     rows, the final logits and the engine's counters at the last tick."""
 
@@ -64,8 +63,11 @@ def run_experiment(
 
     underlying_threshold arms the ticks-to-threshold detector; with
     stop_at_threshold the run ends at the first sampled tick whose
-    underlying-reward moving average reaches the threshold.
+    underlying-reward moving average reaches the threshold, and without
+    a threshold it is refused.
     """
+    if stop_at_threshold and underlying_threshold is None:
+        raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
     cfg = _resolve_paths(cfg, out_dir)
     sim = Simulation(cfg)
     rows: list[MetricsRow] = []
@@ -160,15 +162,13 @@ def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> Experim
     # absolute, so a saved config names the same files wherever it is loaded
     out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    return replace(
-        cfg,
+    return cfg._replace(
         csv_path=str(out / f"metrics-seed{cfg.seed}.csv"),
         theta_path=str(out / f"theta-seed{cfg.seed}.json"),
     )
 
 
-@dataclass
-class BatchResult:
+class BatchResult(NamedTuple):
     runs: list[RunResult]  # one per seed, in the order given
     mean_final_reward: float
     median_ticks_to_threshold: float | None
@@ -205,6 +205,9 @@ def batch(
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"seed {seed} is given twice; a batch runs each seed once")
     if out_dir is None:
         for key, path in (("output.csv", cfg.csv_path), ("output.theta", cfg.theta_path)):
             if path:
@@ -214,7 +217,7 @@ def batch(
                 )
     runs = [
         run_experiment(
-            replace(cfg, seed=seed),
+            cfg._replace(seed=seed),
             out_dir,
             underlying_threshold=underlying_threshold,
             stop_at_threshold=stop_at_threshold,

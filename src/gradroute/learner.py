@@ -55,15 +55,13 @@ are active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import exp
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .policy import ParamTable
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(NamedTuple):
     beta: float = 0.99
     gamma: float = 1e-5
     credit_current_tick: bool = True

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class TopologyError(ValueError):
@@ -23,14 +23,12 @@ class CostModel(Enum):
     NODE_FLOW = "node_flow"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     label: str
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Directed link.
 
     capacity is the maximum number of packets that may be *placed* on the
@@ -45,8 +43,7 @@ class Link:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class NodeCost:
+class NodeCost(NamedTuple):
     """Affine per-packet cost of transiting a node: base + per_flow * x,
     where x is the node's packet flow within the tick."""
 
@@ -57,8 +54,7 @@ class NodeCost:
         return self.base + self.per_flow * flow
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(NamedTuple):
     """Per-node generation rates and per-source destination distributions.
 
     rates[i] packets are created at node i every tick; each draws its
@@ -89,29 +85,58 @@ class TrafficSpec:
         return cls(rates=rates, dest_probs=rows)
 
 
-@dataclass(frozen=True)
 class Topology:
-    nodes: tuple[Node, ...]
-    links: tuple[Link, ...]
-    cost_model: CostModel = CostModel.LINK_DELAY
-    node_costs: dict[int, NodeCost] | None = None
+    """Nodes, links and the cost model, with the out-link and label lookup
+    tables derived from them at construction. Equality, hashing and repr
+    use the four public fields only; every attribute is read-only."""
 
-    # derived lookup tables, built once in __post_init__
-    _out: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    _label_to_id: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("nodes", "links", "cost_model", "node_costs", "_out", "_label_to_id")
 
-    def __post_init__(self) -> None:
-        n = len(self.nodes)
+    def __init__(
+        self,
+        nodes: tuple[Node, ...],
+        links: tuple[Link, ...],
+        cost_model: CostModel = CostModel.LINK_DELAY,
+        node_costs: dict[int, NodeCost] | None = None,
+    ) -> None:
+        n = len(nodes)
         out: list[list[int]] = [[] for _ in range(n)]
-        for i, link in enumerate(self.links):
+        for i, link in enumerate(links):
             if 0 <= link.src < n and 0 <= link.dst < n:
                 out[link.src].append(i)
-        object.__setattr__(self, "_out", tuple(tuple(o) for o in out))
-        object.__setattr__(self, "_label_to_id", {nd.label: nd.id for nd in self.nodes})
+        init = object.__setattr__
+        init(self, "nodes", nodes)
+        init(self, "links", links)
+        init(self, "cost_model", cost_model)
+        init(self, "node_costs", node_costs)
+        init(self, "_out", tuple(tuple(o) for o in out))
+        init(self, "_label_to_id", {nd.label: nd.id for nd in nodes})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Topology is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Topology is immutable; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.nodes, self.links, self.cost_model, self.node_costs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Topology(nodes={self.nodes!r}, links={self.links!r}, "
+            f"cost_model={self.cost_model!r}, node_costs={self.node_costs!r})"
+        )
+
+    def __reduce__(self):
+        return (Topology, self._key())
 
     @classmethod
     def build(
@@ -204,9 +229,8 @@ def _reachable(topology: Topology, src: int) -> set[int]:
     return seen
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -259,7 +283,7 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
 
     if len(traffic.rates) != n or len(traffic.dest_probs) != n:
         v.append("traffic spec size does not match node count")
-        return ValidationReport(v)
+        return ValidationReport(tuple(v))
 
     for s in range(n):
         rate = traffic.rates[s]
@@ -283,7 +307,4 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
                 if not topology.out_link_indices(m) and any(y != m for y in targets):
                     v.append(f"node {labels[m]} has no outgoing links")
 
-    # dedupe, preserving order
-    seen: set[str] = set()
-    unique = [x for x in v if not (x in seen or seen.add(x))]
-    return ValidationReport(unique)
+    return ValidationReport(tuple(dict.fromkeys(v)))  # deduped, in order

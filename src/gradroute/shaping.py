@@ -5,15 +5,13 @@ reward; both components are reported separately every tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .engine import Packet
 
 
-@dataclass(frozen=True)
-class ShapingConfig:
+class ShapingConfig(NamedTuple):
     cycle_penalty: float = 0.0  # <= 0, added once per detected cycle
     history_length: int = 2  # H, nodes remembered per packet
     drop_penalty: float = 0.0  # >= 0, subtracted per dropped packet

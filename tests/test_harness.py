@@ -105,11 +105,26 @@ class TestConfigRoundTrip:
             ("run", "seed", "one"),
             ("output", "csv", 5),
             ("learner", "schedule", "linear"),
+            # integer keys take a JSON integer: no float, string or bool
+            ("run", "steps", 1.5),
+            ("run", "seed", 2.9),
+            ("run", "steps", "12"),
+            ("run", "seed", True),
+            ("shaping", "history_length", True),
+            # number keys take an int or a float: no bool or string
+            ("learner", "gamma", True),
+            ("learner", "gamma", "1e-6"),
+            ("traffic", "rates", {"A": True}),
+            ("network.links.0", "delay", True),
+            ("network.links.0", "capacity", True),
         ],
     )
     def test_bad_value_names_key(self, section, key, value):
         doc = config_to_dict(preset("triangle"))
-        doc[section][key] = value
+        container = doc
+        for k in section.split("."):
+            container = container[int(k) if k.isdigit() else k]
+        container[key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
 
@@ -237,6 +252,18 @@ class TestBatch:
         b2 = batch(cfg, [1, 2], underlying_threshold=-1e9)
         assert b2.median_ticks_to_threshold == cfg.sample_every
 
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed 2 is given twice"):
+            batch(preset("contention"), [1, 2, 2])
+
+    def test_stop_at_threshold_needs_threshold(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=100)
+        with pytest.raises(ValueError, match="--stop-at-threshold needs --threshold"):
+            run_experiment(cfg, tmp_path / "run", stop_at_threshold=True)
+        with pytest.raises(ValueError, match="--stop-at-threshold needs --threshold"):
+            batch(cfg, [1], stop_at_threshold=True, out_dir=tmp_path / "batch")
+        assert not any(tmp_path.iterdir())
+
     def test_stop_at_threshold_shortens_run(self):
         cfg = preset("contention").with_overrides(steps=5_000)
         res = run_experiment(
@@ -309,6 +336,22 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "median_ticks_to_threshold" in out and "mean_final_reward" in out
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
+            (["--seeds", "1,1"], "seed 1 is given twice"),
+            (["--seeds", "1", "--stop-at-threshold"], "--stop-at-threshold needs --threshold"),
+        ],
+        ids=["seeds_not_integers", "seed_repeated", "stop_without_threshold"],
+    )
+    def test_batch_bad_flags(self, flags, problem, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_config(preset("contention").with_overrides(steps=50), path)
+        assert cli_main(["batch", str(path), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_subcommands(self, capsys):
         assert cli_main(["oracle", "contention-reward", "0.25", "21"]) == 0

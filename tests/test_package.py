@@ -41,12 +41,8 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(gradroute, name) is not None, name
 
 
-def test_import_leaves_harness_and_cli_unloaded():
-    # the package root must stay cheap to import: the benchmark times it
-    code = (
-        "import sys, gradroute; "
-        "print(sorted(m for m in ('gradroute.harness', 'gradroute.cli') if m in sys.modules))"
-    )
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this checkout."""
     src = str(Path(gradroute.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -55,4 +51,26 @@ def test_import_leaves_harness_and_cli_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_harness_and_cli_unloaded():
+    # the package root must stay cheap to import: the benchmark times it
+    code = (
+        "import sys, gradroute; "
+        "print(sorted(m for m in ('gradroute.harness', 'gradroute.cli') if m in sys.modules))"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: 10-15 ms of
+    # start-up that every command and the benchmark's set-up probe pay
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "for name in ('gradroute', 'gradroute.cli'):\n"
+        "    __import__(name)\n"
+        "    loaded = set(sys.modules) - before\n"
+        "    print(name, sorted({'dataclasses', 'inspect'} & loaded))\n"
+    )
+    assert _fresh_interpreter(code).splitlines() == ["gradroute []", "gradroute.cli []"]
