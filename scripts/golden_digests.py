@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print the golden SHA-256 digests that tests/test_golden.py pins.
 
-Each config in GOLDEN_NAMES (every preset, plus `forced_hops`) runs for
-STEPS ticks from its own seed, with a row every SAMPLE_EVERY ticks and a
+Each config in GOLDEN_NAMES runs for STEPS ticks from its own seed, with a row every SAMPLE_EVERY ticks and a
 moving-average window of MA_WINDOW rows (fewer than the rows written, so
 the window evicts). The metrics CSV and theta JSON are written to a
-temporary directory and hashed.
+temporary directory and hashed. GOLDEN_NAMES holds every preset, plus
+`forced_hops` (a link-delay network with one-link routers) and
+`memoryless` (triangle at beta = 0, the memoryless trace).
 
 Usage:  python3 scripts/golden_digests.py
 
@@ -30,7 +31,7 @@ from gradroute.shaping import ShapingConfig
 STEPS = 3000
 SAMPLE_EVERY = 7
 MA_WINDOW = 50
-GOLDEN_NAMES = PRESET_NAMES + ("forced_hops",)
+GOLDEN_NAMES = PRESET_NAMES + ("forced_hops", "memoryless")
 
 
 def forced_hops_config() -> ExperimentConfig:
@@ -60,10 +61,19 @@ def forced_hops_config() -> ExperimentConfig:
     )
 
 
+def golden_config(name: str) -> ExperimentConfig:
+    """The config of the golden run of `name`, before its run settings."""
+    if name == "forced_hops":
+        return forced_hops_config()
+    if name == "memoryless":
+        # gamma large enough that the 3000 ticks learn (max |theta| ~ 0.74)
+        return preset("triangle").with_overrides(beta=0.0, gamma=1e-3)
+    return preset(name)
+
+
 def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str]:
     """(CSV SHA-256, theta SHA-256) of the golden run of `name`."""
-    base = forced_hops_config() if name == "forced_hops" else preset(name)
-    cfg = base.with_overrides(
+    cfg = golden_config(name).with_overrides(
         steps=STEPS, sample_every=SAMPLE_EVERY, ma_window=MA_WINDOW
     )
     res = run_experiment(cfg, out_dir)

@@ -1,6 +1,7 @@
 """Golden digests: the metrics CSV and theta JSON of a short run of every
-preset, and of a link-delay network with one-link routers, capacity drops
-and cycles (`forced_hops`), pinned by SHA-256.
+preset, of a link-delay network with one-link routers, capacity drops and
+cycles (`forced_hops`), and of triangle with a memoryless trace, beta = 0
+(`memoryless`), pinned by SHA-256.
 
 A change that only makes the program faster or smaller must leave these
 files byte-identical. The digests hold for CPython 3.11 on x86-64 Linux;
@@ -40,6 +41,10 @@ GOLDEN = {
         "ebfb1efa9e0c55556a19b97487bc3f549f14899015fa395bb0f2c86ad60d92e3",
         "2e73550add7c1c69e3e8e29549a86dcefcb392089fd7d832517303a4c9faa411",
     ),
+    "memoryless": (
+        "3e145a97d9efb7d538683cb3e41f46f2565aa02364f15621c9a2fadef4d9c595",
+        "0d4290c016709643fa1de295022b35476203f1916ccffa180beafdde405cbfc3",
+    ),
 }
 
 
@@ -50,7 +55,7 @@ def _script():
     return module
 
 
-@pytest.mark.parametrize("name", (*PRESET_NAMES, "forced_hops"))
+@pytest.mark.parametrize("name", (*PRESET_NAMES, "forced_hops", "memoryless"))
 def test_outputs_match_golden_digests(name, tmp_path):
     script = _script()
     assert set(script.GOLDEN_NAMES) == set(GOLDEN)
