@@ -15,7 +15,7 @@ A config file is one JSON document with top-level keys
         "rates": {"A": 1, ...},                       # omitted nodes are silent
         "destinations": {"A": {"B": 0.5, "C": 0.5}}    # per-source distribution
       },
-      "learner": {"beta": 0.99, "gamma": 1e-5, "credit_current_tick": true},
+      "learner": {"beta": 0.99, "gamma": 1e-5},
       "shaping": {"cycle_penalty": 0.0, "history_length": 2, "drop_penalty": 0.0},
       "run": {"steps": 1000000, "seed": 1, "sample_every": 100, "ma_window": 1000,
               "tracked_probabilities": [{"router": "A", "dest": "C", "link": "AB"}]},
@@ -26,6 +26,10 @@ Links are referenced by their display label (explicit label, else the
 concatenated endpoint labels). Presets serialize to this format and load
 back equal. Types are not coerced: an integer key takes a JSON integer,
 and a number key an integer or a float; a bool is neither.
+
+The loader also accepts the learner keys of older files when they name
+what is now the only choice, "schedule": "constant" and
+"credit_current_tick": true, and refuses any other value of them.
 """
 from __future__ import annotations
 
@@ -170,11 +174,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "network": network,
         "traffic": traffic,
-        "learner": {
-            "beta": cfg.learner.beta,
-            "gamma": cfg.learner.gamma,
-            "credit_current_tick": cfg.learner.credit_current_tick,
-        },
+        "learner": {"beta": cfg.learner.beta, "gamma": cfg.learner.gamma},
         "shaping": {
             "cycle_penalty": cfg.shaping.cycle_penalty,
             "history_length": cfg.shaping.history_length,
@@ -320,17 +320,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
 
     le = _object(doc.get("learner", {}), "learner")
-    # the step size is constant; older files spell that out
+    # the step size is constant and a tick's reward credits that tick's
+    # decisions; older files spell both out
     schedule = le.get("schedule", "constant")
     if schedule != "constant":
         raise ConfigError(f"learner.schedule: unknown value {schedule!r}")
-    credit_current_tick = le.get("credit_current_tick", True)
-    if not isinstance(credit_current_tick, bool):
-        raise ConfigError("learner.credit_current_tick: must be true or false")
+    credit = le.get("credit_current_tick", True)
+    if credit is not True:
+        raise ConfigError(f"learner.credit_current_tick: must be true, got {credit!r}")
     learner = LearnerConfig(
         beta=_number(le.get("beta", 0.99), "learner.beta"),
         gamma=_number(le.get("gamma", 1e-5), "learner.gamma"),
-        credit_current_tick=credit_current_tick,
     )
 
     sh = _object(doc.get("shaping", {}), "shaping")

@@ -15,6 +15,8 @@ Two engine modes share the learner plumbing:
   whole source-to-destination path within the tick, one policy sample
   per hop; node costs are evaluated at the per-tick node flows produced
   jointly by all packets, so congestion externalities act within a tick.
+  Validation refuses a node-flow network with a directed cycle, so every
+  walk ends.
 
 A routing decision is recorded as a (row, slot) pair. The first packet
 a router routes for a destination in a tick reads the row through
@@ -22,11 +24,16 @@ learner.sampling_weights, which settles it and records its Gibbs weights
 in the router's trace; later packets reuse them, and tick_update forms
 the decisions' gradients from them.
 
+Every draw bisects a policy.draw_table with one uniform u: a slot is
+bisect_right(cum, u * total) over the row's weights, a new packet's
+destination bisect_right(cum, u) over its source's destination
+probabilities, cut after the last positive one so that it can be drawn.
+
 A router with one out-link has nothing to choose: its Gibbs policy puts
 probability 1 on slot 0 and its log-policy gradient is exactly zero, so
 its logits never move. Both kernels forward a packet at such a node
-without reading the policy: they skip sampling_weights and the draw
-loop, use slot 0, and still record the decision (dest, 0), which the
+without reading the policy: they skip sampling_weights and the draw,
+use slot 0, and still record the decision (dest, 0), which the
 learner checks and otherwise ignores. They do still take the one
 uniform that a draw over the one-slot row would take, and discard it:
 the stream of draws, and so every later draw and every output, stays
@@ -47,6 +54,7 @@ checked every tick and any violation aborts the run.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from random import Random
 from typing import NamedTuple
@@ -60,7 +68,7 @@ from .learner import (
     tick_update,
 )
 from .network import CostModel
-from .policy import ParamTable, make_tables, snapshot
+from .policy import ParamTable, draw_table, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
 
 
@@ -126,15 +134,14 @@ class Simulation:
             for n in range(topo.n_nodes)
         ]
 
-        # traffic, flattened for the generation loop: (source, cumulative dest probs)
+        # traffic, flattened for the generation loop: (source, rate, draw
+        # table of its destinations up to the last it can draw)
         self._sources: list[tuple[int, int, list[float]]] = []
         for s, rate in enumerate(cfg.traffic.rates):
             if rate > 0:
-                cum, acc = [], 0.0
-                for p in cfg.traffic.dest_probs[s]:
-                    acc += p
-                    cum.append(acc)
-                self._sources.append((s, rate, cum))
+                probs = cfg.traffic.dest_probs[s]
+                last = max(y for y, p in enumerate(probs) if p > 0.0)
+                self._sources.append((s, rate, draw_table(probs[: last + 1])[2]))
 
         # per node, per outgoing slot: (link index, capacity, delay, next node)
         self._hops: list[list[tuple[int, int | None, int, int]]] = [
@@ -254,14 +261,9 @@ class Simulation:
         # (3) new traffic, sources in node-id order, one draw per packet
         generated = 0
         rng_random = rng.random
-        for source, rate, cum in self._sources:
+        for source, rate, dest_cum in self._sources:
             for _ in range(rate):
-                u = rng_random()
-                dest = 0
-                for y, c in enumerate(cum):
-                    if u < c:
-                        dest = y
-                        break
+                dest = bisect_right(dest_cum, rng_random())
                 pid = self._next_packet_id
                 self._next_packet_id += 1
                 to_route.append(
@@ -297,15 +299,8 @@ class Simulation:
                             "no outgoing links"
                         )
                     parts = sampling_weights(table, traces[node], dest)
-                exps, s = parts
-                u = rng_random() * s
-                acc = 0.0
-                slot = len(exps) - 1
-                for i, e in enumerate(exps):
-                    acc += e
-                    if u < acc:
-                        slot = i
-                        break
+                _, total, cum = parts
+                slot = bisect_right(cum, rng_random() * total)
             decisions[node].append((dest, slot))
             link_index, capacity, delay, dst = hops[node][slot]
             count = placed[link_index] + 1
@@ -343,14 +338,9 @@ class Simulation:
         rng_random = rng.random
         recorded = self._recorded
         forced = self._forced
-        for source, rate, cum in self._sources:
+        for source, rate, dest_cum in self._sources:
             for _ in range(rate):
-                u = rng_random()
-                dest = 0
-                for y, c in enumerate(cum):
-                    if u < c:
-                        dest = y
-                        break
+                dest = bisect_right(dest_cum, rng_random())
                 generated += 1
                 node = source
                 path = [source]
@@ -370,23 +360,11 @@ class Simulation:
                                     "no outgoing links"
                                 )
                             parts = sampling_weights(table, traces[node], dest)
-                        exps, s = parts
-                        u2 = rng_random() * s
-                        acc = 0.0
-                        slot = len(exps) - 1
-                        for i, e in enumerate(exps):
-                            acc += e
-                            if u2 < acc:
-                                slot = i
-                                break
+                        _, total, cum = parts
+                        slot = bisect_right(cum, rng_random() * total)
                         decisions[node].append((dest, slot))
                         node = hops[node][slot][3]
                     path.append(node)
-                    if len(path) > n_nodes:
-                        raise SimulationError(
-                            "routing cycle in node-flow mode; the topology is "
-                            "expected to be acyclic"
-                        )
                 paths.append(path)
                 for nd in path:
                     flows[nd] += 1

@@ -5,13 +5,18 @@ gradients of the tick's routing decisions are folded into an
 exponentially discounted eligibility trace (z <- beta*z + sum of
 gradients), and the globally shared tick reward is then applied as
 theta <- theta + gamma * r * z. Several decisions in one tick accumulate
-additively into the trace.
+additively into the trace. There is one update order: the reward of tick
+t multiplies the trace *after* tick t's gradients were folded in, so a
+penalty incurred in the same tick as the decision that caused it (e.g. a
+drop) credits that decision.
 
 A routing decision reaches the learner as a (row, slot) pair. The router
 samples from the row's weights as sampling_weights() computes and records
-them for the tick; tick_update() pops them and forms the decision's
-log-policy gradient, e_slot - exps / sum(exps). Weights never outlive
-their tick, and a decision on a row without them raises.
+them for the tick, (exps, total, cum): the max-subtracted exponentials of
+the row's logits, their sum and the policy.draw_table the engine draws
+from. tick_update() pops them and forms the decision's log-policy
+gradient, e_slot - exps / total. Weights never outlive their tick, and a
+decision on a row without them raises.
 
 A table with one column (a router with one out-link) is the exception.
 Its Gibbs policy is fixed at probability 1, and the log-policy gradient
@@ -21,12 +26,6 @@ recording weights, and tick_update only checks that each decision names
 one of the table's rows with slot 0 (raising ValueError naming the row
 otherwise); it leaves theta and the trace as they are, so the rows stay
 at their initial [0.0].
-
-By default the reward of tick t multiplies the trace *after* tick-t
-decisions were folded in, so a penalty incurred in the same tick as the
-decision that caused it (e.g. a drop) credits that decision. Set
-credit_current_tick=False to apply the reward against the pre-decision
-trace instead.
 
 The update is applied lazily (Carpenter 2008, "Lazy sparse stochastic
 gradient descent", applied to traces), so a tick costs O(1) per router
@@ -48,9 +47,9 @@ error of acc - mark grows as 1/scale. Over 20k ticks of sparse decisions
 the lazy rule agrees with the dense one to better than 1e-12 relative at
 1e-3, but only to ~5e-10 at 1e-6.
 
-beta = 0 keeps the trace unscaled (scale would be 0) and is applied
-densely; it is memoryless, so only the rows of the last tick's decisions
-are active.
+beta = 0 (a memoryless trace) runs through the same rule: the scale
+would fall to 0, so each tick first forgets the trace (_forget) and runs
+at scale 1, which credits every row in full in the tick that added it.
 """
 from __future__ import annotations
 
@@ -58,13 +57,12 @@ import math
 from math import exp
 from typing import Iterable, NamedTuple
 
-from .policy import ParamTable
+from .policy import ParamTable, draw_table
 
 
 class LearnerConfig(NamedTuple):
     beta: float = 0.99
     gamma: float = 1e-5
-    credit_current_tick: bool = True
 
     def validate(self) -> None:
         if not 0.0 <= self.beta < 1.0:
@@ -97,7 +95,7 @@ class EligibilityTrace:
         self.scale = 1.0
         self.acc = 0.0
         self.mark: dict[int, float] = {}
-        self.weights: dict[int, tuple[list[float], float]] = {}
+        self.weights: dict[int, tuple[list[float], float, list[float]]] = {}
 
 
 def settle(table: ParamTable, trace: EligibilityTrace, dest: int) -> list[float]:
@@ -121,17 +119,16 @@ def settle_all(table: ParamTable, trace: EligibilityTrace) -> None:
 
 def sampling_weights(
     table: ParamTable, trace: EligibilityTrace, dest: int
-) -> tuple[list[float], float]:
+) -> tuple[list[float], float, list[float]]:
     """Settle row `dest`, record its Gibbs sampling weights in the trace for
-    this tick's tick_update, and return them: the max-subtracted
-    exponentials of its logits and their sum."""
+    this tick's tick_update, and return them: (exps, total, cum), the
+    draw_table of the max-subtracted exponentials of its logits."""
     logits = settle(table, trace, dest)
     m = logits[0]
     for v in logits:
         if v > m:
             m = v
-    exps = [exp(v - m) for v in logits]
-    weights = trace.weights[dest] = (exps, sum(exps))
+    weights = trace.weights[dest] = draw_table([exp(v - m) for v in logits])
     return weights
 
 
@@ -153,19 +150,25 @@ def _rescale(table: ParamTable, trace: EligibilityTrace) -> None:
     trace.mark = dict.fromkeys(trace.active, 0.0)
 
 
-def _credit_unscaled(table: ParamTable, trace: EligibilityTrace, gr: float) -> None:
-    if gr != 0.0:
-        for y in trace.active:
-            trow = table.rows[y]
-            for i, z in enumerate(trace.rows[y]):
-                trow[i] += gr * z
+def _forget(trace: EligibilityTrace) -> None:
+    """beta = 0: zero the trace and restart its scale, acc and marks. Every
+    row is settled, since each was credited in full in its own tick."""
+    zrows = trace.rows
+    for y in trace.active:
+        row = zrows[y]
+        for i in range(len(row)):
+            row[i] = 0.0
+    trace.active.clear()
+    trace.scale = 1.0
+    trace.acc = 0.0
+    trace.mark = {}
 
 
 def _decided_rows(
     table: ParamTable, trace: EligibilityTrace, decisions: Iterable[tuple[int, int]]
 ) -> dict[int, tuple[list[float], float, list[int]]]:
     """Consume the tick's decision records: for each decided row, its
-    recorded weights (exps, sum) and the slots drawn, in decision order (the
+    recorded exps and total, and the slots drawn, in decision order (the
     order its gradients are summed in). Weights that no decision used are
     dropped, so none outlive their tick."""
     width = table.n_links
@@ -186,36 +189,6 @@ def _decided_rows(
     return by_row
 
 
-def _memoryless_update(
-    table: ParamTable,
-    trace: EligibilityTrace,
-    credit_current_tick: bool,
-    decided: dict[int, tuple[list[float], float, list[int]]],
-    gr: float,
-) -> None:
-    """beta = 0: the trace is just this tick's gradient sum, kept unscaled."""
-    zrows = trace.rows
-    active = trace.active
-    if not credit_current_tick:
-        _credit_unscaled(table, trace, gr)
-    for y in active:
-        row = zrows[y]
-        for i in range(len(row)):
-            row[i] = 0.0
-    active.clear()
-    for dest, (exps, total, slots) in decided.items():
-        row = zrows[dest]
-        for slot in slots:
-            for i, e in enumerate(exps):
-                gi = -e / total
-                if i == slot:
-                    gi += 1.0
-                row[i] += gi
-        active.add(dest)
-    if credit_current_tick:
-        _credit_unscaled(table, trace, gr)
-
-
 def tick_update(
     table: ParamTable,
     trace: EligibilityTrace,
@@ -223,7 +196,7 @@ def tick_update(
     decisions: Iterable[tuple[int, int]],
     reward: float,
 ) -> None:
-    """One full per-tick update in the configured order, applied lazily.
+    """One full per-tick update, applied lazily.
 
     decisions is a sequence of (row, slot) pairs, one per routing decision
     this router made in the tick: the destination row sampled from and the
@@ -231,7 +204,8 @@ def tick_update(
     tick. Only the decided rows are touched: each is settled, gets the sum
     of its gradients and is credited with this tick's reward in one pass;
     every other row is owed its credit through trace.acc until its next
-    settle. A one-column table only has its decisions checked (module
+    settle. At beta = 0 the trace is forgotten first and the tick runs at
+    scale 1. A one-column table only has its decisions checked (module
     doc). The simulation calls this once per router per tick.
     """
     if not math.isfinite(reward):
@@ -245,18 +219,13 @@ def tick_update(
                 raise ValueError(f"decision row {dest}: slot {slot} not in [0, 1)")
         return
     decided = _decided_rows(table, trace, decisions)
-    gr = cfg.gamma * reward
     if cfg.beta == 0.0:
-        _memoryless_update(table, trace, cfg.credit_current_tick, decided, gr)
-        return
-    s_prev = trace.scale
-    s = s_prev * cfg.beta
-    if cfg.credit_current_tick:
-        c = gr * s  # credit per unit of this tick's new (scaled) gradient
-        acc = trace.acc + c
+        _forget(trace)
+        s = 1.0
     else:
-        c = 0.0
-        acc = trace.acc + gr * s_prev
+        s = trace.scale * cfg.beta
+    c = cfg.gamma * reward * s  # credit per unit of new (scaled) gradient
+    acc = trace.acc + c
     if decided:
         inv = 1.0 / s
         zrows = trace.rows

@@ -127,7 +127,8 @@ class Topology:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        costs = tuple(sorted((self.node_costs or {}).items()))  # a dict has no hash
+        return hash((self.nodes, self.links, self.cost_model, costs))
 
     def __repr__(self) -> str:
         return (
@@ -216,6 +217,29 @@ def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:
     )
 
 
+def _node_on_cycle(topology: Topology) -> int | None:
+    """A node on a directed cycle of the topology, or None (depth-first
+    search: a link back to a node on the search path closes a cycle)."""
+    links = topology.links
+    state = [0] * topology.n_nodes  # 0 unseen, 1 on the search path, 2 done
+    for root in range(topology.n_nodes):
+        path = [] if state[root] else [root]
+        while path:
+            node = path[-1]
+            state[node] = 1
+            for i in topology.out_link_indices(node):
+                nxt = links[i].dst
+                if state[nxt] == 1:
+                    return nxt
+                if state[nxt] == 0:
+                    path.append(nxt)
+                    break
+            else:
+                state[node] = 2
+                path.pop()
+    return None
+
+
 def _reachable(topology: Topology, src: int) -> set[int]:
     seen = {src}
     stack = [src]
@@ -245,8 +269,9 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
 
     Detects: duplicate labels, non-dense ids, dangling links, self-loops,
     bad delays/capacities, malformed destination distributions, nodes with
-    traffic but no outgoing links, unreachable destinations, and missing or
-    misplaced node costs for the active cost model.
+    traffic but no outgoing links, unreachable destinations, missing or
+    misplaced node costs for the active cost model, and a directed cycle in
+    a node-flow network, where a packet walks its whole path in one tick.
     """
     v: list[str] = []
     n = topology.n_nodes
@@ -278,6 +303,12 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationRep
                 c = costs[nd.id]
                 if not (0 <= c.base < math.inf and 0 <= c.per_flow < math.inf):
                     v.append(f"node cost for {nd.label} must be finite and non-negative")
+        on_cycle = _node_on_cycle(topology)
+        if on_cycle is not None:
+            v.append(
+                f"directed cycle through node {labels[on_cycle]}: "
+                "a node-flow network must be acyclic"
+            )
     elif topology.node_costs:
         v.append("node_costs present in link-delay mode")
 

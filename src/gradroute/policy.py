@@ -9,6 +9,7 @@ forms the gradient of each draw.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .network import Topology
 
@@ -40,6 +41,21 @@ def make_tables(topology: Topology) -> dict[int, ParamTable]:
         dests = [y for y in range(topology.n_nodes) if y != node]
         tables[node] = ParamTable(node, n_out, dests)
     return tables
+
+
+def draw_table(weights: Sequence[float]) -> tuple[Sequence[float], float, list[float]]:
+    """Inverse-CDF table of non-negative weights: (weights, total, cum),
+    where cum holds their running sums and total the last of them, after
+    which cum's last entry is set to +inf. bisect_right(cum, u * total), u
+    in [0, 1), picks the first slot whose running sum exceeds u * total, or
+    the last slot when rounding puts u * total at or past the total."""
+    cum = []
+    total = 0.0
+    for w in weights:  # a plain loop: faster than accumulate on short rows
+        total += w
+        cum.append(total)
+    cum[-1] = math.inf
+    return weights, total, cum
 
 
 def softmax_row(logits: list[float]) -> list[float]:

@@ -13,7 +13,7 @@ from random import Random
 from typing import Iterable
 
 from gradroute.learner import EligibilityTrace, LearnerConfig
-from gradroute.policy import ParamTable
+from gradroute.policy import ParamTable, draw_table
 
 
 def begin_tick_accumulate(
@@ -77,27 +77,25 @@ def dense_tick_update(
     grads: Iterable[tuple[int, list[float]]],
     reward: float,
 ) -> None:
-    """One tick of the dense rule, in the order cfg.credit_current_tick sets."""
-    if cfg.credit_current_tick:
-        begin_tick_accumulate(trace, cfg, grads)
-        apply_reward(table, trace, cfg, reward)
-    else:
-        apply_reward(table, trace, cfg, reward)
-        begin_tick_accumulate(trace, cfg, grads)
+    """One tick of the dense rule: the tick's gradients, then its reward."""
+    begin_tick_accumulate(trace, cfg, grads)
+    apply_reward(table, trace, cfg, reward)
 
 
-def gibbs_weights(logits: list[float]) -> tuple[list[float], float]:
-    """Sampling weights of a logit row, as learner.sampling_weights computes
-    them: the max-subtracted exponentials and their sum."""
+def gibbs_weights(logits: list[float]) -> tuple[list[float], float, list[float]]:
+    """Sampling weights of a logit row, the record learner.sampling_weights
+    makes: the max-subtracted exponentials, their total and draw table."""
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
-    return exps, sum(exps)
+    return draw_table(exps)
 
 
-def decision_gradient(weights: tuple[list[float], float], slot: int) -> list[float]:
+def decision_gradient(
+    weights: tuple[list[float], float, list[float]], slot: int
+) -> list[float]:
     """Log-policy gradient of drawing `slot` from `weights`, built the way
-    the learner forms it: -e/sum per slot, then 1 added at the drawn slot."""
-    exps, total = weights
+    the learner forms it: -e/total per slot, then 1 added at the drawn slot."""
+    exps, total, _ = weights
     g = [-e / total for e in exps]
     g[slot] += 1.0
     return g

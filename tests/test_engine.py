@@ -5,11 +5,11 @@ from random import Random
 import pytest
 
 from gradroute import engine
-from gradroute.config import ExperimentConfig
-from gradroute.engine import Simulation, SimulationError
+from gradroute.config import ConfigError, ExperimentConfig, load_config, save_config
+from gradroute.engine import Simulation
 from gradroute.harness import run_experiment
 from gradroute.learner import LearnerConfig
-from gradroute.network import Topology, shortest_path_delay
+from gradroute.network import Link, Topology, TrafficSpec, shortest_path_delay
 from gradroute.presets import braess_network, preset
 
 FROZEN = LearnerConfig(beta=0.99, gamma=1e-300)  # effectively no learning
@@ -103,21 +103,23 @@ class TestNodeFlowArithmetic:
         expected = -6.0 * braess_expected_cost(0.5, 0.5)
         assert res.final_running_mean == pytest.approx(expected, rel=0.01)
 
-    def test_cycle_in_node_flow_topology_aborts(self):
+    def test_cycle_in_node_flow_topology_aborts(self, tmp_path):
+        # a packet walks its whole path within the tick, so E->G->E could
+        # loop forever: the network is refused before any tick runs
         topo, traffic = braess_network(augmented=True)
         loop = Topology(
             nodes=topo.nodes,
-            links=topo.links + (type(topo.links[0])(topo.node_id("G"), topo.node_id("E"), 1),),
+            links=topo.links + (Link(topo.node_id("G"), topo.node_id("E"), 1),),
             cost_model=topo.cost_model,
             node_costs=topo.node_costs,
         )
         cfg = ExperimentConfig(topology=loop, traffic=traffic, learner=FROZEN, steps=50)
-        sim = Simulation(cfg)
-        force_row(sim, "A", "B", [-40.0, 40.0])
-        force_row(sim, "E", "B", [-40.0, 40.0])  # E always picks G, G bounces to E
-        with pytest.raises(SimulationError):
-            for _ in range(50):
-                sim.step()
+        with pytest.raises(ConfigError, match="directed cycle through node E"):
+            Simulation(cfg)
+        path = tmp_path / "loop.json"
+        save_config(cfg, path)
+        with pytest.raises(ConfigError, match="directed cycle through node E"):
+            load_config(path)
 
 
 class TestConservationAndDeterminism:
@@ -207,6 +209,57 @@ class TestRandomStream:
             assert sim.rng.draws - before == stats.generated + tick_decisions
             assert stats == plain.step()  # counting leaves the stream as it is
         assert forced > 0 and sampled > 0
+
+
+class TopRandom(Random):
+    """Every uniform is 1 - 2**-53, the largest that random() returns."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+class TestDrawPastTheTotal:
+    """A uniform that rounding puts at or past a table's total draws the
+    last slot: for a destination, the last one the source can draw."""
+
+    def test_link_delay_destination(self):
+        # uniform(7) gives source 0 weights that sum to 1 - 2**-53, so no
+        # running sum of its row exceeds the top uniform
+        labels = [f"N{i}" for i in range(7)]
+        links = [(labels[i], labels[(i + k) % 7], 1) for i in range(7) for k in (1, -1)]
+        cfg = ExperimentConfig(
+            topology=Topology.build(labels, links),
+            traffic=TrafficSpec.uniform(7),
+            learner=FROZEN,
+        )
+        assert sum(cfg.traffic.dest_probs[0]) == TopRandom().random()
+        sim = Simulation(cfg, record_trips=True)
+        sim.rng = TopRandom()
+        advance(sim, 10)
+        trips = {(src, dst) for src, dst, _ in sim.trip_log}
+        # the draw also picks the last slot, i -> i-1, so N0 reaches N6 at once
+        assert (0, 6) in trips
+        assert {dst for src, dst in trips if src == 0} == {6}
+
+    def test_node_flow_destination(self, monkeypatch):
+        cfg = preset("braess1")
+        probs = list(cfg.traffic.dest_probs)
+        probs[0] = tuple(1.0 - 1e-13 if p else 0.0 for p in probs[0])
+        cfg = cfg._replace(traffic=cfg.traffic._replace(dest_probs=tuple(probs)))
+        sim = Simulation(cfg)
+        sim.rng = TopRandom()
+        decided = []
+        real = engine.tick_update
+
+        def recording(table, trace, learner_cfg, decisions, reward):
+            decided.extend((table.router, d, s) for d, s in decisions)
+            real(table, trace, learner_cfg, decisions, reward)
+
+        monkeypatch.setattr(engine, "tick_update", recording)
+        sim.step()
+        a, b = cfg.topology.node_id("A"), cfg.topology.node_id("B")
+        # each of A's 6 packets is bound for B and leaves A by its last link
+        assert [(r, d, s) for r, d, s in decided if r == a] == [(a, b, 1)] * 6
 
 
 class TestRunningAverage:

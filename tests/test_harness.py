@@ -117,6 +117,8 @@ class TestConfigRoundTrip:
             ("traffic", "rates", {"A": True}),
             ("network.links.0", "delay", True),
             ("network.links.0", "capacity", True),
+            # the retired update order: only the one there is loads
+            ("learner", "credit_current_tick", False),
         ],
     )
     def test_bad_value_names_key(self, section, key, value):
@@ -132,6 +134,12 @@ class TestConfigRoundTrip:
         doc = config_to_dict(preset("triangle"))
         assert "schedule" not in doc["learner"]
         doc["learner"]["schedule"] = "constant"
+        assert config_from_dict(doc) == preset("triangle")
+
+    def test_credit_current_tick_true_still_loads(self):
+        doc = config_to_dict(preset("triangle"))
+        assert "credit_current_tick" not in doc["learner"]
+        doc["learner"]["credit_current_tick"] = True
         assert config_from_dict(doc) == preset("triangle")
 
 
@@ -385,6 +393,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"oracle {argv[0]} {problem}" in err
         assert f"usage: gradroute oracle {argv[0]}" in err
+
+    def test_cyclic_node_flow_network_refused(self, tmp_path, capsys):
+        # braess1 plus D->C: refused at load, before any file is written
+        doc = config_to_dict(preset("braess1").with_overrides(steps=50))
+        doc["network"]["links"].append({"from": "D", "to": "C", "delay": 1})
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert "directed cycle through node C" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -162,14 +162,12 @@ def assert_rows_close(got: dict, want: dict, rel: float = 1e-9) -> None:
 class TestTickUpdate:
     # The lazy rule rounds differently from the dense one, so it is held to
     # 1e-9 relative, over runs long enough that rarely chosen rows stay
-    # unsettled across many rescales; beta = 0 is applied densely and exactly.
-    @pytest.mark.parametrize("credit_current_tick", [True, False])
+    # unsettled across many rescales; at beta = 0 every tick runs at scale
+    # 1, where the lazy rule makes the dense rule's additions exactly.
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
-    def test_matches_reference_composition(self, credit_current_tick, beta):
+    def test_matches_reference_composition(self, beta):
         rng = random.Random(17)
-        cfg = LearnerConfig(
-            beta=beta, gamma=1e-3, credit_current_tick=credit_current_tick
-        )
+        cfg = LearnerConfig(beta=beta, gamma=1e-3)
         dests = (1, 2, 3, 4, 5, 6)
         odds = (50, 20, 10, 5, 1, 0.2)  # rows 5 and 6 go stale for long spans
         table_l, trace_l = fresh(3, dests=dests)
@@ -203,19 +201,15 @@ class TestTickUpdate:
         if beta > 0.0:
             assert rescales >= 20
 
-    def test_two_orderings_differ_only_in_same_tick_credit(self):
-        # with the alternative ordering, tick-t reward cannot reach tick-t
-        # decisions; slot 0 drawn from uniform weights has gradient [0.5, -0.5]
-        cfg_now = LearnerConfig(beta=0.9, gamma=1.0, credit_current_tick=True)
-        cfg_prev = LearnerConfig(beta=0.9, gamma=1.0, credit_current_tick=False)
-        table_now, trace_now = fresh()
-        table_prev, trace_prev = fresh()
-        assert sampling_weights(table_now, trace_now, 1) == ([1.0, 1.0], 2.0)
-        sampling_weights(table_prev, trace_prev, 1)
-        tick_update(table_now, trace_now, cfg_now, [(1, 0)], -2.0)
-        tick_update(table_prev, trace_prev, cfg_prev, [(1, 0)], -2.0)
-        assert table_now.rows[1] == [-1.0, 1.0]
-        assert table_prev.rows[1] == [0.0, 0.0]  # trace was still empty
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_tick_reward_credits_its_own_decision(self, beta):
+        # the reward of tick t reaches the decision of tick t; slot 0 drawn
+        # from uniform weights has gradient [0.5, -0.5]
+        table, trace = fresh()
+        weights = sampling_weights(table, trace, 1)
+        assert weights == ([1.0, 1.0], 2.0, [1.0, math.inf])
+        tick_update(table, trace, LearnerConfig(beta=beta, gamma=1.0), [(1, 0)], -2.0)
+        assert table.rows[1] == [-1.0, 1.0]
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_decision_needs_weights_recorded_this_tick(self, beta):
@@ -315,8 +309,7 @@ class TestBanditAscent:
 
 def ring_config():
     """12-router ring with chords (links i->i+-1, i->i+-3), two sources;
-    beta=0.99 and the pre-decision ordering, so rows stay stale across
-    rescales and the second ordering is covered too."""
+    beta=0.99, so rows stay stale across rescales."""
     n = 12
     labels = [f"N{i}" for i in range(n)]
     links = [(labels[i], labels[(i + k) % n], 1) for i in range(n) for k in (1, -1, 3, -3)]
@@ -332,14 +325,14 @@ def ring_config():
     return ExperimentConfig(
         topology=topo,
         traffic=traffic,
-        learner=LearnerConfig(beta=0.99, gamma=1e-4, credit_current_tick=False),
+        learner=LearnerConfig(beta=0.99, gamma=1e-4),
         steps=1_500,
         sample_every=50,
         tracked=(TrackedProbability(0, n // 2, topo.out_link_indices(0)[2]),),
     )
 
 
-FORCED = ([1.0], 1.0)  # the Gibbs weights of a one-column row
+FORCED = gibbs_weights([0.0])  # the Gibbs weights of a one-column row
 
 
 class TestLazyMatchesDenseInSimulation:
@@ -367,7 +360,7 @@ class TestLazyMatchesDenseInSimulation:
         def recording(table, trace, learner_cfg, decisions, reward):
             # rebuild each decision's gradient before the real call pops
             # the row's recorded weights; a one-link router records none,
-            # and a forced decision's weights are ([1.0], 1.0)
+            # and a forced decision's weights are those of one zero logit
             grads = [
                 (d, decision_gradient(trace.weights[d] if table.n_links > 1 else FORCED, s))
                 for d, s in decisions

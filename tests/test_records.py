@@ -16,7 +16,7 @@ from gradroute.network import (
     TrafficSpec,
     ValidationReport,
 )
-from gradroute.presets import braess_network, preset
+from gradroute.presets import PRESET_NAMES, braess_network, preset
 from gradroute.shaping import ShapingConfig
 
 
@@ -91,3 +91,16 @@ def test_topology_copies_rebuild_the_derived_tables():
         ]
         assert twin.node_id("G") == topo.node_id("G")
 
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_topology_and_config_hash(name):
+    cfg = preset(name)
+    topo = cfg.topology
+    costs = topo.node_costs
+    # the same node costs, inserted in the opposite order
+    twin_costs = None if costs is None else dict(reversed(list(costs.items())))
+    twin = Topology(topo.nodes, topo.links, topo.cost_model, twin_costs)
+    assert twin == topo and hash(twin) == hash(topo)
+    assert hash(cfg) == hash(preset(name))
+    assert hash(cfg._replace(topology=twin)) == hash(cfg)
