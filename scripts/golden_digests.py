@@ -4,7 +4,8 @@
 Each config in GOLDEN_NAMES runs for STEPS ticks from its own seed, with a row every SAMPLE_EVERY ticks and a
 moving-average window of MA_WINDOW rows (fewer than the rows written, so
 the window evicts). The metrics CSV and theta JSON are written to a
-temporary directory and hashed. GOLDEN_NAMES holds every preset, plus
+temporary directory and hashed, and so is the run's config as
+`save_config` writes it, before the run gives it output paths. GOLDEN_NAMES holds every preset, plus
 `forced_hops` (a link-delay network with one-link routers) and
 `memoryless` (triangle at beta = 0, the memoryless trace).
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gradroute.config import ExperimentConfig, TrackedProbability
+from gradroute.config import ExperimentConfig, TrackedProbability, save_config
 from gradroute.harness import run_experiment
 from gradroute.learner import LearnerConfig
 from gradroute.network import Topology, TrafficSpec
@@ -71,15 +72,18 @@ def golden_config(name: str) -> ExperimentConfig:
     return preset(name)
 
 
-def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str]:
-    """(CSV SHA-256, theta SHA-256) of the golden run of `name`."""
+def golden_digests(name: str, out_dir: str | Path) -> tuple[str, str, str]:
+    """(CSV SHA-256, theta SHA-256, saved config SHA-256) of the golden
+    run of `name`."""
     cfg = golden_config(name).with_overrides(
         steps=STEPS, sample_every=SAMPLE_EVERY, ma_window=MA_WINDOW
     )
+    config_path = Path(out_dir) / "config.json"
+    save_config(cfg, config_path)
     res = run_experiment(cfg, out_dir)
     return tuple(
         hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        for p in (res.config.csv_path, res.config.theta_path)
+        for p in (res.config.csv_path, res.config.theta_path, config_path)
     )
 
 
@@ -87,10 +91,10 @@ def main() -> int:
     print("GOLDEN = {")
     for name in GOLDEN_NAMES:
         with tempfile.TemporaryDirectory() as tmp:
-            csv_sha, theta_sha = golden_digests(name, tmp)
+            digests = golden_digests(name, tmp)
         print(f'    "{name}": (')
-        print(f'        "{csv_sha}",')
-        print(f'        "{theta_sha}",')
+        for sha in digests:
+            print(f'        "{sha}",')
         print("    ),")
     print("}")
     return 0
