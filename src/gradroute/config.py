@@ -27,6 +27,13 @@ concatenated endpoint labels). Presets serialize to this format and load
 back equal. Types are not coerced: an integer key takes a JSON integer,
 and a number key an integer or a float; a bool is neither.
 
+The learner, shaping and run sections are the records LearnerConfig,
+ShapingConfig and ExperimentConfig's scalar run fields: their keys, their
+defaults and whether each is an integer or a number are the records'
+own, read from `_field_defaults`, not a second list. Every object has
+one declared key set, and an unknown key (a misspelling) is refused with
+a ConfigError naming its dotted path, e.g. "learner.gama: unknown key".
+
 The loader also accepts the learner keys of older files when they name
 what is now the only choice, "schedule": "constant" and
 "credit_current_tick": true, and refuses any other value of them.
@@ -111,22 +118,23 @@ class ExperimentConfig(NamedTuple):
         """Copy with selected fields replaced; learner/shaping fields may be
         given flat (beta=..., gamma=..., cycle_penalty=..., drop_penalty=...)."""
         cfg = self
-        learner_keys = {k: kwargs.pop(k) for k in ("beta", "gamma") if k in kwargs}
-        if learner_keys:
-            cfg = cfg._replace(learner=cfg.learner._replace(**learner_keys))
-        shaping_keys = {
-            k: kwargs.pop(k)
-            for k in ("cycle_penalty", "drop_penalty", "history_length")
-            if k in kwargs
-        }
-        if shaping_keys:
-            cfg = cfg._replace(shaping=cfg.shaping._replace(**shaping_keys))
-        if kwargs:
-            cfg = cfg._replace(**kwargs)
-        return cfg
+        for section in ("learner", "shaping"):
+            record = getattr(cfg, section)
+            keys = {k: kwargs.pop(k) for k in record._fields if k in kwargs}
+            if keys:
+                cfg = cfg._replace(**{section: record._replace(**keys)})
+        return cfg._replace(**kwargs)
 
 
-def _resolve_link(topology: Topology, router: int, label: str, where: str) -> int:
+# the run section's scalars: the fields of ExperimentConfig with an integer default
+_RUN_DEFAULTS = {
+    k: v for k, v in ExperimentConfig._field_defaults.items() if type(v) is int
+}
+
+
+def resolve_link(topology: Topology, router: int, label: str, where: str) -> int:
+    """Index of the one outgoing link of `router` whose display label is
+    `label`; a ConfigError at `where` if there is not exactly one."""
     matches = [
         i for i in topology.out_link_indices(router) if topology.link_label(i) == label
     ]
@@ -174,17 +182,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "network": network,
         "traffic": traffic,
-        "learner": {"beta": cfg.learner.beta, "gamma": cfg.learner.gamma},
-        "shaping": {
-            "cycle_penalty": cfg.shaping.cycle_penalty,
-            "history_length": cfg.shaping.history_length,
-            "drop_penalty": cfg.shaping.drop_penalty,
-        },
+        "learner": cfg.learner._asdict(),
+        "shaping": cfg.shaping._asdict(),
         "run": {
-            "steps": cfg.steps,
-            "seed": cfg.seed,
-            "sample_every": cfg.sample_every,
-            "ma_window": cfg.ma_window,
+            **{k: getattr(cfg, k) for k in _RUN_DEFAULTS},
             "tracked_probabilities": [
                 {
                     "router": t.label(tp.router),
@@ -198,9 +199,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, keys=None) -> dict:
+    """`value` as a JSON object; given `keys`, one that holds no other key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: must be an object")
+    if keys is not None:
+        for k in value:
+            if k not in keys:
+                raise ConfigError(f"{where}.{k}: unknown key")
     return value
 
 
@@ -242,8 +248,24 @@ def _optional_str(value, where: str) -> str | None:
     return value
 
 
+def _section(doc: dict, section: str, defaults: dict, extra_keys=()) -> tuple[dict, dict]:
+    """(the section's object, its scalars): each key of `defaults` read
+    from the section, or its default if absent, as an integer where the
+    default is one and as a number otherwise."""
+    d = _object(doc.get(section, {}), section, (*defaults, *extra_keys))
+    return d, {
+        k: (_integer if type(v) is int else _number)(d.get(k, v), f"{section}.{k}")
+        for k, v in defaults.items()
+    }
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    net = _require(doc, "network", "config")
+    _object(doc, "config", ("network", "traffic", "learner", "shaping", "run", "output"))
+    net = _object(
+        _require(doc, "network", "config"),
+        "network",
+        ("cost_model", "nodes", "links", "node_costs"),
+    )
     labels = _require(net, "nodes", "network")
     if (
         not isinstance(labels, list)
@@ -268,6 +290,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     links = []
     for i, ld in enumerate(_list(_require(net, "links", "network"), "network.links")):
         where = f"network.links[{i}]"
+        _object(ld, where, ("from", "to", "delay", "capacity", "label"))
         delay = _require(ld, "delay", where)
         if not _is_int(delay) or delay < 1:
             raise ConfigError(f"{where}.delay: must be a positive integer")
@@ -289,6 +312,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         node_costs = {}
         for lb, cd in _object(net["node_costs"], "network.node_costs").items():
             where = f"network.node_costs.{lb}"
+            _object(cd, where, NodeCost._fields)
             node_costs[node(lb, where)] = NodeCost(
                 base=_number(_require(cd, "base", where), f"{where}.base"),
                 per_flow=_number(_require(cd, "per_flow", where), f"{where}.per_flow"),
@@ -301,7 +325,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         node_costs=node_costs,
     )
 
-    tr = _require(doc, "traffic", "config")
+    tr = _object(_require(doc, "traffic", "config"), "traffic", ("rates", "destinations"))
     n = len(labels)
     rates = [0] * n
     for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
@@ -319,49 +343,39 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows)
     )
 
-    le = _object(doc.get("learner", {}), "learner")
     # the step size is constant and a tick's reward credits that tick's
     # decisions; older files spell both out
+    le, learner = _section(
+        doc, "learner", LearnerConfig._field_defaults, ("schedule", "credit_current_tick")
+    )
     schedule = le.get("schedule", "constant")
     if schedule != "constant":
         raise ConfigError(f"learner.schedule: unknown value {schedule!r}")
     credit = le.get("credit_current_tick", True)
     if credit is not True:
         raise ConfigError(f"learner.credit_current_tick: must be true, got {credit!r}")
-    learner = LearnerConfig(
-        beta=_number(le.get("beta", 0.99), "learner.beta"),
-        gamma=_number(le.get("gamma", 1e-5), "learner.gamma"),
-    )
+    _, shaping = _section(doc, "shaping", ShapingConfig._field_defaults)
 
-    sh = _object(doc.get("shaping", {}), "shaping")
-    shaping = ShapingConfig(
-        cycle_penalty=_number(sh.get("cycle_penalty", 0.0), "shaping.cycle_penalty"),
-        history_length=_integer(sh.get("history_length", 2), "shaping.history_length"),
-        drop_penalty=_number(sh.get("drop_penalty", 0.0), "shaping.drop_penalty"),
-    )
-
-    run = _object(doc.get("run", {}), "run")
+    run, run_scalars = _section(doc, "run", _RUN_DEFAULTS, ("tracked_probabilities",))
     tracked = []
     tracked_docs = _list(
         run.get("tracked_probabilities", []), "run.tracked_probabilities"
     )
     for j, td in enumerate(tracked_docs):
         where = f"run.tracked_probabilities[{j}]"
+        _object(td, where, ("router", "dest", "link"))
         router = node(_require(td, "router", where), where)
         dest = node(_require(td, "dest", where), where)
-        link_index = _resolve_link(topology, router, _require(td, "link", where), where)
+        link_index = resolve_link(topology, router, _require(td, "link", where), where)
         tracked.append(TrackedProbability(router, dest, link_index))
 
-    out = _object(doc.get("output", {}), "output")
+    out = _object(doc.get("output", {}), "output", ("csv", "theta"))
     cfg = ExperimentConfig(
         topology=topology,
         traffic=traffic,
-        learner=learner,
-        shaping=shaping,
-        steps=_integer(run.get("steps", 100_000), "run.steps"),
-        seed=_integer(run.get("seed", 1), "run.seed"),
-        sample_every=_integer(run.get("sample_every", 100), "run.sample_every"),
-        ma_window=_integer(run.get("ma_window", 1000), "run.ma_window"),
+        learner=LearnerConfig(**learner),
+        shaping=ShapingConfig(**shaping),
+        **run_scalars,
         tracked=tuple(tracked),
         csv_path=_optional_str(out.get("csv"), "output.csv"),
         theta_path=_optional_str(out.get("theta"), "output.theta"),

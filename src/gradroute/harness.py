@@ -10,6 +10,7 @@ of the *underlying* reward reaches a threshold.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 from pathlib import Path
@@ -61,15 +62,21 @@ def run_experiment(
     names; without one, it writes to cfg's paths, if any, and otherwise
     keeps its rows in memory only.
 
-    underlying_threshold arms the ticks-to-threshold detector; with
-    stop_at_threshold the run ends at the first sampled tick whose
-    underlying-reward moving average reaches the threshold, and without
-    a threshold it is refused.
+    underlying_threshold arms the ticks-to-threshold detector and must be
+    finite; with stop_at_threshold the run ends at the first sampled tick
+    whose underlying-reward moving average reaches the threshold, and
+    without a threshold it is refused.
+
+    An invalid config is refused before out_dir is created.
     """
     if stop_at_threshold and underlying_threshold is None:
         raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
-    cfg = _resolve_paths(cfg, out_dir)
+    if underlying_threshold is not None and not math.isfinite(underlying_threshold):
+        raise ValueError(
+            f"--threshold must be a finite number, got {underlying_threshold!r}"
+        )
     sim = Simulation(cfg)
+    cfg = _resolve_paths(cfg, out_dir)
     rows: list[MetricsRow] = []
     reward_ma = SampledMovingAverage(cfg.ma_window)
     underlying_ma = SampledMovingAverage(cfg.ma_window)

@@ -26,7 +26,7 @@ quoted values; override with with_overrides(steps=...).
 """
 from __future__ import annotations
 
-from .config import ExperimentConfig, TrackedProbability
+from .config import ExperimentConfig, TrackedProbability, resolve_link
 from .learner import LearnerConfig
 from .network import CostModel, NodeCost, Topology, TrafficSpec
 from .shaping import ShapingConfig
@@ -111,8 +111,7 @@ def braess_network(augmented: bool = True) -> tuple[Topology, TrafficSpec]:
 
 def _tracked(topo: Topology, router: str, dest: str, link: str) -> TrackedProbability:
     r = topo.node_id(router)
-    matches = [i for i in topo.out_link_indices(r) if topo.link_label(i) == link]
-    return TrackedProbability(r, topo.node_id(dest), matches[0])
+    return TrackedProbability(r, topo.node_id(dest), resolve_link(topo, r, link, "tracked"))
 
 
 def preset(name: str) -> ExperimentConfig:

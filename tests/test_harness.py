@@ -12,7 +12,8 @@ from gradroute.cli import main as cli_main
 from gradroute.config import ConfigError, config_from_dict, config_to_dict, load_config, save_config
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names, read_csv
-from gradroute.presets import PRESET_NAMES, preset
+from gradroute.network import Topology
+from gradroute.presets import PRESET_NAMES, _tracked, preset
 
 
 class TestPresetHyperparameters:
@@ -46,6 +47,13 @@ class TestPresetHyperparameters:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("square")
+
+    @pytest.mark.parametrize("link", ["XY", "AB"])
+    def test_tracked_link_must_name_one_link(self, link):
+        # parallel A->B links share the display label "AB"
+        topo = Topology.build(["A", "B"], [("A", "B", 1), ("A", "B", 2)])
+        with pytest.raises(ConfigError, match="does not name exactly one outgoing link"):
+            _tracked(topo, "A", "B", link)
 
 
 class TestConfigRoundTrip:
@@ -130,6 +138,36 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "name, section, key, path",
+        [
+            ("triangle", "", "netwrk", "config.netwrk"),
+            ("triangle", "network", "cost_mdl", "network.cost_mdl"),
+            ("contention", "network.links.0", "capcity", "network.links[0].capcity"),
+            ("braess1", "network.node_costs.C", "bse", "network.node_costs.C.bse"),
+            ("triangle", "traffic", "rate", "traffic.rate"),
+            ("contention", "learner", "gama", "learner.gama"),
+            ("six_node", "shaping", "history_len", "shaping.history_len"),
+            ("triangle", "run", "stpes", "run.stpes"),
+            (
+                "triangle",
+                "run.tracked_probabilities.0",
+                "lnk",
+                "run.tracked_probabilities[0].lnk",
+            ),
+            ("triangle", "output", "cvs", "output.cvs"),
+        ],
+    )
+    def test_unknown_key_names_path(self, name, section, key, path):
+        doc = config_to_dict(preset(name))
+        container = doc
+        for k in filter(None, section.split(".")):
+            container = container[int(k) if k.isdigit() else k]
+        container[key] = 1
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert str(err.value) == f"{path}: unknown key"
+
     def test_constant_schedule_still_loads(self):
         doc = config_to_dict(preset("triangle"))
         assert "schedule" not in doc["learner"]
@@ -141,6 +179,20 @@ class TestConfigRoundTrip:
         assert "credit_current_tick" not in doc["learner"]
         doc["learner"]["credit_current_tick"] = True
         assert config_from_dict(doc) == preset("triangle")
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _where(path) -> str:
+    """The loader's name for the object at `path`: dotted keys, [i] indices."""
+    where = ""
+    for k in path:
+        where += f"[{k}]" if isinstance(k, int) else f".{k}"
+    return where.lstrip(".") or "config"
 
 
 def _paths(node, prefix=()):
@@ -164,15 +216,26 @@ _ODD_VALUES = st.one_of(
 
 
 class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRESET_NAMES), st.data())
+    def test_unknown_key_is_refused_by_path(self, name, data):
+        doc = config_to_dict(preset(name))
+        objects = [()] + [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]
+        path = data.draw(st.sampled_from(objects))
+        # "~" starts no declared key and no node label
+        key = "~" + data.draw(st.text(max_size=3))
+        _at(doc, path)[key] = data.draw(_ODD_VALUES)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert str(err.value).startswith(f"{_where(path)}.{key}: ")
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(PRESET_NAMES), st.data())
     def test_mutated_preset_loads_or_raises_config_error(self, name, data):
         doc = config_to_dict(preset(name))
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(list(_paths(doc))))
-            parent = doc
-            for k in path[:-1]:
-                parent = parent[k]
+            parent = _at(doc, path[:-1])
             if isinstance(parent, dict) and data.draw(st.booleans()):
                 del parent[path[-1]]
             else:
@@ -351,8 +414,9 @@ class TestCli:
             (["--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
             (["--seeds", "1,1"], "seed 1 is given twice"),
             (["--seeds", "1", "--stop-at-threshold"], "--stop-at-threshold needs --threshold"),
+            (["--seeds", "1,2", "--threshold", "nan"], "--threshold must be a finite number"),
         ],
-        ids=["seeds_not_integers", "seed_repeated", "stop_without_threshold"],
+        ids=["seeds_not_integers", "seed_repeated", "stop_without_threshold", "nan_threshold"],
     )
     def test_batch_bad_flags(self, flags, problem, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -393,6 +457,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"oracle {argv[0]} {problem}" in err
         assert f"usage: gradroute oracle {argv[0]}" in err
+
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--gamma", "-1"]])
+    def test_invalid_preset_override_writes_nothing(self, flags, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert cli_main(["preset", "triangle", *flags, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cyclic_node_flow_network_refused(self, tmp_path, capsys):
         # braess1 plus D->C: refused at load, before any file is written
