@@ -12,7 +12,7 @@ A config file is one JSON document with top-level keys
         "node_costs": {"C": {"base": 50.0, "per_flow": 1.0}, ...}   # node_flow only
       },
       "traffic": {
-        "rates": {"A": 1, ...},                       # omitted nodes are silent
+        "rates": {"A": 1, ...},          # omitted nodes are silent; <= MAX_RATE
         "destinations": {"A": {"B": 0.5, "C": 0.5}}    # per-source distribution
       },
       "learner": {"beta": 0.99, "gamma": 1e-5},
@@ -125,6 +125,14 @@ class ExperimentConfig(NamedTuple):
                 cfg = cfg._replace(**{section: record._replace(**keys)})
         return cfg._replace(**kwargs)
 
+
+# the most packets one source may generate per tick. Each packet is a
+# Python object of about 0.85 kB (its cycle-detection deque included) that
+# lives until it is delivered, and a tick makes and routes every one of
+# them, so a rate like 10**30 would never finish its first tick and would
+# grow memory without bound. The presets' rates are at most 6; this cap
+# still admits 8.5 MB of new packets per source per tick.
+MAX_RATE = 10_000
 
 # the run section's scalars: the fields of ExperimentConfig with an integer default
 _RUN_DEFAULTS = {
@@ -312,8 +320,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         node_costs = {}
         for lb, cd in _object(net["node_costs"], "network.node_costs").items():
             where = f"network.node_costs.{lb}"
+            nd = node(lb, where)  # an unknown node is named before its keys
             _object(cd, where, NodeCost._fields)
-            node_costs[node(lb, where)] = NodeCost(
+            node_costs[nd] = NodeCost(
                 base=_number(_require(cd, "base", where), f"{where}.base"),
                 per_flow=_number(_require(cd, "per_flow", where), f"{where}.per_flow"),
             )
@@ -329,9 +338,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     n = len(labels)
     rates = [0] * n
     for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
+        where = f"traffic.rates.{lb}"
+        s = node(lb, where)
         if not _is_int(r) or r < 0:
-            raise ConfigError(f"traffic.rates.{lb}: must be a non-negative integer")
-        rates[node(lb, f"traffic.rates.{lb}")] = r
+            raise ConfigError(f"{where}: must be a non-negative integer")
+        if r > MAX_RATE:
+            raise ConfigError(f"{where}: must be at most {MAX_RATE}, got {r}")
+        rates[s] = r
     dest_rows = [[0.0] * n for _ in range(n)]
     destinations = _object(_require(tr, "destinations", "traffic"), "traffic.destinations")
     for lb, row in destinations.items():

@@ -24,7 +24,8 @@ learner.sampling_weights, which settles it and records its Gibbs weights
 in the router's trace; later packets reuse them, and tick_update forms
 the decisions' gradients from them.
 
-Every draw bisects a policy.draw_table with one uniform u: a slot is
+Every draw bisects a draw table in policy.draw_table's form (running
+sums, the last set to +inf) with one uniform u: a slot is
 bisect_right(cum, u * total) over the row's weights, a new packet's
 destination bisect_right(cum, u) over its source's destination
 probabilities, cut after the last positive one so that it can be drawn.

@@ -13,10 +13,10 @@ drop) credits that decision.
 A routing decision reaches the learner as a (row, slot) pair. The router
 samples from the row's weights as sampling_weights() computes and records
 them for the tick, (exps, total, cum): the max-subtracted exponentials of
-the row's logits, their sum and the policy.draw_table the engine draws
-from. tick_update() pops them and forms the decision's log-policy
-gradient, e_slot - exps / total. Weights never outlive their tick, and a
-decision on a row without them raises.
+the row's logits, their sum and the running sums the engine draws from,
+as policy.draw_table builds them. tick_update() reads them and forms the
+decision's log-policy gradient, e_slot - exps / total. Weights never
+outlive their tick, and a decision on a row without them raises.
 
 A table with one column (a router with one out-link) is the exception.
 Its Gibbs policy is fixed at probability 1, and the log-policy gradient
@@ -39,13 +39,23 @@ plus O(width) per row that received a gradient, not O(active rows):
 
 theta[y] is therefore current only after settle(): sampling_weights()
 settles a row before the router samples from it, and anything else that
-reads logits goes through settle() or settle_all(). When scale falls
-below RESCALE_BELOW, every row is settled, the scale is folded into the
-rows, and scale, acc and the marks restart from 1, 0 and 0. The
-threshold is set for accuracy, not only against underflow: the rounding
-error of acc - mark grows as 1/scale. Over 20k ticks of sparse decisions
-the lazy rule agrees with the dense one to better than 1e-12 relative at
-1e-3, but only to ~5e-10 at 1e-6.
+reads logits goes through settle() or settle_all().
+
+sampling_weights() is the cost of every fresh row a tick reads, so it is
+one kernel of two passes over the row: the first settles each entry (only
+when the row is owed credit) and tracks the max, the second appends each
+exponential and its running sum. It calls neither settle() nor
+policy.draw_table: on the link-delay workloads most decisions read a
+fresh row, and those calls, with the list handed between them, would
+take back more than half of what the fusion saves. It makes every float,
+and every addition in its order, as they would, so outputs are the same.
+
+When scale falls below RESCALE_BELOW, every row is settled, the scale is
+folded into the rows, and scale, acc and the marks restart from 1, 0 and
+0. The threshold is set for accuracy, not only against underflow: the
+rounding error of acc - mark grows as 1/scale. Over 20k ticks of sparse
+decisions the lazy rule agrees with the dense one to better than 1e-12
+relative at 1e-3, but only to ~5e-10 at 1e-6.
 
 beta = 0 (a memoryless trace) runs through the same rule: the scale
 would fall to 0, so each tick first forgets the trace (_forget) and runs
@@ -54,10 +64,10 @@ at scale 1, which credits every row in full in the tick that added it.
 from __future__ import annotations
 
 import math
-from math import exp
+from math import exp, inf
 from typing import Iterable, NamedTuple
 
-from .policy import ParamTable, draw_table
+from .policy import ParamTable
 
 
 class LearnerConfig(NamedTuple):
@@ -122,13 +132,37 @@ def sampling_weights(
 ) -> tuple[list[float], float, list[float]]:
     """Settle row `dest`, record its Gibbs sampling weights in the trace for
     this tick's tick_update, and return them: (exps, total, cum), the
-    draw_table of the max-subtracted exponentials of its logits."""
-    logits = settle(table, trace, dest)
-    m = logits[0]
-    for v in logits:
-        if v > m:
-            m = v
-    weights = trace.weights[dest] = draw_table([exp(v - m) for v in logits])
+    max-subtracted exponentials of its logits, their sum and the running
+    sums with the last set to +inf, as policy.draw_table builds them.
+    One kernel, two passes over the row (module doc): the same floats as
+    settle() and then draw_table over the exponentials."""
+    row = table.rows[dest]
+    acc = trace.acc
+    mark = trace.mark
+    d = acc - mark.get(dest, acc)
+    if d != 0.0:
+        m = -inf
+        for i, z in enumerate(trace.rows[dest]):
+            v = row[i] + d * z
+            row[i] = v
+            if v > m:
+                m = v
+        mark[dest] = acc
+    else:
+        m = row[0]
+        for v in row:
+            if v > m:
+                m = v
+    exps = []
+    cum = []
+    total = 0.0
+    for v in row:
+        e = exp(v - m)
+        exps.append(e)
+        total += e
+        cum.append(total)
+    cum[-1] = inf
+    weights = trace.weights[dest] = (exps, total, cum)
     return weights
 
 
@@ -164,31 +198,6 @@ def _forget(trace: EligibilityTrace) -> None:
     trace.mark = {}
 
 
-def _decided_rows(
-    table: ParamTable, trace: EligibilityTrace, decisions: Iterable[tuple[int, int]]
-) -> dict[int, tuple[list[float], float, list[int]]]:
-    """Consume the tick's decision records: for each decided row, its
-    recorded exps and total, and the slots drawn, in decision order (the
-    order its gradients are summed in). Weights that no decision used are
-    dropped, so none outlive their tick."""
-    width = table.n_links
-    weights = trace.weights
-    by_row: dict = {}
-    for dest, slot in decisions:
-        if not 0 <= slot < width:
-            raise ValueError(f"decision row {dest}: slot {slot} not in [0, {width})")
-        row = by_row.get(dest)
-        if row is None:
-            w = weights.pop(dest, None)
-            if w is None:
-                raise ValueError(f"decision row {dest}: no weights recorded this tick")
-            by_row[dest] = (w[0], w[1], [slot])
-        else:
-            row[2].append(slot)
-    weights.clear()
-    return by_row
-
-
 def tick_update(
     table: ParamTable,
     trace: EligibilityTrace,
@@ -218,7 +227,24 @@ def tick_update(
             if slot != 0:
                 raise ValueError(f"decision row {dest}: slot {slot} not in [0, 1)")
         return
-    decided = _decided_rows(table, trace, decisions)
+    # the slots drawn per decided row, in decision order (the order its
+    # gradients are summed in): an int for a row with one decision, else a
+    # list; every decision is checked before theta or the trace is touched
+    width = table.n_links
+    weights = trace.weights
+    drawn: dict[int, int | list[int]] = {}
+    for dest, slot in decisions:
+        if not 0 <= slot < width:
+            raise ValueError(f"decision row {dest}: slot {slot} not in [0, {width})")
+        slots = drawn.get(dest)
+        if slots is None:
+            if dest not in weights:
+                raise ValueError(f"decision row {dest}: no weights recorded this tick")
+            drawn[dest] = slot
+        elif slots.__class__ is int:
+            drawn[dest] = [slots, slot]
+        else:
+            slots.append(slot)
     if cfg.beta == 0.0:
         _forget(trace)
         s = 1.0
@@ -226,20 +252,21 @@ def tick_update(
         s = trace.scale * cfg.beta
     c = cfg.gamma * reward * s  # credit per unit of new (scaled) gradient
     acc = trace.acc + c
-    if decided:
+    if drawn:
         inv = 1.0 / s
         zrows = trace.rows
         trows = table.rows
         marks = trace.mark
         active = trace.active
-        for dest, (exps, total, slots) in decided.items():
+        for dest, slots in drawn.items():
+            exps, total, _ = weights[dest]
             zrow = zrows[dest]
             trow = trows[dest]
             # settle the row as it stood before this tick's gradient (this
             # tick's credit included), add the gradient and credit it
             d = acc - marks.get(dest, acc)
-            if len(slots) == 1:
-                slot = slots[0]
+            if slots.__class__ is int:
+                slot = slots
                 for i, e in enumerate(exps):
                     gi = -e / total
                     if i == slot:
@@ -260,6 +287,7 @@ def tick_update(
                     trow[i] += d * y + c * gi
             marks[dest] = acc
             active.add(dest)
+    weights.clear()  # weights that no decision used are dropped too
     trace.scale = s
     trace.acc = acc
     if s < RESCALE_BELOW:

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradroute.cli import main as cli_main
-from gradroute.config import ConfigError, config_from_dict, config_to_dict, load_config, save_config
+from gradroute.config import (
+    MAX_RATE,
+    ConfigError,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    save_config,
+)
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names, read_csv
 from gradroute.network import Topology
@@ -127,6 +134,8 @@ class TestConfigRoundTrip:
             ("network.links.0", "capacity", True),
             # the retired update order: only the one there is loads
             ("learner", "credit_current_tick", False),
+            # a rate no tick could finish
+            ("traffic", "rates", {"A": 10**30}),
         ],
     )
     def test_bad_value_names_key(self, section, key, value):
@@ -167,6 +176,40 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError) as err:
             config_from_dict(doc)
         assert str(err.value) == f"{path}: unknown key"
+
+    @pytest.mark.parametrize(
+        "name, section, label, value, message",
+        [
+            # the node label is resolved before the value's keys or type
+            (
+                "braess1",
+                "network.node_costs",
+                "~",
+                {"": 0},
+                "network.node_costs.~: unknown node '~'",
+            ),
+            ("triangle", "traffic.rates", "~", -1, "traffic.rates.~: unknown node '~'"),
+            (
+                "triangle",
+                "traffic.rates",
+                "A",
+                MAX_RATE + 1,
+                f"traffic.rates.A: must be at most {MAX_RATE}, got {MAX_RATE + 1}",
+            ),
+        ],
+        ids=["node_cost_label", "rate_label", "rate_cap"],
+    )
+    def test_label_value_message(self, name, section, label, value, message):
+        doc = config_to_dict(preset(name))
+        _at(doc, section.split("."))[label] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_rate_cap_itself_loads(self):
+        doc = config_to_dict(preset("triangle"))
+        doc["traffic"]["rates"]["A"] = MAX_RATE
+        assert config_from_dict(doc).traffic.rates[0] == MAX_RATE
 
     def test_constant_schedule_still_loads(self):
         doc = config_to_dict(preset("triangle"))

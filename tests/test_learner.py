@@ -21,6 +21,7 @@ from gradroute.learner import (
     EligibilityTrace,
     LearnerConfig,
     sampling_weights,
+    settle,
     settle_all,
     tick_update,
 )
@@ -244,6 +245,55 @@ class TestTickUpdate:
         with pytest.raises(ValueError, match=message):
             tick_update(table, trace, cfg, [decision], -1.0)
         assert table.rows[1] == [0.0, 0.0]  # rejected before any update
+
+
+class TestSamplingWeightsKernel:
+    """sampling_weights settles, takes the max, the exponentials and the
+    draw table in one kernel; it must equal settle() followed by the
+    reference gibbs_weights float for float, the +inf entry included."""
+
+    @staticmethod
+    def pair(rng, width, case):
+        """The same row twice, in two tables and traces; `case` says what
+        the row is owed: "stale" (d != 0), "marked" (d == 0, mark == acc)
+        or "unmarked" (d == 0, never credited)."""
+        logits = [rng.gauss(0.0, 3.0) for _ in range(width)]
+        z = [rng.gauss(0.0, 1.0) for _ in range(width)]
+        acc = rng.gauss(0.0, 1.0)
+        owed = rng.gauss(0.0, 1.0)
+        made = []
+        for _ in range(2):
+            table, trace = fresh(width, dests=(1, 2))
+            table.rows[1][:] = logits
+            trace.rows[1][:] = z
+            trace.active.add(1)
+            trace.acc = acc
+            trace.mark[2] = 0.5  # another row's mark, never touched
+            if case == "stale":
+                trace.mark[1] = acc - owed
+            elif case == "marked":
+                trace.mark[1] = acc
+            made.append((table, trace))
+        return made
+
+    @pytest.mark.parametrize("case", ["stale", "marked", "unmarked"])
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_equals_settle_then_reference(self, width, case):
+        rng = random.Random(width * 10 + len(case))
+        for _ in range(200):
+            (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
+            mark_before = dict(trace.mark)
+            weights = sampling_weights(table, trace, 1)
+            want = gibbs_weights(settle(ref_table, ref_trace, 1))
+            assert weights == want
+            assert weights[2][-1] == math.inf
+            assert trace.weights == {1: weights}
+            assert table.rows == ref_table.rows
+            assert trace.mark == ref_trace.mark
+            if case == "stale":
+                assert trace.mark == {**mark_before, 1: trace.acc}
+            else:
+                assert trace.mark == mark_before  # nothing owed: untouched
 
 
 class TestOneColumnTable:
