@@ -96,7 +96,10 @@ def summarize(pairs: list[tuple[dict, dict]], specs: list[dict]) -> list[dict]:
         higher = spec["better"] == "higher"
         wins = sum(c > p if higher else c < p for p, c in both)
         ties = sum(c == p for p, c in both)
-        q1, q3 = statistics.quantiles(parent, n=4)[::2] if len(parent) > 1 else (parent[0],) * 2
+        if len(parent) > 1:
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+        else:
+            q1 = q3 = parent[0]
         p_med = statistics.median(parent)
         c_med = statistics.median(change)
         rows.append({
@@ -158,15 +161,15 @@ def main(argv: list[str] | None = None) -> int:
             if not runs[side]["ok"]:
                 failed += 1
                 print(f"pair {i} seed {seed} {side} FAILED:\n{runs[side]['output']}")
-        equal = runs["parent"]["digests"] == runs["change"]["digests"] != {}
+        p, c = runs["parent"], runs["change"]
+        equal = bool(p["digests"]) and p["digests"] == c["digests"]
         same += equal
+        shown = " ".join(f"{k}={p['metrics'].get(k)!r}->{c['metrics'].get(k)!r}"
+                         for k in (s["name"] for s in specs[:2]))
         print(f"pair {i} seed {seed} first={order[0]} digests "
-              f"{'equal' if equal else 'DIFFER'} "
-              + " ".join(f"{k}={runs['parent']['metrics'].get(k, 'NA')!r}->"
-                         f"{runs['change']['metrics'].get(k, 'NA')!r}"
-                         for k in (s["name"] for s in specs[:2])), flush=True)
-        if runs["parent"]["ok"] and runs["change"]["ok"]:
-            pairs.append((runs["parent"]["metrics"], runs["change"]["metrics"]))
+              f"{'equal' if equal else 'DIFFER'} {shown}", flush=True)
+        if p["ok"] and c["ok"]:
+            pairs.append((p["metrics"], c["metrics"]))
 
     print(f"workload {args.workload} seeds {args.seeds} seconds {args.seconds} "
           f"trace {args.trace}: {len(pairs)} complete pairs, digests equal in "

@@ -340,10 +340,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
         where = f"traffic.rates.{lb}"
         s = node(lb, where)
-        if not _is_int(r) or r < 0:
-            raise ConfigError(f"{where}: must be a non-negative integer")
-        if r > MAX_RATE:
-            raise ConfigError(f"{where}: must be at most {MAX_RATE}, got {r}")
+        if not _is_int(r) or not 0 <= r <= MAX_RATE:
+            raise ConfigError(
+                f"{where}: must be an integer from 0 to {MAX_RATE}, got {r!r}"
+            )
         rates[s] = r
     dest_rows = [[0.0] * n for _ in range(n)]
     destinations = _object(_require(tr, "destinations", "traffic"), "traffic.destinations")

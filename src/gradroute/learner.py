@@ -241,7 +241,7 @@ def tick_update(
             if dest not in weights:
                 raise ValueError(f"decision row {dest}: no weights recorded this tick")
             drawn[dest] = slot
-        elif slots.__class__ is int:
+        elif isinstance(slots, int):
             drawn[dest] = [slots, slot]
         else:
             slots.append(slot)
@@ -265,7 +265,7 @@ def tick_update(
             # settle the row as it stood before this tick's gradient (this
             # tick's credit included), add the gradient and credit it
             d = acc - marks.get(dest, acc)
-            if slots.__class__ is int:
+            if isinstance(slots, int):
                 slot = slots
                 for i, e in enumerate(exps):
                     gi = -e / total

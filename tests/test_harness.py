@@ -194,7 +194,7 @@ class TestConfigRoundTrip:
                 "traffic.rates",
                 "A",
                 MAX_RATE + 1,
-                f"traffic.rates.A: must be at most {MAX_RATE}, got {MAX_RATE + 1}",
+                f"traffic.rates.A: must be an integer from 0 to {MAX_RATE}, got {MAX_RATE + 1}",
             ),
         ],
         ids=["node_cost_label", "rate_label", "rate_cap"],
