@@ -1,0 +1,133 @@
+"""The paper's claims, one record each: the only home of their settings.
+
+Routers that learn from one shared reward find cooperative routes
+(triangle, braess1), reach a mixed optimum (contention), and learn
+faster with a shaped reward (shaping_speedup, on six_node). A claim runs
+each of its arms at each of its seeds and measures every run. An
+Endpoint passes when the seeds' mean lies within `tolerance` of its
+oracle target. A Speedup times each run to `threshold` (the run stops
+there, or counts at `steps` as `batch` counts it) with and without the
+cycle penalty, and passes when the unshaped median is the longer. A
+seed that trips the engine's load guard is recorded as diverged and
+fails its claim; the other seeds still run.
+"""
+from __future__ import annotations
+
+import statistics
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+from . import oracles
+from .engine import LoadDiverged
+from .harness import RunResult, run_experiment
+from .presets import BRAESS_PATHS, braess_network, preset, six_node_network, triangle_network
+
+
+def underlying_per_tick(res: RunResult) -> float:
+    """Mean underlying reward of the run's last ma_window sampled rows."""
+    tail = res.rows[-res.config.ma_window :]
+    return statistics.fmean(r.reward_underlying for r in tail)
+
+
+class Endpoint(NamedTuple):
+    preset: str
+    statistic: str  # what `measure` returns, as the table names it
+    measure: Callable[[RunResult], float]
+    target: float
+    tolerance: float
+    seeds: tuple[int, ...] = (1, 2, 3)
+    steps: int | None = None  # None: the preset's own
+    threshold = None  # not a field: an endpoint runs every step
+
+    def arms(self) -> dict:
+        cfg = preset(self.preset)
+        return {"": cfg._replace(steps=self.steps or cfg.steps)}
+
+    def verdict(self, values: list[float]) -> tuple[str, str, bool]:
+        mean = statistics.fmean(values) if values else float("nan")
+        sd = statistics.stdev(values) if len(values) > 1 else 0.0
+        passed = abs(mean - self.target) <= self.tolerance
+        target = f"{self.statistic} {self.target:.4g} ± {self.tolerance:.3g}"
+        return target, f"mean {mean:.4g} ± {sd:.2g}", passed
+
+
+class Speedup(NamedTuple):
+    preset: str
+    threshold: float  # of the windowed underlying reward per tick
+    window: int  # in sampled rows
+    seeds: tuple[int, ...]
+    steps: int
+    penalties: tuple[float, float]  # cycle penalty with and without shaping
+
+    def arms(self) -> dict:
+        cfg = preset(self.preset)._replace(steps=self.steps, ma_window=self.window)
+        return {
+            arm: cfg.with_overrides(cycle_penalty=penalty)
+            for arm, penalty in zip(("shaped", "unshaped"), self.penalties)
+        }
+
+    def measure(self, res: RunResult) -> int:
+        return res.steps_run
+
+    def verdict(self, shaped: list[int], unshaped: list[int]) -> tuple[str, str, bool]:
+        a, b = (statistics.median(v) if v else float("nan") for v in (shaped, unshaped))
+        summary = f"medians {a:.0f} shaped, {b:.0f} unshaped: x{b / a:.2f}"
+        return f"ticks to {self.threshold:g}: x > 1", summary, b > a
+
+
+BRAESS_OPTIMUM = oracles.braess_expected_cost(0.5, 1.0)
+BRAESS_GREEDY = oracles.braess_cost_for_flows(
+    braess_network()[0], dict.fromkeys(BRAESS_PATHS, 2)
+)
+
+# tolerances: triangle, nearer -4 than the -5 of sending every packet by
+# its direct link; contention, 0.05 off p* costs 20 * 0.05**2 of the
+# optimal -10.75 per tick; six_node, one stray hop per ten packets;
+# braess1, nearer the optimum than the greedy 2/2/2 split
+CLAIMS = {
+    "triangle": Endpoint(
+        "triangle", "reward/tick", underlying_per_tick,
+        oracles.expected_optimal_reward(*triangle_network()), 0.5,
+    ),
+    "contention": Endpoint(
+        "contention", "p(top)", lambda res: res.rows[-1].probs[0],
+        oracles.contention_optimal_p(preset("contention").shaping.drop_penalty), 0.05,
+    ),
+    "six_node": Endpoint(
+        "six_node", "reward/tick", underlying_per_tick,
+        oracles.expected_optimal_reward(*six_node_network()), 0.6,
+    ),
+    "braess1": Endpoint(
+        "braess1", "cost/packet",
+        lambda res: -underlying_per_tick(res) / sum(res.config.traffic.rates),
+        BRAESS_OPTIMUM, (BRAESS_GREEDY - BRAESS_OPTIMUM) / 2,
+    ),
+    "shaping_speedup": Speedup(
+        "six_node", -8.0, 100, (1, 2, 3, 4, 5), 1_500_000, (-100.0, 0.0)
+    ),
+}
+
+
+def check(name: str, out: Path | None) -> tuple[str, str, str, bool]:
+    """Run one claim: (its target, a cell per run, its summary, its verdict)."""
+    claim = CLAIMS[name]
+    values: dict[str, list] = {}
+    cells = []
+    for arm, cfg in claim.arms().items():
+        values[arm] = []
+        for seed in claim.seeds:
+            try:
+                res = run_experiment(
+                    cfg._replace(seed=seed),
+                    out and out / arm,
+                    underlying_threshold=claim.threshold,
+                    stop_at_threshold=claim.threshold is not None,
+                )
+            except LoadDiverged as e:
+                cells.append(f"{arm} {seed}: {e}".lstrip())
+                continue
+            values[arm].append(claim.measure(res))
+            cells.append(f"{arm} {seed}: {values[arm][-1]:.7g}".lstrip())
+    target, summary, passed = claim.verdict(*values.values())
+    finished = sum(map(len, values.values())) == len(cells)
+    return target, "  ".join(cells), summary, finished and passed

@@ -4,12 +4,15 @@
     gradroute preset <name> [--steps N] [--seed S] [--beta B] [--gamma G] [--out DIR]
     gradroute batch <config.json> --seeds 1,2,3 [--threshold X] [--stop-at-threshold] [--out DIR]
     gradroute oracle <name> [params...]
+    gradroute reproduce [claim ...] [--out DIR]
 
 The default output directory is $GRADROUTE_OUT, falling back to ./runs.
 Each run writes metrics-seed<S>.csv, theta-seed<S>.json and the resolved
 config.json into the output directory, whatever the config's `output`
 section names. A batch writes each seed's CSV and theta files only when
 given --out, and refuses a config that names output files without it.
+`reproduce` exits 1 if any claim fails. An error, such as a run whose
+load diverged, prints one line and exits 2.
 """
 from __future__ import annotations
 
@@ -19,23 +22,24 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, save_config
+from .engine import SimulationError
 from .harness import batch, default_output_dir, run_experiment, summary_line
 from .oracles import (
     braess_cost_for_flows,
     braess_expected_cost,
     contention_expected_reward,
     contention_optimal_p,
-    triangle_optimal_average_reward,
+    expected_optimal_reward,
 )
-from .presets import PRESET_NAMES, braess_network, preset
+from .presets import PRESET_NAMES, braess_network, preset, triangle_network
 
-# the parameters each oracle takes, as its usage line shows them
-_ORACLE_USAGE = {
-    "contention-reward": "P D",
-    "contention-optimal": "D",
-    "braess-cost": "PATH=COUNT [PATH=COUNT ...]",
-    "braess-expected": "P_LEFT P_EF",
-    "triangle-optimal": "",
+# each oracle and the parameters it takes, as its usage line shows them
+_ORACLES = {
+    "contention-reward": (contention_expected_reward, "P D"),
+    "contention-optimal": (contention_optimal_p, "D"),
+    "braess-cost": (braess_cost_for_flows, "PATH=COUNT [PATH=COUNT ...]"),
+    "braess-expected": (braess_expected_cost, "P_LEFT P_EF"),
+    "triangle-optimal": (lambda: expected_optimal_reward(*triangle_network()), ""),
 }
 
 
@@ -48,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment")
     p_preset.add_argument("name", choices=PRESET_NAMES)
@@ -56,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--seed", type=int, default=None)
     p_preset.add_argument("--beta", type=float, default=None)
     p_preset.add_argument("--gamma", type=float, default=None)
-    p_preset.add_argument("--out", default=None, help="output directory")
 
     p_batch = sub.add_parser("batch", help="run one config over several seeds")
     p_batch.add_argument("config")
@@ -68,14 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record first tick at which the windowed underlying reward reaches this value",
     )
     p_batch.add_argument("--stop-at-threshold", action="store_true")
-    p_batch.add_argument("--out", default=None, help="output directory")
 
     p_oracle = sub.add_parser("oracle", help="evaluate an analytic baseline")
-    p_oracle.add_argument("name", choices=list(_ORACLE_USAGE))
+    p_oracle.add_argument("name", choices=list(_ORACLES))
     p_oracle.add_argument("params", nargs="*")
     p_oracle.add_argument(
         "--braess0", action="store_true", help="use the network without the shortcut"
     )
+
+    p_repro = sub.add_parser("reproduce", help="check the paper's claims")
+    p_repro.add_argument("claims", nargs="*", metavar="claim")
+    for p in (p_run, p_preset, p_batch, p_repro):
+        p.add_argument("--out", default=None, help="output directory")
     return parser
 
 
@@ -100,18 +106,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    cfg = preset(args.name)
-    overrides = {
-        k: v
-        for k, v in (
-            ("steps", args.steps),
-            ("seed", args.seed),
-            ("beta", args.beta),
-            ("gamma", args.gamma),
-        )
-        if v is not None
-    }
-    cfg = cfg.with_overrides(**overrides)
+    flags = ("steps", "seed", "beta", "gamma")
+    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    cfg = preset(args.name).with_overrides(**overrides)
     return _run_and_save(cfg, _out_dir(args.out, f"{args.name}-seed{cfg.seed}"))
 
 
@@ -136,13 +133,13 @@ def _cmd_batch(args) -> int:
 
 
 def _oracle_error(name: str, problem: str) -> ValueError:
-    usage = f"gradroute oracle {name} {_ORACLE_USAGE[name]}".rstrip()
+    usage = f"gradroute oracle {name} {_ORACLES[name][1]}".rstrip()
     return ValueError(f"oracle {name} {problem}; usage: {usage}")
 
 
 def _oracle_numbers(name: str, params: list[str]) -> list[float]:
     """The oracle's parameters as finite floats, exactly as many as it takes."""
-    want = len(_ORACLE_USAGE[name].split())
+    want = len(_ORACLES[name][1].split())
     if len(params) != want:
         raise _oracle_error(name, f"takes {want} parameter(s), got {len(params)}")
     values = []
@@ -184,34 +181,41 @@ def _cmd_oracle(args) -> int:
     if name == "braess-cost":
         topo, _ = braess_network(augmented=not args.braess0)
         print(braess_cost_for_flows(topo, _oracle_flows(name, params)))
-        return 0
-    values = _oracle_numbers(name, params)
-    if name == "contention-reward":
-        print(contention_expected_reward(*values))
-    elif name == "contention-optimal":
-        print(contention_optimal_p(*values))
-    elif name == "braess-expected":
-        print(braess_expected_cost(*values))
-    elif name == "triangle-optimal":
-        print(triangle_optimal_average_reward())
+    else:
+        oracle, _ = _ORACLES[name]
+        print(oracle(*_oracle_numbers(name, params)))
     return 0
+
+
+def _cmd_reproduce(args) -> int:
+    from .claims import CLAIMS, check  # builds its oracle targets on import
+
+    for name in args.claims:
+        if name not in CLAIMS:
+            raise ValueError(f"unknown claim {name!r}; choose from {', '.join(CLAIMS)}")
+    print(f"{'claim':<17}{'target':<26}per seed  |  summary  |  verdict")
+    failed = 0
+    for name in args.claims or CLAIMS:
+        target, cells, summary, passed = check(name, _out_dir(args.out, "reproduce") / name)
+        print(f"{name:<17}{target:<26}{cells}  |  {summary}  |  {'PASS' if passed else 'FAIL'}")
+        failed += not passed
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {
+        "run": _cmd_run,
+        "preset": _cmd_preset,
+        "batch": _cmd_batch,
+        "oracle": _cmd_oracle,
+        "reproduce": _cmd_reproduce,
+    }[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+        return command(args)
+    except (ConfigError, ValueError, FileNotFoundError, SimulationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

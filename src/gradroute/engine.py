@@ -52,6 +52,11 @@ A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
 invariant (generated == delivered + dropped + in-flight, cumulatively) is
 checked every tick and any violation aborts the run.
+
+A loop-free trip takes fewer than N x (longest link delay) ticks, so by
+Little's law packets on loop-free routes keep fewer than total rate x
+that in flight; a run whose load passes LOAD_FACTOR times that bound has
+packets caught in routing loops, and stops with LoadDiverged.
 """
 from __future__ import annotations
 
@@ -73,8 +78,15 @@ from .policy import ParamTable, draw_table, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
 
 
+LOAD_FACTOR = 100  # times the loop-free load bound (module doc)
+
+
 class SimulationError(RuntimeError):
     """Internal invariant violation or broken run precondition."""
+
+
+class LoadDiverged(SimulationError):
+    """The in-flight load passed the run's bound (module doc)."""
 
 
 class Packet:
@@ -115,7 +127,7 @@ class TickStats(NamedTuple):
 class Simulation:
     """Owns all mutable run state; step() executes exactly one tick."""
 
-    def __init__(self, cfg: ExperimentConfig, record_trips: bool = False):
+    def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
         self.cfg = cfg
         topo = cfg.topology
@@ -168,7 +180,8 @@ class Simulation:
         self.dropped_total = 0
         self.cycles_total = 0
 
-        self.trip_log: list[tuple[int, int, int]] | None = [] if record_trips else None
+        longest = max((link.delay for link in topo.links), default=0)
+        self._max_in_flight = LOAD_FACTOR * sum(cfg.traffic.rates) * topo.n_nodes * longest
 
         if topo.cost_model is CostModel.NODE_FLOW:
             self._node_costs = [topo.node_costs[n] for n in range(topo.n_nodes)]
@@ -194,6 +207,10 @@ class Simulation:
                 f"{self.generated_total} generated != {self.delivered_total} delivered "
                 f"+ {self.dropped_total} dropped + {self.in_flight} in flight"
             )
+        if self.in_flight > self._max_in_flight:
+            raise LoadDiverged(
+                f"load diverged at tick {stats.tick}: {self.in_flight} packets in flight"
+            )
         return stats
 
     @property
@@ -210,15 +227,6 @@ class Simulation:
     def logits(self, router: int, dest: int) -> list[float]:
         """Up-to-date logit row of `router` for packets destined `dest`."""
         return settle(self.tables[router], self.traces[router], dest)
-
-    def max_in_flight_age(self) -> int:
-        """Age in ticks of the oldest packet currently on a link."""
-        oldest = None
-        for bucket in self._arrivals.values():
-            for p, _ in bucket:
-                if oldest is None or p.birth_tick < oldest:
-                    oldest = p.birth_tick
-        return 0 if oldest is None else self.tick_count - oldest
 
     def _update_learners(
         self, decisions: list[list[tuple[int, int]]], reward: float
@@ -250,10 +258,6 @@ class Simulation:
             if node == packet.destination:
                 underlying -= t - packet.birth_tick
                 delivered += 1
-                if self.trip_log is not None:
-                    self.trip_log.append(
-                        (packet.source, packet.destination, t - packet.birth_tick)
-                    )
             else:
                 if detect_cycle(packet, node):
                     cycles += 1

@@ -155,11 +155,8 @@ def summary_line(res: RunResult) -> str:
         f"dropped={res.dropped}",
         f"cycles={res.cycles_detected}",
     ]
-    if res.rows and res.rows[-1].probs:
-        for name, p in zip(probability_column_names(res.config), res.rows[-1].probs):
-            parts.append(f"{name}={p:.4f}")
-    if res.ticks_to_threshold is not None:
-        parts.append(f"ticks_to_threshold={res.ticks_to_threshold}")
+    for name, p in zip(probability_column_names(res.config), res.rows[-1].probs):
+        parts.append(f"{name}={p:.4f}")
     return "  ".join(parts)
 
 

@@ -125,14 +125,3 @@ def format_row(row: MetricsRow) -> str:
 def write_header(fh: TextIO, cfg: ExperimentConfig) -> None:
     fh.write(",".join(column_names(cfg)) + "\n")
 
-
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    """Parse a metrics CSV back into (header, numeric rows)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [
-            [float(x) for x in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return header, rows

@@ -8,7 +8,7 @@ from __future__ import annotations
 from math import comb
 
 from .network import CostModel, Topology, TrafficSpec, shortest_path_delay
-from .presets import BRAESS_PATHS, braess_network, triangle_network
+from .presets import BRAESS_PATHS, braess_network
 
 
 def contention_expected_reward(p: float, d: float) -> float:
@@ -38,8 +38,10 @@ def contention_optimal_p(d: float) -> float:
     return min(1.0, 5.0 / (d - 1.0))
 
 
-def _node_flows(topology: Topology, flows: dict[str, int]) -> tuple[list[int], int, float]:
-    """Resolve path flows to per-node flows; returns (node flows, packets, total cost)."""
+def braess_cost_for_flows(topology: Topology, flows: dict[str, int]) -> float:
+    """Average cost per packet when `flows` packets take each path (keys are
+    node-label strings like "ACDB"). Node flows are summed over all paths
+    through the node before costs are evaluated."""
     if topology.cost_model is not CostModel.NODE_FLOW:
         raise ValueError("path costing requires a node-flow topology")
     paths = []
@@ -58,19 +60,10 @@ def _node_flows(topology: Topology, flows: dict[str, int]) -> tuple[list[int], i
     for nodes, count in paths:
         for n in nodes:
             per_node[n] += count
-    total_packets = sum(count for _, count in paths)
-    total_cost = 0.0
+    packets = sum(count for _, count in paths)
+    total = 0.0
     for nodes, count in paths:
-        path_cost = sum(topology.node_costs[n].cost(per_node[n]) for n in nodes)
-        total_cost += count * path_cost
-    return per_node, total_packets, total_cost
-
-
-def braess_cost_for_flows(topology: Topology, flows: dict[str, int]) -> float:
-    """Average cost per packet when `flows` packets take each path (keys are
-    node-label strings like "ACDB"). Node flows are summed over all paths
-    through the node before costs are evaluated."""
-    _, packets, total = _node_flows(topology, flows)
+        total += count * sum(topology.node_costs[n].cost(per_node[n]) for n in nodes)
     if packets == 0:
         return 0.0
     return total / packets
@@ -118,9 +111,3 @@ def expected_optimal_reward(topology: Topology, traffic: TrafficSpec) -> float:
         )
         total += rate * per_packet
     return -total
-
-
-def triangle_optimal_average_reward() -> float:
-    """Best achievable average reward per tick on the triangle preset (-4)."""
-    topo, traffic = triangle_network()
-    return expected_optimal_reward(topo, traffic)

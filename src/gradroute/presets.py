@@ -1,28 +1,23 @@
 """Built-in networks and ready-to-run experiment configurations.
 
-Four experiments ship as presets:
+Four experiments ship as presets. What the paper claims each one learns,
+with its oracle target, is written in gradroute.claims.
 
 * triangle    -- 3 nodes, bidirectional links AB=BA=BC=CB=1, AC=CA=3, no
-                 capacities; 1 packet/node/tick to a uniform random other
-                 node. The all-pairs shortest-path optimum is an average
-                 reward of -4 per tick. beta=0.99, gamma=1e-5.
+                 capacities; 1 packet/node/tick to a uniform other node.
 * contention  -- 2 nodes, two one-way links A->B: "top" (delay 1,
                  capacity 1) and "bottom" (delay 6, capacity 2); 2
-                 packets/tick at A for B; drop penalty 21. The optimum is
-                 a mixed strategy: top with probability 1/4, average
-                 reward -10.75. beta=0.99, gamma=1e-7.
+                 packets/tick at A for B; drop penalty 21.
 * six_node    -- complete directed graph on 6 nodes, all delays 1,
                  unlimited capacity; 1 packet/node/tick, uniform
-                 destinations; cycle penalty -100 with a 2-node visit
-                 history. beta=0.9, gamma=1e-6.
+                 destinations; cycle penalty -100, 2-node visit history.
 * braess1     -- 7-node node-cost network (one-way downward links, all
                  traffic 6 packets/tick A->B). Adding the shortcut G to
                  the 6-node variant raises the greedy equilibrium cost
-                 from 83 to 92; the cooperative optimum splits traffic
-                 half/half at A and never uses G. beta=0.99, gamma=1e-5.
+                 from 83 to 92.
 
-Preset step counts are working defaults for reproduction runs, not
-quoted values; override with with_overrides(steps=...).
+Preset step counts are the run lengths of the claims, not quoted values;
+override with with_overrides(steps=...).
 """
 from __future__ import annotations
 

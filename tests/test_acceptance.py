@@ -1,17 +1,33 @@
 """End-to-end acceptance gate.
 
-Each test prints one PASS line with the measured values when it succeeds
-(run pytest with -s to see them). The module holds criteria 1 (oracle
-exactness), 2 (gradient correctness), 7 (determinism) and 8
-(conservation and reward decomposition), and runs in seconds. The
-learning criteria, 3-6 (the four learning endpoints and the shaping
-speedup), are not written yet.
+Each test prints one line with its measured values, PASS when it
+succeeds (run pytest with -s to see them). Criteria 1 (oracle exactness), 2
+(gradient correctness), 7 (determinism) and 8 (conservation and reward
+decomposition) run in seconds with the default test run.
+
+Criteria 3-6 are the paper's claims, one slow test per record of
+gradroute.claims: 3, cooperative routes (triangle, braess1); 4, the
+mixed optimum (contention); 5, the six-node endpoint (six_node); 6, the
+shaping speedup (shaping_speedup). They run at preset hyperparameters
+and preset lengths over the records' seeds, for about an hour in all,
+and only when selected:
+
+    pytest -m slow tests/test_acceptance.py -s
+
+Measured at these settings (per seed; CHANGES.md has the detail):
+triangle -8.34, -4.72, -4.08 per tick against -4 ± 0.5, FAIL; braess1
+116, 116, 116 per packet against 88.5 ± 1.75, FAIL; contention p(top)
+0.370, 0.346, 0.398 against 0.25 ± 0.05, FAIL; six_node -8.37, -8.30,
+-8.34 per tick against -6 ± 0.6, FAIL; shaping_speedup medians 761 900
+ticks shaped and 1 500 000 (censored) unshaped, x1.97, PASS.
 """
 import math
 import random
-import statistics
 import time
 
+import pytest
+
+from gradroute.claims import CLAIMS, check
 from gradroute.engine import Simulation
 from gradroute.harness import run_experiment
 from gradroute.oracles import (
@@ -21,11 +37,6 @@ from gradroute.oracles import (
 from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
 from gradroute.policy import ParamTable, softmax_row
 from gradroute.presets import preset
-
-
-def final_window_mean(rows, getter, window=1000):
-    tail = rows[-window:]
-    return statistics.fmean(getter(r) for r in tail)
 
 
 def test_criterion_1_oracle_exactness():
@@ -83,6 +94,16 @@ def test_criterion_2_gradient_correctness():
     print(f"\nPASS criterion 2: the gradient tick_update applies matches central "
           f"differences of log softmax on 1000 random rows (worst abs err "
           f"{worst:.2e}) in {elapsed:.1f}s")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(CLAIMS))
+def test_criteria_3_to_6_paper_claims(name, tmp_path):
+    t0 = time.perf_counter()
+    target, cells, summary, passed = check(name, tmp_path)
+    line = f"{name}: target {target}; {cells}; {summary} in {time.perf_counter() - t0:.0f}s"
+    print(f"\n{'PASS' if passed else 'FAIL'} {line}")
+    assert passed, line
 
 
 def test_criterion_7_determinism_byte_identical_csv(tmp_path):

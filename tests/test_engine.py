@@ -6,7 +6,8 @@ import pytest
 
 from gradroute import engine
 from gradroute.config import ConfigError, ExperimentConfig, load_config, save_config
-from gradroute.engine import Simulation
+from gradroute.cli import main as cli_main
+from gradroute.engine import LOAD_FACTOR, LoadDiverged, Simulation
 from gradroute.harness import run_experiment
 from gradroute.learner import LearnerConfig
 from gradroute.network import Link, Topology, TrafficSpec, shortest_path_delay
@@ -29,6 +30,25 @@ def forced_hops_config():
 def advance(sim, steps):
     for _ in range(steps):
         sim.step()
+
+
+def advance_logging_trips(sim, steps):
+    """Step the simulation and return (source, destination, trip time) of
+    every delivery, read from each tick's due arrivals before its step."""
+    trips = []
+    for _ in range(steps):
+        t = sim.tick_count + 1
+        for packet, node in sim._arrivals.get(t, ()):
+            if node == packet.destination:
+                trips.append((packet.source, packet.destination, t - packet.birth_tick))
+        sim.step()
+    return trips
+
+
+def oldest_in_flight_age(sim):
+    """Age in ticks of the oldest packet on a link (0 when none is)."""
+    births = [p.birth_tick for bucket in sim._arrivals.values() for p, _ in bucket]
+    return sim.tick_count - min(births, default=sim.tick_count)
 
 
 def force_row(sim, router_label, dest_label, logits):
@@ -233,10 +253,9 @@ class TestDrawPastTheTotal:
             learner=FROZEN,
         )
         assert sum(cfg.traffic.dest_probs[0]) == TopRandom().random()
-        sim = Simulation(cfg, record_trips=True)
+        sim = Simulation(cfg)
         sim.rng = TopRandom()
-        advance(sim, 10)
-        trips = {(src, dst) for src, dst, _ in sim.trip_log}
+        trips = {(src, dst) for src, dst, _ in advance_logging_trips(sim, 10)}
         # the draw also picks the last slot, i -> i-1, so N0 reaches N6 at once
         assert (0, 6) in trips
         assert {dst for src, dst in trips if src == 0} == {6}
@@ -292,27 +311,26 @@ class TestRunningAverage:
 class TestTripTimes:
     def test_trips_bounded_below_by_shortest_path(self):
         cfg = preset("triangle").with_overrides(steps=20_000, learner=FROZEN)
-        sim = Simulation(cfg, record_trips=True)
-        advance(sim, cfg.steps)
+        sim = Simulation(cfg)
+        trip_log = advance_logging_trips(sim, cfg.steps)
         topo = cfg.topology
-        assert len(sim.trip_log) > 50_000
-        for source, dest, trip in sim.trip_log:
+        assert len(trip_log) > 50_000
+        for source, dest, trip in trip_log:
             assert trip >= shortest_path_delay(topo, source, dest)
 
     def test_uniform_routing_age_spot_check(self):
         # uncapacitated triangle at uniform policy: packets keep arriving and
         # the tail of the trip distribution stays short
         cfg = preset("triangle").with_overrides(steps=100_000, learner=FROZEN)
-        sim = Simulation(cfg, record_trips=True)
-        advance(sim, cfg.steps)
-        trips = sorted(t for _, _, t in sim.trip_log)
+        sim = Simulation(cfg)
+        trips = sorted(t for _, _, t in advance_logging_trips(sim, cfg.steps))
         p99 = trips[int(0.99 * len(trips))]
         assert p99 <= 50
-        assert sim.max_in_flight_age() <= 200
+        assert oldest_in_flight_age(sim) <= 200
 
     def test_six_node_direct_policy_delivers_everything_in_one_hop(self):
         cfg = preset("six_node").with_overrides(steps=3_000, learner=FROZEN)
-        sim = Simulation(cfg, record_trips=True)
+        sim = Simulation(cfg)
         topo = cfg.topology
         for router, table in sim.tables.items():
             for dest in table.rows:
@@ -321,11 +339,58 @@ class TestTripTimes:
                     for i in topo.out_link_indices(router)
                 ]
                 table.rows[dest][:] = direct
-        advance(sim, cfg.steps)
+        trip_log = advance_logging_trips(sim, cfg.steps)
         assert sim.cycles_total == 0
-        assert all(trip == 1 for _, _, trip in sim.trip_log)
+        assert all(trip == 1 for _, _, trip in trip_log)
         # reward equals the shortest-path optimum from the second tick on
         assert sim.running_mean == pytest.approx(-6.0, abs=0.1)
+
+
+def livelock_config():
+    """A -> E along a chain A-B-C-D-E whose routers B, C and D each have
+    one link forward and nine back: under the near-uniform policy a packet
+    takes thousands of ticks on average, so the load keeps growing."""
+    labels = ["A", "B", "C", "D", "E"]
+    links = [(labels[i], labels[i + 1], 1) for i in range(4)]
+    links += [
+        (labels[i], labels[i - 1], 1, None, f"back{i}{k}") for i in range(1, 4) for k in range(9)
+    ]
+    return ExperimentConfig(
+        topology=Topology.build(labels, links),
+        traffic=TrafficSpec.single_flow(5, src=0, dst=4, rate=1),
+        learner=LearnerConfig(beta=0.9, gamma=1e-9),
+        steps=5_000,
+    )
+
+
+class TestLoadGuard:
+    def test_growing_load_stops_at_the_bound_naming_tick_and_load(self):
+        sim = Simulation(livelock_config())
+        bound = LOAD_FACTOR * 1 * 5 * 1  # rate x nodes x longest delay
+        with pytest.raises(LoadDiverged) as stop:
+            advance(sim, 5_000)
+        # at most one packet starts per tick, so the load stops one over the bound
+        assert sim.in_flight == bound + 1
+        assert str(stop.value) == (
+            f"load diverged at tick {sim.tick_count}: {bound + 1} packets in flight"
+        )
+
+    def test_long_loop_free_links_stay_under_the_bound(self):
+        topo = Topology.build(["A", "B"], [("A", "B", 5_000)])
+        cfg = ExperimentConfig(
+            topology=topo, traffic=TrafficSpec.single_flow(2, src=0, dst=1, rate=3), learner=FROZEN
+        )
+        sim = Simulation(cfg)
+        advance(sim, 6_000)
+        assert sim.in_flight == 3 * 5_000 and sim.delivered_total == 3 * 1_000
+
+    def test_cli_reports_a_diverged_run_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "livelock.json"
+        save_config(livelock_config(), path)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: load diverged at tick ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestRewardDecomposition:

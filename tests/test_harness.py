@@ -18,9 +18,17 @@ from gradroute.config import (
     save_config,
 )
 from gradroute.harness import batch, run_experiment
-from gradroute.metrics import column_names, read_csv
+from gradroute.metrics import column_names
 from gradroute.network import Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
+
+
+def read_csv(path) -> tuple[list[str], list[list[float]]]:
+    """A metrics CSV as (header, numeric rows)."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+    return header, rows
 
 
 class TestPresetHyperparameters:

@@ -8,7 +8,6 @@ from gradroute.oracles import (
     contention_expected_reward,
     contention_optimal_p,
     expected_optimal_reward,
-    triangle_optimal_average_reward,
 )
 from gradroute.presets import braess_network, six_node_network, triangle_network
 
@@ -100,7 +99,8 @@ class TestBraess:
 
 class TestOptimalReward:
     def test_triangle_value(self):
-        assert triangle_optimal_average_reward() == pytest.approx(-4.0, abs=1e-12)
+        value = expected_optimal_reward(*triangle_network())
+        assert value == pytest.approx(-4.0, abs=1e-12)
 
     def test_cheaper_direct_link_changes_value(self):
         topo, traffic = triangle_network()
