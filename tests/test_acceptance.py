@@ -1,9 +1,10 @@
 """End-to-end acceptance gate.
 
 Each test prints one line with its measured values, PASS when it
-succeeds (run pytest with -s to see them). Criteria 1 (oracle exactness), 2
-(gradient correctness), 7 (determinism) and 8 (conservation and reward
-decomposition) run in seconds with the default test run.
+succeeds (run pytest with -s to see them). Criteria 1 (oracle
+exactness), 2 (gradient correctness), 7 (determinism) and 8
+(conservation and reward decomposition) run in seconds with the default
+test run.
 
 Criteria 3-6 are the paper's claims, one slow test per record of
 gradroute.claims: 3, cooperative routes (triangle, braess1); 4, the
