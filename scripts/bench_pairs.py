@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload six_node --seeds 201-210 --seconds 20 [--trace 0|1]
+        --workload six_node[,ring60,...] --seeds 201-210 --seconds 20 [--trace 0|1]
 
 Pair i runs `perfbench/run.py --seed S_i` once in each checkout, each in
 its own interpreter, the parent first in even pairs and the change first
 in odd ones, so a drift in host speed falls on both sides alike. Each
 checkout runs its own benchmark code and program; the metric names,
 units and which direction is better come from the change's
-BENCHMARK.json.
+BENCHMARK.json. Given several workloads, it runs every pair of one
+workload before the next and prints one table per workload.
 
 For every metric it prints both sides' medians, the parent's quartiles
-and their distance (IQR), the change's median over the parent's, and the
-pairs the change won (ties count for neither side). It also reports
-whether each pair's CSV and theta digests were equal. The exit code is 1
-if any run failed (non-zero exit or `"correct": false`), else 0.
+and their distance (IQR), the change's median over the parent's, the
+pairs the change won (ties count for neither side) and a verdict:
+`gain` when at least ten pairs ran, the change won at least nine in ten
+of them and its median is better than the parent's by more than the
+parent's IQR; `loss` when the parent did so; `-` otherwise. It also
+reports whether each pair's CSV and theta digests were equal. The exit
+code is 1 if any run failed (non-zero exit or `"correct": false`), else
+0.
 
 Standard library only; the run output of every side is kept in memory and
 printed only for a failed run.
@@ -102,6 +107,8 @@ def summarize(pairs: list[tuple[dict, dict]], specs: list[dict]) -> list[dict]:
             q1 = q3 = parent[0]
         p_med = statistics.median(parent)
         c_med = statistics.median(change)
+        losses = len(both) - wins - ties
+        gap = c_med - p_med if higher else p_med - c_med  # > 0: the change is better
         rows.append({
             "name": name,
             "unit": spec["unit"],
@@ -115,40 +122,39 @@ def summarize(pairs: list[tuple[dict, dict]], specs: list[dict]) -> list[dict]:
             "wins": wins,
             "ties": ties,
             "pairs": len(both),
+            "verdict": verdict(wins, losses, len(both), gap, q3 - q1),
         })
     return rows
 
 
+def verdict(wins: int, losses: int, pairs: int, gap: float, iqr: float) -> str:
+    """`gain`, `loss` or `-` by the rule in the module doc; `gap` is how
+    much better the change's median is than the parent's."""
+    if pairs >= 10:
+        if wins * 10 >= pairs * 9 and gap > iqr:
+            return "gain"
+        if losses * 10 >= pairs * 9 and -gap > iqr:
+            return "loss"
+    return "-"
+
+
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':28s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
-             f"{'parent q1':>12s} {'parent q3':>12s} {'IQR':>10s} {'won':>7s}"]
+             f"{'parent q1':>12s} {'parent q3':>12s} {'IQR':>10s} {'verdict':>7s} "
+             f"{'won':>7s}"]
     for r in rows:
         won = f"{r['wins']}/{r['pairs']}"
         lines.append(
             f"{r['name']:28s} {r['parent_median']:12.6g} {r['change_median']:12.6g} "
             f"{r['ratio']:7.4f} {r['parent_q1']:12.6g} {r['parent_q3']:12.6g} "
-            f"{r['parent_iqr']:10.4g} {won:>7s}"
+            f"{r['parent_iqr']:10.4g} {r['verdict']:>7s} {won:>7s}"
             + (f" ({r['ties']} tied)" if r["ties"] else "")
         )
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    ap.add_argument("--change", type=Path, required=True, help="change checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="e.g. 201-210 or 5,7,9")
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = ap.parse_args(argv)
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as e:
-        ap.error(f"--seeds: {e}")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    specs = spec["per_layer" if args.trace else "end_to_end"]
-
+def run_pairs(args, workload: str, seeds: list[int], specs: list[dict]) -> int:
+    """Run and print every pair of one workload; the number of failed runs."""
     pairs = []
     failed = 0
     same = 0
@@ -156,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {}
         for side in order:
-            runs[side] = run_side(getattr(args, side), args.workload, seed,
+            runs[side] = run_side(getattr(args, side), workload, seed,
                                   args.seconds, args.trace)
             if not runs[side]["ok"]:
                 failed += 1
@@ -171,10 +177,29 @@ def main(argv: list[str] | None = None) -> int:
         if p["ok"] and c["ok"]:
             pairs.append((p["metrics"], c["metrics"]))
 
-    print(f"workload {args.workload} seeds {args.seeds} seconds {args.seconds} "
+    print(f"workload {workload} seeds {args.seeds} seconds {args.seconds} "
           f"trace {args.trace}: {len(pairs)} complete pairs, digests equal in "
           f"{same} of {len(seeds)}, {failed} failed runs")
-    print(format_rows(summarize(pairs, specs)))
+    print(format_rows(summarize(pairs, specs)), flush=True)
+    return failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="change checkout")
+    ap.add_argument("--workload", required=True, help="one name or a comma-separated list")
+    ap.add_argument("--seeds", required=True, help="e.g. 201-210 or 5,7,9")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as e:
+        ap.error(f"--seeds: {e}")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    specs = spec["per_layer" if args.trace else "end_to_end"]
+    failed = sum(run_pairs(args, w, seeds, specs) for w in args.workload.split(","))
     return 1 if failed else 0
 
 

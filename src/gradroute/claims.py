@@ -7,13 +7,16 @@ each of its arms at each of its seeds and measures every run. An
 Endpoint passes when the seeds' mean lies within `tolerance` of its
 oracle target. A Speedup times each run to `threshold` (the run stops
 there, or counts at `steps` as `batch` counts it) with and without the
-cycle penalty, and passes when the unshaped median is the longer. A
-seed that trips the engine's load guard is recorded as diverged and
-fails its claim; the other seeds still run.
+cycle penalty, and passes when the unshaped median is the longer; its
+summary adds the one-sided p-value of an exact rank-sum test over the
+seeds (rank_sum_p). A seed that trips the engine's load guard is
+recorded as diverged and fails its claim; the other seeds still run.
 """
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left, bisect_right
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -71,8 +74,27 @@ class Speedup(NamedTuple):
 
     def verdict(self, shaped: list[int], unshaped: list[int]) -> tuple[str, str, bool]:
         a, b = (statistics.median(v) if v else float("nan") for v in (shaped, unshaped))
-        summary = f"medians {a:.0f} shaped, {b:.0f} unshaped: x{b / a:.2f}"
+        p = rank_sum_p(shaped, unshaped)
+        summary = f"medians {a:.0f} shaped, {b:.0f} unshaped: x{b / a:.2f}, rank p {p:.3g}"
         return f"ticks to {self.threshold:g}: x > 1", summary, b > a
+
+
+def rank_sum_p(low: list[float], high: list[float]) -> float:
+    """One-sided p-value of the exact rank-sum test that `low` tends
+    below `high`: the share of all splits of the pooled values into arms
+    of these sizes whose first arm has a rank sum no larger than `low`'s.
+
+    Tied values share their mid-rank, so runs censored at the same run
+    length tie at the top. Every split is enumerated, C(n, len(low)) of
+    them: 252 for two arms of five.
+    """
+    pooled = sorted(low + high)
+    # twice each value's mid-rank: the first plus the last 1-based
+    # position of its ties, an integer
+    ranks = [bisect_left(pooled, v) + 1 + bisect_right(pooled, v) for v in low + high]
+    observed = sum(ranks[: len(low)])
+    splits = [sum(arm) for arm in combinations(ranks, len(low))]
+    return sum(s <= observed for s in splits) / len(splits)
 
 
 BRAESS_OPTIMUM = oracles.braess_expected_cost(0.5, 1.0)

@@ -184,7 +184,11 @@ class Simulation:
         self._max_in_flight = LOAD_FACTOR * sum(cfg.traffic.rates) * topo.n_nodes * longest
 
         if topo.cost_model is CostModel.NODE_FLOW:
-            self._node_costs = [topo.node_costs[n] for n in range(topo.n_nodes)]
+            # per node: (base, per_flow) of its affine cost (network.NodeCost)
+            costs = topo.node_costs
+            self._node_costs = [
+                (costs[n].base, costs[n].per_flow) for n in range(topo.n_nodes)
+            ]
             self._step = self._step_node_flow
         else:
             self._step = self._step_link_delay
@@ -335,9 +339,11 @@ class Simulation:
         traces = self.traces
         hops = self._hops
 
-        # every packet walks its full path now; flows are counted jointly
+        # every packet walks its full path now; flows are counted jointly.
+        # visits holds every packet's path, source included, one after another
         generated = 0
-        paths: list[list[int]] = []
+        visits: list[int] = []
+        visit = visits.append
         decisions: list[list[tuple[int, int]]] = [[] for _ in hops]
         flows = [0] * n_nodes
         rng_random = rng.random
@@ -348,7 +354,8 @@ class Simulation:
                 dest = bisect_right(dest_cum, rng_random())
                 generated += 1
                 node = source
-                path = [source]
+                visit(node)
+                flows[node] += 1
                 while node != dest:
                     nxt = forced[node]
                     if nxt is not None:
@@ -369,16 +376,17 @@ class Simulation:
                         slot = bisect_right(cum, rng_random() * total)
                         decisions[node].append((dest, slot))
                         node = hops[node][slot][3]
-                    path.append(node)
-                paths.append(path)
-                for nd in path:
-                    flows[nd] += 1
+                    visit(node)
+                    flows[node] += 1
 
-        costs = [c.cost(f) for c, f in zip(self._node_costs, flows)]
+        # each visit pays its node's cost at the tick's flow, summed in
+        # visit order
+        costs = [
+            base + per_flow * flow for (base, per_flow), flow in zip(self._node_costs, flows)
+        ]
         total_cost = 0.0
-        for path in paths:
-            for nd in path:
-                total_cost += costs[nd]
+        for node in visits:
+            total_cost += costs[node]
         underlying = -total_cost
         reward = TickReward(underlying, 0.0, underlying)
         self._update_learners(decisions, reward.total)

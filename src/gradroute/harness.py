@@ -4,8 +4,10 @@ run_experiment drives one simulation, sampling a MetricsRow every
 cfg.sample_every ticks (and at the final tick). batch repeats a config
 over seeds and aggregates, including the ticks-to-threshold statistic
 used to compare convergence speed with and without reward shaping: the
-first sampled tick at which the moving average (over ma_window samples)
-of the *underlying* reward reaches a threshold.
+first sampled tick at which the mean of the *underlying* reward over the
+last ma_window samples reaches a threshold. A crossing counts only once
+the window is full, so no tick before the ma_window-th sample can reach
+it, however good its first samples are.
 """
 from __future__ import annotations
 
@@ -64,8 +66,8 @@ def run_experiment(
 
     underlying_threshold arms the ticks-to-threshold detector and must be
     finite; with stop_at_threshold the run ends at the first sampled tick
-    whose underlying-reward moving average reaches the threshold, and
-    without a threshold it is refused.
+    whose underlying-reward moving average, over a full window, reaches
+    the threshold, and without a threshold it is refused.
 
     An invalid config is refused before out_dir is created.
     """
@@ -78,50 +80,53 @@ def run_experiment(
     sim = Simulation(cfg)
     cfg = _resolve_paths(cfg, out_dir)
     rows: list[MetricsRow] = []
-    reward_ma = SampledMovingAverage(cfg.ma_window)
-    underlying_ma = SampledMovingAverage(cfg.ma_window)
     tracked = [
         (tp.router, tp.dest, cfg.topology.out_link_indices(tp.router).index(tp.link_index))
         for tp in cfg.tracked
     ]
     ticks_to_threshold: int | None = None
+    window = cfg.ma_window
+    # the underlying-reward average is kept only while a threshold waits
+    armed = underlying_threshold is not None
+    push_underlying = SampledMovingAverage(window).push
 
     csv_fh = open(cfg.csv_path, "w", encoding="utf-8", newline="\n") if cfg.csv_path else None
     try:
         if csv_fh:
             write_header(csv_fh, cfg)
+        # the loop's per-tick lookups, bound once
+        write = csv_fh.write if csv_fh else None
+        step = sim.step
+        logits = sim.logits
+        push = SampledMovingAverage(window).push
+        keep = rows.append
+        steps = cfg.steps
         sample_every = cfg.sample_every
-        for _ in range(cfg.steps):
-            stats = sim.step()
-            t = stats.tick
-            if t % sample_every == 0 or t == cfg.steps:
-                probs = tuple(
-                    softmax_row(sim.logits(r, d))[slot] for r, d, slot in tracked
-                )
-                underlying, shaping, total = stats.reward
-                ma = reward_ma.push(total)
-                u_ma = underlying_ma.push(underlying)
-                row = MetricsRow(
-                    t,
-                    total,
-                    underlying,
-                    shaping,
-                    ma,
-                    sim.running_mean,
-                    probs,
-                    sim.delivered_total,
-                    sim.dropped_total,
-                    sim.cycles_total,
-                )
-                rows.append(row)
-                if csv_fh:
-                    csv_fh.write(format_row(row) + "\n")
-                if (
-                    underlying_threshold is not None
-                    and ticks_to_threshold is None
-                    and u_ma >= underlying_threshold
-                ):
+        for t in range(1, steps + 1):
+            stats = step()
+            if t % sample_every and t != steps:
+                continue
+            underlying, shaping, total = stats.reward
+            row = MetricsRow(
+                t,
+                total,
+                underlying,
+                shaping,
+                push(total),
+                sim.running_mean,
+                tuple([softmax_row(logits(r, d))[slot] for r, d, slot in tracked]),
+                sim.delivered_total,
+                sim.dropped_total,
+                sim.cycles_total,
+            )
+            keep(row)
+            if write:
+                write(format_row(row) + "\n")
+            if armed:
+                u_ma = push_underlying(underlying)
+                if len(rows) >= window and u_ma >= underlying_threshold:
                     ticks_to_threshold = t
+                    armed = False
                     if stop_at_threshold:
                         break
     finally:

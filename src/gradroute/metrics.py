@@ -107,19 +107,12 @@ def column_names(cfg: ExperimentConfig) -> list[str]:
 
 
 def format_row(row: MetricsRow) -> str:
-    fields = [
-        str(row.tick),
-        repr(row.reward_total),
-        repr(row.reward_underlying),
-        repr(row.reward_shaping),
-        repr(row.reward_ma),
-        repr(row.running_mean),
-        *(repr(p) for p in row.probs),
-        str(row.delivered),
-        str(row.dropped),
-        str(row.cycles),
-    ]
-    return ",".join(fields)
+    tick, total, underlying, shaping, ma, mean, probs, delivered, dropped, cycles = row
+    prob_cols = "".join([f"{p!r}," for p in probs])
+    return (
+        f"{tick},{total!r},{underlying!r},{shaping!r},{ma!r},{mean!r},"
+        f"{prob_cols}{delivered},{dropped},{cycles}"
+    )
 
 
 def write_header(fh: TextIO, cfg: ExperimentConfig) -> None:

@@ -59,11 +59,14 @@ def draw_table(weights: Sequence[float]) -> tuple[Sequence[float], float, list[f
 
 
 def softmax_row(logits: list[float]) -> list[float]:
-    """Max-subtracted softmax over one logit row."""
+    """Max-subtracted softmax over one logit row, each probability floored
+    at _PROB_FLOOR (a NaN stays NaN)."""
+    exp = math.exp
     m = max(logits)
-    exps = [math.exp(v - m) for v in logits]
+    exps = [exp(v - m) for v in logits]
     s = sum(exps)
-    return [max(e / s, _PROB_FLOOR) for e in exps]
+    # max(p, _PROB_FLOOR) without the call: the floor only where it is larger
+    return [_PROB_FLOOR if _PROB_FLOOR > (p := e / s) else p for e in exps]
 
 
 def snapshot(tables: dict[int, ParamTable], topology: Topology) -> dict:

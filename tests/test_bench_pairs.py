@@ -69,3 +69,88 @@ def test_parse_run():
     assert report["correct"] is True
     assert report["metrics"]["ticks_per_s"]["value"] == 5.0
     assert digests == {4: ("ab12", "cd34")}
+
+
+def ten_pairs(parent, change, name="ticks_per_s"):
+    return [({name: p}, {name: c}) for p, c in zip(parent, change)]
+
+
+PARENT10 = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ([p + 20 for p in PARENT10], "gain"),
+        ([p - 20 for p in PARENT10], "loss"),
+        # nine wins and a tie: the tie counts for neither side
+        ([p + 20 for p in PARENT10[:9]] + [109.0], "gain"),
+        # eight wins, two ties: not nine in ten
+        ([p + 20 for p in PARENT10[:8]] + [108.0, 109.0], "-"),
+        # every pair won, but the medians differ by less than the IQR
+        ([p + 5 for p in PARENT10], "-"),
+        # eight wins by far, two losses
+        ([p + 50 for p in PARENT10[:8]] + [107.0, 108.0], "-"),
+    ],
+    ids=["gain", "loss", "tie_counts_for_neither", "eight_of_ten", "within_iqr", "two_lost"],
+)
+def test_verdict_on_fixed_pairs(change, expected):
+    (row,) = bench_pairs.summarize(ten_pairs(PARENT10, change), SPECS[:1])
+    # statistics.quantiles(n=4) of 100..109: 101.75 and 107.25
+    assert row["parent_iqr"] == 5.5
+    assert row["verdict"] == expected
+    assert bench_pairs.format_rows([row]).splitlines()[1].split()[7] == expected
+
+
+def test_verdict_follows_the_metric_direction():
+    parent = [p / 100 for p in PARENT10]  # seconds, lower is better
+    (row,) = bench_pairs.summarize(
+        ten_pairs(parent, [p - 0.2 for p in parent], "setup_s"), SPECS[1:2]
+    )
+    assert row["verdict"] == "gain"
+    (row,) = bench_pairs.summarize(
+        ten_pairs(parent, [p + 0.2 for p in parent], "setup_s"), SPECS[1:2]
+    )
+    assert row["verdict"] == "loss"
+
+
+def test_fewer_than_ten_pairs_get_no_verdict():
+    (row,) = bench_pairs.summarize(
+        ten_pairs(PARENT10[:9], [p + 20 for p in PARENT10[:9]]), SPECS[:1]
+    )
+    assert (row["wins"], row["pairs"], row["verdict"]) == (9, 9, "-")
+
+
+def test_one_table_per_workload(monkeypatch, tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "ticks_per_s", "unit": "1/s", "better": "higher"}],'
+        ' "per_layer": []}'
+    )
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, seed))
+        value = 110.0 if checkout.name == "change" else 100.0
+        return {"ok": True, "metrics": {"ticks_per_s": value + seed},
+                "digests": {seed: ("a", "b")}, "output": ""}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    code = bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workload", "six_node,ring60", "--seeds", "1-2", "--seconds", "1",
+    ])
+    assert code == 0
+    # all pairs of one workload before the next, alternating which side runs first
+    assert calls == [
+        ("parent", "six_node", 1), ("change", "six_node", 1),
+        ("change", "six_node", 2), ("parent", "six_node", 2),
+        ("parent", "ring60", 1), ("change", "ring60", 1),
+        ("change", "ring60", 2), ("parent", "ring60", 2),
+    ]
+    out = capsys.readouterr().out
+    summaries = [line for line in out.splitlines() if line.startswith("workload ")]
+    assert [line.split()[1] for line in summaries] == ["six_node", "ring60"]
+    assert all("digests equal in 2 of 2" in line for line in summaries)
+    assert out.count("ticks_per_s ") == 2

@@ -118,3 +118,31 @@ def test_diverged_seed_fails_its_claim_and_the_others_still_run(monkeypatch):
     assert ran == [1, 2, 3]
     assert "2: load diverged at tick 7" in cells
     assert not passed
+
+
+def test_rank_sum_p_on_fixed_numbers():
+    censored = [1_500_000] * 5
+    shaped = [709_400, 761_900, 786_800, 837_600, 684_000]
+    # every shaped run below every censored one: 1 split of C(10, 5) = 252
+    assert claims.rank_sum_p(shaped, censored) == 1 / 252
+    assert claims.rank_sum_p(censored, shaped) == 1.0
+    # ranks 1, 3 against 2, 4: pair sums 3, 4, 5, 5, 6, 7, two at most 4
+    assert claims.rank_sum_p([1, 3], [2, 4]) == 2 / 6
+    # all tied: every split has the same rank sum
+    assert claims.rank_sum_p([7, 7], [7, 7, 7]) == 1.0
+    # a tie across the arms shares its mid-rank: low ranks 1.5, 3 (doubled
+    # 3, 6, sum 9) against doubled ranks 3, 8 of 5, 9; splits of {3, 3, 6,
+    # 8} with doubled sum at most 9: (3, 3), (3, 6), (3, 6)
+    assert claims.rank_sum_p([5, 6], [5, 9]) == 3 / 6
+    # three ties share doubled rank 6 of positions 2-4: low sums to 2 + 10;
+    # pairs of {2, 6, 6, 6, 10} summing to at most 12: three 8s, 2 + 10 and
+    # three 6 + 6 (with the tie ranked last instead, 4 of 10)
+    assert claims.rank_sum_p([1, 4], [2, 2, 2]) == 7 / 10
+
+
+def test_speedup_summary_reports_the_rank_p():
+    claim = claims.CLAIMS["shaping_speedup"]
+    shaped = [709_400, 761_900, 786_800, 837_600, 684_000]
+    target, summary, passed = claim.verdict(shaped, [1_500_000] * 5)
+    assert passed
+    assert summary.endswith("x1.97, rank p 0.00397")

@@ -352,6 +352,39 @@ class TestRunExperiment:
         for row in res.rows:
             assert row.running_mean == sum(totals[: row.tick]) / row.tick
 
+    def test_unreached_threshold_changes_no_output(self, tmp_path):
+        cfg = preset("braess1").with_overrides(steps=600, sample_every=1, ma_window=50)
+        plain = run_experiment(cfg, tmp_path / "plain")
+        # a braess1 tick costs something, so its reward never reaches 1
+        armed = run_experiment(cfg, tmp_path / "armed", underlying_threshold=1.0)
+        assert armed.ticks_to_threshold is None
+        for name in (f"metrics-seed{cfg.seed}.csv", f"theta-seed{cfg.seed}.json"):
+            assert (tmp_path / "armed" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+        assert armed.rows == plain.rows
+
+    def test_no_crossing_before_the_window_fills(self):
+        # unshaped six_node seed 3: some early samples score far better than
+        # the mean of the first full window
+        window = 30
+        cfg = preset("six_node").with_overrides(
+            steps=window * 100, seed=3, cycle_penalty=0.0, ma_window=window
+        )
+        under = [r.reward_underlying for r in run_experiment(cfg).rows]
+        assert len(under) == window
+        threshold = max(under)
+        best_sample = under.index(threshold) + 1
+        assert best_sample < window and math.fsum(under) / window < threshold
+        res = run_experiment(cfg, underlying_threshold=threshold)
+        assert res.ticks_to_threshold is None
+        # a window one sample longer than the run never fills
+        longer = cfg.with_overrides(ma_window=window + 1)
+        assert run_experiment(longer, underlying_threshold=-1e9).ticks_to_threshold is None
+        # a full window at the very last sample counts
+        full = run_experiment(cfg, underlying_threshold=-1e9)
+        assert full.ticks_to_threshold == cfg.steps
+
 
 class TestBatch:
     def test_single_seed_equals_single_run(self):
@@ -370,9 +403,9 @@ class TestBatch:
         # impossible threshold: every run is censored at cfg.steps
         b = batch(cfg, [1, 2, 3], underlying_threshold=1.0)
         assert b.median_ticks_to_threshold == cfg.steps
-        # trivially satisfied threshold: crossing at the first sampled tick
-        b2 = batch(cfg, [1, 2], underlying_threshold=-1e9)
-        assert b2.median_ticks_to_threshold == cfg.sample_every
+        # trivially satisfied threshold: crossing once the window is full
+        b2 = batch(cfg.with_overrides(ma_window=5), [1, 2], underlying_threshold=-1e9)
+        assert b2.median_ticks_to_threshold == 5 * cfg.sample_every
 
     def test_repeated_seed_rejected(self):
         with pytest.raises(ValueError, match="seed 2 is given twice"):
@@ -387,11 +420,11 @@ class TestBatch:
         assert not any(tmp_path.iterdir())
 
     def test_stop_at_threshold_shortens_run(self):
-        cfg = preset("contention").with_overrides(steps=5_000)
+        cfg = preset("contention").with_overrides(steps=5_000, ma_window=3)
         res = run_experiment(
             cfg, underlying_threshold=-1e9, stop_at_threshold=True
         )
-        assert res.steps_run == cfg.sample_every
+        assert res.steps_run == 3 * cfg.sample_every
 
 
 class TestCli:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradroute.metrics import SampledMovingAverage
+from gradroute.metrics import MetricsRow, SampledMovingAverage, format_row
 
 MAX = sys.float_info.max
 TINY = 5e-324  # smallest subnormal
@@ -106,3 +106,58 @@ class TestSampledMovingAverage:
             ma.push(bad)
         # the rejected value did not enter the window
         assert ma.push(2.5) == 2.0
+
+
+def reference_format_row(row):
+    """format_row as first written, one str or repr per field, joined."""
+    fields = [
+        str(row.tick),
+        repr(row.reward_total),
+        repr(row.reward_underlying),
+        repr(row.reward_shaping),
+        repr(row.reward_ma),
+        repr(row.running_mean),
+        *(repr(p) for p in row.probs),
+        str(row.delivered),
+        str(row.dropped),
+        str(row.cycles),
+    ]
+    return ",".join(fields)
+
+
+any_float = st.one_of(
+    st.floats(),  # NaN, ±inf, ±0.0, subnormals
+    st.integers(-(10**20), 10**20).map(float),
+    st.sampled_from([-0.0, TINY, -TINY, 1e300, -1e300, MAX, math.nan, math.inf, -math.inf]),
+)
+counts = st.one_of(st.integers(0, 10**6), st.integers(-(10**40), 10**40))
+rows = st.builds(
+    MetricsRow,
+    counts,
+    any_float,
+    any_float,
+    any_float,
+    any_float,
+    any_float,
+    st.sampled_from([0, 1, 3]).flatmap(
+        lambda k: st.tuples(*[any_float] * k)
+    ),
+    counts,
+    counts,
+    counts,
+)
+
+
+class TestFormatRow:
+    @settings(max_examples=500, deadline=None)
+    @given(row=rows)
+    def test_same_string_as_the_reference(self, row):
+        assert format_row(row) == reference_format_row(row)
+
+    @pytest.mark.parametrize("n_probs", [0, 1, 3])
+    def test_fixed_rows(self, n_probs):
+        row = MetricsRow(
+            10**30, -0.0, TINY, 1e300, -7.0, math.nan, (math.inf, -0.0, 0.1)[:n_probs],
+            2**64, 0, -3,
+        )
+        assert format_row(row) == reference_format_row(row)

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import sample_slot
 from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
-from gradroute.policy import ParamTable, make_tables, softmax_row
+from gradroute.policy import _PROB_FLOOR, ParamTable, make_tables, softmax_row
 from gradroute.presets import braess_network, triangle_network
 
 logit_rows = st.lists(
@@ -150,3 +151,49 @@ class TestMakeTables:
             for dest in table.rows:
                 probs = softmax_row(table.rows[dest])
                 assert probs == pytest.approx([1 / len(probs)] * len(probs))
+
+
+def reference_softmax_row(logits):
+    """softmax_row as first written, with a max() call per entry."""
+    m = max(logits)
+    exps = [math.exp(v - m) for v in logits]
+    s = sum(exps)
+    return [max(e / s, _PROB_FLOOR) for e in exps]
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+any_logit = st.one_of(
+    st.floats(),  # NaN, ±inf, ±0.0, subnormals
+    st.sampled_from([-0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+)
+# the floor binds once a logit sits more than ~745 below the row's max
+wide_rows = st.lists(st.floats(-2000.0, 2000.0), min_size=2, max_size=5).map(
+    lambda row: row + [max(row) + 800.0]
+)
+
+
+class TestSoftmaxRowPin:
+    @settings(max_examples=500, deadline=None)
+    @given(row=st.one_of(st.lists(any_logit, min_size=1, max_size=6), wide_rows))
+    def test_same_float_bits_as_the_reference(self, row):
+        try:
+            want = reference_softmax_row(row)
+        except (OverflowError, ValueError) as e:
+            with pytest.raises(type(e)):
+                softmax_row(row)
+            return
+        assert bits(softmax_row(row)) == bits(want)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0.0], [math.nan], [math.inf], [0.0, -800.0], [-800.0, 0.0, -1e300],
+         [math.inf, 1.0], [1.0, math.nan, 2.0], [math.nan, 1.0], [-math.inf, -math.inf]],
+    )
+    def test_fixed_rows(self, row):
+        got = softmax_row(row)
+        assert bits(got) == bits(reference_softmax_row(row))
+        if row == [0.0, -800.0]:
+            assert got == [1.0, _PROB_FLOOR]  # the floor binds
