@@ -39,14 +39,22 @@ DIGEST = re.compile(r"^digest .* sim_seed=(\d+) .*csv_sha256=(\w+) theta_sha256=
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'201-210' or '5,7,9' (or a mix) as a list of seeds, in order."""
+    """'201-210' or '5,7,9' (or a mix) as a list of seeds, in order. A
+    range that runs downwards, or a seed given twice, is refused naming
+    its part: either would silently change how many pairs count."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, sep, hi = part.partition("-")
         if sep:
-            seeds.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(f"part {part!r} runs downwards")
         else:
-            seeds.append(int(part))
+            span = [int(part)]
+        for seed in span:
+            if seed in seeds:
+                raise ValueError(f"part {part!r} repeats seed {seed}")
+            seeds.append(seed)
     if not seeds:
         raise ValueError("no seeds given")
     return seeds

@@ -1,6 +1,8 @@
 """Packet routing as a multi-agent learning problem: each router adjusts a
 Gibbs routing policy online from a globally shared reward signal."""
 
+__version__ = "0.1.0"
+
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -410,7 +410,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+def config_text(cfg: ExperimentConfig) -> str:
+    """The JSON text save_config writes."""
+    return json.dumps(config_to_dict(cfg), indent=2) + "\n"
+
+
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(config_text(cfg), encoding="utf-8")

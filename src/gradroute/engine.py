@@ -1,4 +1,4 @@
-"""Discrete-time network simulation with one online learner per router.
+"""Discrete-time network simulation where every router learns online.
 
 Two engine modes share the learner plumbing:
 
@@ -7,8 +7,8 @@ Two engine modes share the learner plumbing:
   arrivals that reached their destination, scoring -(trip time) each,
   (3) generate new traffic, (4) route everything that needs a decision
   in (node id, packet id) order, with cycle detection at arrival and
-  capacity drops at placement, (5) hand every router its decisions and
-  the tick reward (one learner tail for both modes), (6) emit per-tick
+  capacity drops at placement, (5) hand the tick's decisions and reward
+  to the learner (one learner tail for both modes), (6) emit per-tick
   stats.
 
 * node-flow traversal (synchronous): each generated packet walks its
@@ -18,11 +18,16 @@ Two engine modes share the learner plumbing:
   Validation refuses a node-flow network with a directed cycle, so every
   walk ends.
 
-A routing decision is recorded as a (row, slot) pair. The first packet
-a router routes for a destination in a tick reads the row through
+A routing decision is recorded as a (row, slot) pair; row is the flat id
+router * N + destination of the logit row. The first packet a router
+routes for a destination in a tick reads the row through
 learner.sampling_weights, which settles it and records its Gibbs weights
-in the router's trace; later packets reuse them, and tick_update forms
-the decisions' gradients from them.
+in the trace; later packets reuse them. One tick_update call per tick
+takes every decision of the network and the shared reward. The whole
+network has one learner state and one trace clock: every router gets the
+same reward, so per-router clocks would be N identical copies. A router
+still reads and writes only its own rows, and the clock depends on the
+global reward alone, so sharing it is no communication between routers.
 
 Every draw bisects a draw table in policy.draw_table's form (running
 sums, the last set to +inf) with one uniform u: a slot is
@@ -40,7 +45,7 @@ uniform that a draw over the one-slot row would take, and discard it:
 the stream of draws, and so every later draw and every output, stays
 what it is when every hop samples.
 
-Both modes update the learners lazily (see gradroute.learner): a tick
+Both modes update the learner lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until it is read. Every read
 therefore settles the row first: sampling_weights for the routing
@@ -74,7 +79,7 @@ from .learner import (
     tick_update,
 )
 from .network import CostModel
-from .policy import ParamTable, draw_table, make_tables, snapshot
+from .policy import draw_table, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
 
 
@@ -135,17 +140,15 @@ class Simulation:
         self.rng = Random(cfg.seed)
         self.tick_count = 0
 
-        self.tables: dict[int, ParamTable] = make_tables(topo)
-        self.traces: dict[int, EligibilityTrace] = {
-            r: EligibilityTrace(t) for r, t in self.tables.items()
+        self.tables = make_tables(topo)
+        # every table's logit rows by flat row id (module doc), the same
+        # lists, and the one learner trace over them
+        n = topo.n_nodes
+        self._rows = {
+            r * n + y: row for r, table in self.tables.items() for y, row in table.rows.items()
         }
+        self._trace = EligibilityTrace(self._rows)
         self.reward_sum = 0.0  # left-to-right sum of every tick's total reward
-        # by node: the sampling weights its trace recorded this tick, which
-        # tick_update empties; nodes without a table get an empty dict
-        self._recorded = [
-            self.traces[n].weights if n in self.traces else {}
-            for n in range(topo.n_nodes)
-        ]
 
         # traffic, flattened for the generation loop: (source, rate, draw
         # table of its destinations up to the last it can draw)
@@ -224,23 +227,15 @@ class Simulation:
 
     def theta(self) -> dict:
         """Settle every logit row and return the snapshot of all tables."""
-        for router, table in self.tables.items():
-            settle_all(table, self.traces[router])
+        settle_all(self._rows, self._trace)
         return snapshot(self.tables, self.topology)
 
     def logits(self, router: int, dest: int) -> list[float]:
         """Up-to-date logit row of `router` for packets destined `dest`."""
-        return settle(self.tables[router], self.traces[router], dest)
-
-    def _update_learners(
-        self, decisions: list[list[tuple[int, int]]], reward: float
-    ) -> None:
-        """Apply the tick's update to every router: its (row, slot) routing
-        decisions, indexed by router, and the one shared reward."""
-        learner_cfg = self.cfg.learner
-        traces = self.traces
-        for router, table in self.tables.items():
-            tick_update(table, traces[router], learner_cfg, decisions[router], reward)
+        n = self.topology.n_nodes
+        if not 0 <= dest < n:  # else the flat id could name another router's row
+            raise KeyError(f"no node {dest}")
+        return settle(self._rows, self._trace, router * n + dest)
 
     # -- link-delay mode ----------------------------------------------------
 
@@ -285,32 +280,34 @@ class Simulation:
         dropped = 0
         placed = [0] * len(self.topology.links)
         hops = self._hops
-        decisions: list[list[tuple[int, int]]] = [[] for _ in hops]
-        tables = self.tables
-        traces = self.traces
+        n = len(hops)
+        decisions: list[tuple[int, int]] = []
+        decide = decisions.append
+        rows = self._rows
+        trace = self._trace
         arrivals_by_tick = self._arrivals
-        # theta is frozen during routing, so the weights recorded for a
-        # (router, destination) serve every packet routed there this tick
-        recorded = self._recorded
+        # theta is frozen during routing, so the weights recorded for a row
+        # serve every packet routed by it this tick
+        recorded = trace.weights
         forced = self._forced
         for node, pid, packet in to_route:
-            dest = packet.destination
+            row = node * n + packet.destination
             if forced[node] is not None:
                 rng_random()  # the one-slot row's draw, kept for the stream
                 slot = 0
             else:
-                parts = recorded[node].get(dest)
+                parts = recorded.get(row)
                 if parts is None:
-                    table = tables.get(node)
-                    if table is None:
+                    try:
+                        parts = sampling_weights(rows, trace, row)
+                    except KeyError:
                         raise SimulationError(
                             f"packet {pid} stranded at {self.topology.label(node)}: "
                             "no outgoing links"
-                        )
-                    parts = sampling_weights(table, traces[node], dest)
+                        ) from None
                 _, total, cum = parts
                 slot = bisect_right(cum, rng_random() * total)
-            decisions[node].append((dest, slot))
+            decide((row, slot))
             link_index, capacity, delay, dst = hops[node][slot]
             count = placed[link_index] + 1
             placed[link_index] = count
@@ -321,10 +318,10 @@ class Simulation:
                 in_flight += 1
         self.in_flight = in_flight
 
-        # (5) learner updates: one shared reward for every router
+        # (5) the learner update: one shared reward for every router
         shaping = shaping_reward(cycles, dropped, shaping_cfg)
         reward = TickReward(underlying, shaping, underlying + shaping)
-        self._update_learners(decisions, reward.total)
+        tick_update(rows, trace, self.cfg.learner, decisions, reward.total)
 
         return TickStats(t, generated, delivered, dropped, cycles, in_flight, reward)
 
@@ -334,9 +331,9 @@ class Simulation:
         t = self.tick_count + 1
         self.tick_count = t
         rng = self.rng
-        n_nodes = self.topology.n_nodes
-        tables = self.tables
-        traces = self.traces
+        n = self.topology.n_nodes
+        rows = self._rows
+        trace = self._trace
         hops = self._hops
 
         # every packet walks its full path now; flows are counted jointly.
@@ -344,10 +341,11 @@ class Simulation:
         generated = 0
         visits: list[int] = []
         visit = visits.append
-        decisions: list[list[tuple[int, int]]] = [[] for _ in hops]
-        flows = [0] * n_nodes
+        decisions: list[tuple[int, int]] = []
+        decide = decisions.append
+        flows = [0] * n
         rng_random = rng.random
-        recorded = self._recorded
+        recorded = trace.weights
         forced = self._forced
         for source, rate, dest_cum in self._sources:
             for _ in range(rate):
@@ -357,24 +355,25 @@ class Simulation:
                 visit(node)
                 flows[node] += 1
                 while node != dest:
+                    row = node * n + dest
                     nxt = forced[node]
                     if nxt is not None:
                         rng_random()  # the one-slot row's draw, kept for the stream
-                        decisions[node].append((dest, 0))
+                        decide((row, 0))
                         node = nxt
                     else:
-                        parts = recorded[node].get(dest)
+                        parts = recorded.get(row)
                         if parts is None:
-                            table = tables.get(node)
-                            if table is None:
+                            try:
+                                parts = sampling_weights(rows, trace, row)
+                            except KeyError:
                                 raise SimulationError(
                                     f"packet stranded at {self.topology.label(node)}: "
                                     "no outgoing links"
-                                )
-                            parts = sampling_weights(table, traces[node], dest)
+                                ) from None
                         _, total, cum = parts
                         slot = bisect_right(cum, rng_random() * total)
-                        decisions[node].append((dest, slot))
+                        decide((row, slot))
                         node = hops[node][slot][3]
                     visit(node)
                     flows[node] += 1
@@ -389,6 +388,6 @@ class Simulation:
             total_cost += costs[node]
         underlying = -total_cost
         reward = TickReward(underlying, 0.0, underlying)
-        self._update_learners(decisions, reward.total)
+        tick_update(rows, trace, self.cfg.learner, decisions, reward.total)
 
         return TickStats(t, generated, generated, 0, 0, 0, reward)

@@ -8,18 +8,29 @@ first sampled tick at which the mean of the *underlying* reward over the
 last ma_window samples reaches a threshold. A crossing counts only once
 the window is full, so no tick before the ma_window-th sample can reach
 it, however good its first samples are.
+
+A run that writes a CSV also writes its manifest, run-seed<S>.json,
+beside it: the SHA-256 of the config text save_config writes, the
+version, seed, steps and steps_run, the wall time and ticks/s, the final
+counters and the stop reason: "steps", "threshold" (stopped at the
+threshold) or "load_diverged", for which steps_run is the tick the load
+passed its bound and the manifest is written before LoadDiverged is
+raised again.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import statistics
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
-from .config import ConfigError, ExperimentConfig
-from .engine import Simulation
+from . import __version__
+from .config import ConfigError, ExperimentConfig, config_text
+from .engine import LoadDiverged, Simulation
 from .metrics import (
     MetricsRow,
     SampledMovingAverage,
@@ -38,7 +49,8 @@ def default_output_dir() -> Path:
 
 class RunResult(NamedTuple):
     """One run: its config (with the output paths it wrote), the sampled
-    rows, the final logits and the engine's counters at the last tick."""
+    rows, the final logits, the engine's counters at the last tick and
+    why the run stopped ("steps" or "threshold", as in the manifest)."""
 
     config: ExperimentConfig
     steps_run: int
@@ -50,6 +62,7 @@ class RunResult(NamedTuple):
     dropped: int
     cycles_detected: int
     ticks_to_threshold: int | None
+    stop_reason: str
 
 
 def run_experiment(
@@ -69,7 +82,8 @@ def run_experiment(
     whose underlying-reward moving average, over a full window, reaches
     the threshold, and without a threshold it is refused.
 
-    An invalid config is refused before out_dir is created.
+    An invalid config is refused before out_dir is created. A run with a
+    CSV writes its manifest beside it (module doc).
     """
     if stop_at_threshold and underlying_threshold is None:
         raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
@@ -77,6 +91,7 @@ def run_experiment(
         raise ValueError(
             f"--threshold must be a finite number, got {underlying_threshold!r}"
         )
+    start = perf_counter()
     sim = Simulation(cfg)
     cfg = _resolve_paths(cfg, out_dir)
     rows: list[MetricsRow] = []
@@ -89,6 +104,7 @@ def run_experiment(
     # the underlying-reward average is kept only while a threshold waits
     armed = underlying_threshold is not None
     push_underlying = SampledMovingAverage(window).push
+    stop_reason = "steps"
 
     csv_fh = open(cfg.csv_path, "w", encoding="utf-8", newline="\n") if cfg.csv_path else None
     try:
@@ -128,7 +144,11 @@ def run_experiment(
                     ticks_to_threshold = t
                     armed = False
                     if stop_at_threshold:
+                        stop_reason = "threshold"
                         break
+    except LoadDiverged:
+        _write_manifest(cfg, sim, "load_diverged", perf_counter() - start)
+        raise
     finally:
         if csv_fh:
             csv_fh.close()
@@ -138,6 +158,7 @@ def run_experiment(
         Path(cfg.theta_path).write_text(
             json.dumps(theta, indent=2) + "\n", encoding="utf-8"
         )
+    _write_manifest(cfg, sim, stop_reason, perf_counter() - start)
     return RunResult(
         config=cfg,
         steps_run=sim.tick_count,
@@ -149,6 +170,36 @@ def run_experiment(
         dropped=sim.dropped_total,
         cycles_detected=sim.cycles_total,
         ticks_to_threshold=ticks_to_threshold,
+        stop_reason=stop_reason,
+    )
+
+
+def _write_manifest(
+    cfg: ExperimentConfig, sim: Simulation, stop_reason: str, wall_s: float
+) -> None:
+    """Write run-seed<S>.json beside the CSV (module doc); a run without a
+    CSV writes none."""
+    if not cfg.csv_path:
+        return
+    manifest = {
+        "version": __version__,
+        "config_sha256": hashlib.sha256(config_text(cfg).encode("utf-8")).hexdigest(),
+        "seed": cfg.seed,
+        "steps": cfg.steps,
+        "steps_run": sim.tick_count,
+        "stop_reason": stop_reason,
+        "wall_s": wall_s,
+        "ticks_per_s": sim.tick_count / wall_s,
+        "counters": {
+            "generated": sim.generated_total,
+            "delivered": sim.delivered_total,
+            "dropped": sim.dropped_total,
+            "cycles_detected": sim.cycles_total,
+            "in_flight": sim.in_flight,
+        },
+    }
+    Path(cfg.csv_path).with_name(f"run-seed{cfg.seed}.json").write_text(
+        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
 
 

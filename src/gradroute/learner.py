@@ -1,4 +1,4 @@
-"""Online policy-gradient learner state, one instance per router.
+"""Online policy-gradient learner state of the whole network.
 
 The rule is OLPOMDP (Baxter & Bartlett 2001). Per tick, the log-policy
 gradients of the tick's routing decisions are folded into an
@@ -10,32 +10,41 @@ t multiplies the trace *after* tick t's gradients were folded in, so a
 penalty incurred in the same tick as the decision that caused it (e.g. a
 drop) credits that decision.
 
-A routing decision reaches the learner as a (row, slot) pair. The router
-samples from the row's weights as sampling_weights() computes and records
-them for the tick, (exps, total, cum): the max-subtracted exponentials of
-the row's logits, their sum and the running sums the engine draws from,
-as policy.draw_table builds them. tick_update() reads them and forms the
+Every logit row of the network has one flat row id, router * N + dest
+for N nodes, and `rows` maps each id to the row's logit list (the same
+list the router's policy.ParamTable holds). A routing decision reaches
+the learner as a (row, slot) pair. The router samples from the row's
+weights as sampling_weights() computes and records them for the tick,
+(exps, total, cum): the max-subtracted exponentials of the row's logits,
+their sum and the running sums the engine draws from, as
+policy.draw_table builds them. tick_update() reads them and forms the
 decision's log-policy gradient, e_slot - exps / total. Weights never
 outlive their tick, and a decision on a row without them raises.
 
-A table with one column (a router with one out-link) is the exception.
-Its Gibbs policy is fixed at probability 1, and the log-policy gradient
-of every draw from it is exactly zero, so the OLPOMDP update can never
-move its logits. The engine forwards through such a router without
-recording weights, and tick_update only checks that each decision names
-one of the table's rows with slot 0 (raising ValueError naming the row
-otherwise); it leaves theta and the trace as they are, so the rows stay
-at their initial [0.0].
+A one-column row (a router with one out-link) is the exception. Its
+Gibbs policy is fixed at probability 1, and the log-policy gradient of
+every draw from it is exactly zero, so the OLPOMDP update can never move
+its logits. The engine forwards through such a router without recording
+weights, and tick_update only checks that such a decision names a
+one-column row with slot 0 (raising ValueError naming the row
+otherwise); it never touches the row, which stays at its initial [0.0].
 
 The update is applied lazily (Carpenter 2008, "Lazy sparse stochastic
-gradient descent", applied to traces), so a tick costs O(1) per router
-plus O(width) per row that received a gradient, not O(active rows):
+gradient descent", applied to traces), so a tick costs O(1) plus O(width)
+per row that received a gradient, not O(active rows):
 
-* each trace stores its rows scaled, z = scale * rows[y], and decays by
+* the trace stores its rows scaled, z = scale * rows[y], and decays by
   multiplying the one scalar `scale` by beta;
 * `acc` is the running sum of gamma * r * scale over the ticks, so the
   credit a row is owed since tick u is (acc_now - acc_u) * rows[y];
 * `mark[y]` is the value of acc when theta[y] was last brought up to date.
+
+The clock (scale, acc) is one for the whole network. Every router is
+credited with the same reward each tick, so a clock per router would run
+the same recurrence from the same start, rescale on the same ticks and
+make the same floats. A router still reads and writes only its own rows,
+and the shared clock is a function of the global reward alone, so
+sharing it adds no communication between routers.
 
 theta[y] is therefore current only after settle(): sampling_weights()
 settles a row before the router samples from it, and anything else that
@@ -67,8 +76,6 @@ import math
 from math import exp, inf
 from typing import Iterable, NamedTuple
 
-from .policy import ParamTable
-
 
 class LearnerConfig(NamedTuple):
     beta: float = 0.99
@@ -81,13 +88,13 @@ class LearnerConfig(NamedTuple):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
-# rescale a trace once its decay scale falls below this (see module doc)
+# rescale the trace once its decay scale falls below this (see module doc)
 RESCALE_BELOW = 1e-3
 
 
 class EligibilityTrace:
-    """Discounted gradient accumulator shaped like a ParamTable, stored
-    scaled: the true trace row is scale * rows[y].
+    """Discounted gradient accumulator with a row for every logit row of
+    `rows`, by row id, stored scaled: the true trace row is scale * rows[y].
 
     `active` tracks rows that received a gradient; rows outside it are
     exactly zero, so rescaling and settling may skip them. `acc` and
@@ -97,10 +104,8 @@ class EligibilityTrace:
 
     __slots__ = ("rows", "active", "scale", "acc", "mark", "weights")
 
-    def __init__(self, table: ParamTable):
-        self.rows: dict[int, list[float]] = {
-            y: [0.0] * table.n_links for y in table.rows
-        }
+    def __init__(self, rows: dict[int, list[float]]):
+        self.rows: dict[int, list[float]] = {y: [0.0] * len(row) for y, row in rows.items()}
         self.active: set[int] = set()
         self.scale = 1.0
         self.acc = 0.0
@@ -108,46 +113,46 @@ class EligibilityTrace:
         self.weights: dict[int, tuple[list[float], float, list[float]]] = {}
 
 
-def settle(table: ParamTable, trace: EligibilityTrace, dest: int) -> list[float]:
-    """Apply the credit row `dest` is owed and return its current logits."""
-    row = table.rows[dest]
+def settle(rows: dict[int, list[float]], trace: EligibilityTrace, y: int) -> list[float]:
+    """Apply the credit row `y` is owed and return its current logits."""
+    row = rows[y]
     acc = trace.acc
     mark = trace.mark
-    d = acc - mark.get(dest, acc)
+    d = acc - mark.get(y, acc)
     if d != 0.0:
-        for i, y in enumerate(trace.rows[dest]):
-            row[i] += d * y
-        mark[dest] = acc
+        for i, z in enumerate(trace.rows[y]):
+            row[i] += d * z
+        mark[y] = acc
     return row
 
 
-def settle_all(table: ParamTable, trace: EligibilityTrace) -> None:
-    """Bring every logit row of the table up to date."""
+def settle_all(rows: dict[int, list[float]], trace: EligibilityTrace) -> None:
+    """Bring every logit row up to date."""
     for y in trace.active:
-        settle(table, trace, y)
+        settle(rows, trace, y)
 
 
 def sampling_weights(
-    table: ParamTable, trace: EligibilityTrace, dest: int
+    rows: dict[int, list[float]], trace: EligibilityTrace, y: int
 ) -> tuple[list[float], float, list[float]]:
-    """Settle row `dest`, record its Gibbs sampling weights in the trace for
+    """Settle row `y`, record its Gibbs sampling weights in the trace for
     this tick's tick_update, and return them: (exps, total, cum), the
     max-subtracted exponentials of its logits, their sum and the running
     sums with the last set to +inf, as policy.draw_table builds them.
     One kernel, two passes over the row (module doc): the same floats as
     settle() and then draw_table over the exponentials."""
-    row = table.rows[dest]
+    row = rows[y]
     acc = trace.acc
     mark = trace.mark
-    d = acc - mark.get(dest, acc)
+    d = acc - mark.get(y, acc)
     if d != 0.0:
         m = -inf
-        for i, z in enumerate(trace.rows[dest]):
+        for i, z in enumerate(trace.rows[y]):
             v = row[i] + d * z
             row[i] = v
             if v > m:
                 m = v
-        mark[dest] = acc
+        mark[y] = acc
     else:
         m = row[0]
         for v in row:
@@ -162,19 +167,18 @@ def sampling_weights(
         total += e
         cum.append(total)
     cum[-1] = inf
-    weights = trace.weights[dest] = (exps, total, cum)
+    weights = trace.weights[y] = (exps, total, cum)
     return weights
 
 
-def _rescale(table: ParamTable, trace: EligibilityTrace) -> None:
+def _rescale(rows: dict[int, list[float]], trace: EligibilityTrace) -> None:
     """Settle every active row and fold the scale into it, in one pass."""
     s = trace.scale
     acc = trace.acc
     mark = trace.mark
-    trows = table.rows
     for y in trace.active:
         zrow = trace.rows[y]
-        trow = trows[y]
+        trow = rows[y]
         d = acc - mark.get(y, acc)
         for i, z in enumerate(zrow):
             trow[i] += d * z
@@ -199,50 +203,49 @@ def _forget(trace: EligibilityTrace) -> None:
 
 
 def tick_update(
-    table: ParamTable,
+    rows: dict[int, list[float]],
     trace: EligibilityTrace,
     cfg: LearnerConfig,
     decisions: Iterable[tuple[int, int]],
     reward: float,
 ) -> None:
-    """One full per-tick update, applied lazily.
+    """One full per-tick update of the whole network, applied lazily.
 
     decisions is a sequence of (row, slot) pairs, one per routing decision
-    this router made in the tick: the destination row sampled from and the
-    slot drawn, from the weights sampling_weights recorded for the row this
-    tick. Only the decided rows are touched: each is settled, gets the sum
-    of its gradients and is credited with this tick's reward in one pass;
-    every other row is owed its credit through trace.acc until its next
-    settle. At beta = 0 the trace is forgotten first and the tick runs at
-    scale 1. A one-column table only has its decisions checked (module
-    doc). The simulation calls this once per router per tick.
+    any router made in the tick: the row sampled from and the slot drawn,
+    from the weights sampling_weights recorded for the row this tick, or
+    slot 0 of a one-column row, which records none (module doc). Only the
+    decided rows are touched: each is settled, gets the sum of its
+    gradients and is credited with this tick's reward in one pass; every
+    other row is owed its credit through trace.acc until its next settle.
+    At beta = 0 the trace is forgotten first and the tick runs at scale 1.
+    The simulation calls this once per tick.
     """
     if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
-    if table.n_links == 1:
-        rows = table.rows
-        for dest, slot in decisions:
-            if dest not in rows:
-                raise ValueError(f"decision row {dest}: no such row")
-            if slot != 0:
-                raise ValueError(f"decision row {dest}: slot {slot} not in [0, 1)")
-        return
     # the slots drawn per decided row, in decision order (the order its
     # gradients are summed in): an int for a row with one decision, else a
     # list; every decision is checked before theta or the trace is touched
-    width = table.n_links
     weights = trace.weights
     drawn: dict[int, int | list[int]] = {}
-    for dest, slot in decisions:
-        if not 0 <= slot < width:
-            raise ValueError(f"decision row {dest}: slot {slot} not in [0, {width})")
-        slots = drawn.get(dest)
+    for y, slot in decisions:
+        w = weights.get(y)
+        if w is None:
+            row = rows.get(y)
+            if row is None:
+                raise ValueError(f"decision row {y}: no such row")
+            if len(row) != 1:
+                raise ValueError(f"decision row {y}: no weights recorded this tick")
+            if slot != 0:
+                raise ValueError(f"decision row {y}: slot {slot} not in [0, 1)")
+            continue
+        if not 0 <= slot < len(w[0]):
+            raise ValueError(f"decision row {y}: slot {slot} not in [0, {len(w[0])})")
+        slots = drawn.get(y)
         if slots is None:
-            if dest not in weights:
-                raise ValueError(f"decision row {dest}: no weights recorded this tick")
-            drawn[dest] = slot
+            drawn[y] = slot
         elif isinstance(slots, int):
-            drawn[dest] = [slots, slot]
+            drawn[y] = [slots, slot]
         else:
             slots.append(slot)
     if cfg.beta == 0.0:
@@ -255,16 +258,15 @@ def tick_update(
     if drawn:
         inv = 1.0 / s
         zrows = trace.rows
-        trows = table.rows
         marks = trace.mark
         active = trace.active
-        for dest, slots in drawn.items():
-            exps, total, _ = weights[dest]
-            zrow = zrows[dest]
-            trow = trows[dest]
+        for y, slots in drawn.items():
+            exps, total, _ = weights[y]
+            zrow = zrows[y]
+            trow = rows[y]
             # settle the row as it stood before this tick's gradient (this
             # tick's credit included), add the gradient and credit it
-            d = acc - marks.get(dest, acc)
+            d = acc - marks.get(y, acc)
             if isinstance(slots, int):
                 slot = slots
                 for i, e in enumerate(exps):
@@ -272,9 +274,9 @@ def tick_update(
                     if i == slot:
                         gi += 1.0
                     gi *= inv
-                    y = zrow[i]
-                    zrow[i] = y + gi
-                    trow[i] += d * y + c * gi
+                    z = zrow[i]
+                    zrow[i] = z + gi
+                    trow[i] += d * z + c * gi
             else:
                 for i, e in enumerate(exps):
                     ne = -e / total
@@ -282,14 +284,13 @@ def tick_update(
                     for slot in slots:
                         gi += ne + 1.0 if i == slot else ne
                     gi *= inv
-                    y = zrow[i]
-                    zrow[i] = y + gi
-                    trow[i] += d * y + c * gi
-            marks[dest] = acc
-            active.add(dest)
+                    z = zrow[i]
+                    zrow[i] = z + gi
+                    trow[i] += d * z + c * gi
+            marks[y] = acc
+            active.add(y)
     weights.clear()  # weights that no decision used are dropped too
     trace.scale = s
     trace.acc = acc
     if s < RESCALE_BELOW:
-        _rescale(table, trace)
-
+        _rescale(rows, trace)

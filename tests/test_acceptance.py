@@ -74,10 +74,10 @@ def test_criterion_2_gradient_correctness():
         row = [rng.uniform(-8.0, 8.0) for _ in range(n)]
         table = ParamTable(0, n, [1])
         table.rows[1][:] = row
-        trace = EligibilityTrace(table)
+        trace = EligibilityTrace(table.rows)
         slot = rng.randrange(n)
-        sampling_weights(table, trace, 1)
-        tick_update(table, trace, cfg, [(1, slot)], 1.0)
+        sampling_weights(table.rows, trace, 1)
+        tick_update(table.rows, trace, cfg, [(1, slot)], 1.0)
         grad = [a - b for a, b in zip(table.rows[1], row)]
         assert abs(sum(grad)) <= 1e-12
         for j in range(n):

@@ -53,8 +53,16 @@ def test_one_pair_has_no_spread():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("201-203") == [201, 202, 203]
     assert bench_pairs.parse_seeds("5,7,9-10") == [5, 7, 9, 10]
+    assert bench_pairs.parse_seeds("7-7,3") == [7, 3]
     with pytest.raises(ValueError):
         bench_pairs.parse_seeds("x")
+    # a descending range and a repeated seed would change the pair count
+    with pytest.raises(ValueError, match="part '9-7' runs downwards"):
+        bench_pairs.parse_seeds("1-3,9-7")
+    with pytest.raises(ValueError, match="part '4' repeats seed 4"):
+        bench_pairs.parse_seeds("4,4,4")
+    with pytest.raises(ValueError, match="part '3-5' repeats seed 3"):
+        bench_pairs.parse_seeds("1-3,3-5")
 
 
 def test_parse_run():

@@ -182,6 +182,21 @@ class TestConservationAndDeterminism:
         )
 
 
+class TestLogits:
+    def test_each_router_reads_its_own_rows_only(self):
+        cfg = preset("six_node").with_overrides(steps=200)
+        sim = Simulation(cfg)
+        advance(sim, cfg.steps)
+        n = cfg.topology.n_nodes
+        for router, table in sim.tables.items():
+            for dest, row in table.rows.items():
+                assert sim.logits(router, dest) is row  # the table's own list
+            # a flat row id past the router's own would name another router's row
+            for dest in (router, n, n + 1, -1):
+                with pytest.raises(KeyError):
+                    sim.logits(router, dest)
+
+
 class CountingRandom(Random):
     """A seeded stream that counts its uniform draws."""
 
@@ -197,7 +212,8 @@ class CountingRandom(Random):
 class TestRandomStream:
     """Each tick draws one uniform per generated packet (its destination)
     plus one per routing decision, whether the router sampled its policy
-    or had a single out-link and forwarded without it."""
+    or had a single out-link and forwarded without it. Every decision of
+    the tick reaches the learner in its one tick_update call."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -206,17 +222,19 @@ class TestRandomStream:
     )
     def test_one_draw_per_packet_and_per_decision(self, cfg, monkeypatch):
         forced = sampled = 0
-        tick_decisions = 0
+        tick_decisions = tick_calls = 0
         real = engine.tick_update
 
-        def counting(table, trace, learner_cfg, decisions, reward):
-            nonlocal forced, sampled, tick_decisions
+        def counting(rows, trace, learner_cfg, decisions, reward):
+            nonlocal forced, sampled, tick_decisions, tick_calls
+            tick_calls += 1
             tick_decisions += len(decisions)
-            if table.n_links == 1:
-                forced += len(decisions)
-            else:
-                sampled += len(decisions)
-            real(table, trace, learner_cfg, decisions, reward)
+            for row, _ in decisions:
+                if len(rows[row]) == 1:
+                    forced += 1
+                else:
+                    sampled += 1
+            real(rows, trace, learner_cfg, decisions, reward)
 
         monkeypatch.setattr(engine, "tick_update", counting)
         sim = Simulation(cfg)
@@ -224,8 +242,9 @@ class TestRandomStream:
         plain = Simulation(cfg)
         for _ in range(300):
             before = sim.rng.draws
-            tick_decisions = 0
+            tick_decisions = tick_calls = 0
             stats = sim.step()
+            assert tick_calls == 1
             assert sim.rng.draws - before == stats.generated + tick_decisions
             assert stats == plain.step()  # counting leaves the stream as it is
         assert forced > 0 and sampled > 0
@@ -270,9 +289,10 @@ class TestDrawPastTheTotal:
         decided = []
         real = engine.tick_update
 
-        def recording(table, trace, learner_cfg, decisions, reward):
-            decided.extend((table.router, d, s) for d, s in decisions)
-            real(table, trace, learner_cfg, decisions, reward)
+        def recording(rows, trace, learner_cfg, decisions, reward):
+            n = cfg.topology.n_nodes
+            decided.extend((*divmod(row, n), s) for row, s in decisions)
+            real(rows, trace, learner_cfg, decisions, reward)
 
         monkeypatch.setattr(engine, "tick_update", recording)
         sim.step()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradroute
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     MAX_RATE,
@@ -17,10 +19,12 @@ from gradroute.config import (
     load_config,
     save_config,
 )
+from gradroute.engine import LoadDiverged
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
+from test_engine import livelock_config
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
@@ -384,6 +388,60 @@ class TestRunExperiment:
         # a full window at the very last sample counts
         full = run_experiment(cfg, underlying_threshold=-1e9)
         assert full.ticks_to_threshold == cfg.steps
+
+
+class TestRunManifest:
+    """run-seed<S>.json beside the CSV: one test per stop reason."""
+
+    @staticmethod
+    def manifest(path, seed):
+        return json.loads((Path(path) / f"run-seed{seed}.json").read_text())
+
+    def test_steps(self, tmp_path):
+        cfg = preset("six_node").with_overrides(steps=300, seed=4)
+        res = run_experiment(cfg, tmp_path)
+        m = self.manifest(tmp_path, 4)
+        save_config(res.config, tmp_path / "config.json")
+        digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+        assert m["config_sha256"] == digest
+        assert (m["version"], m["seed"], m["steps"], m["steps_run"]) == (
+            gradroute.__version__, 4, 300, 300
+        )
+        assert m["stop_reason"] == res.stop_reason == "steps"
+        assert m["wall_s"] > 0.0 and m["ticks_per_s"] == 300 / m["wall_s"]
+        assert m["counters"] == {
+            "generated": res.generated,
+            "delivered": res.delivered,
+            "dropped": res.dropped,
+            "cycles_detected": res.cycles_detected,
+            "in_flight": res.generated - res.delivered - res.dropped,
+        }
+
+    def test_threshold(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=5_000, sample_every=10, ma_window=4)
+        res = run_experiment(
+            cfg, tmp_path, underlying_threshold=-1e9, stop_at_threshold=True
+        )
+        m = self.manifest(tmp_path, cfg.seed)
+        assert m["stop_reason"] == res.stop_reason == "threshold"
+        assert m["steps_run"] == res.steps_run == res.ticks_to_threshold == 40
+        assert m["steps"] == 5_000
+
+    def test_load_diverged(self, tmp_path):
+        cfg = livelock_config()
+        with pytest.raises(LoadDiverged) as stop:
+            run_experiment(cfg, tmp_path)
+        m = self.manifest(tmp_path, cfg.seed)
+        assert m["stop_reason"] == "load_diverged"
+        assert str(stop.value).startswith(f"load diverged at tick {m['steps_run']}: ")
+        assert m["steps_run"] < m["steps"]
+        assert m["counters"]["in_flight"] == 501  # one over the bound
+        assert not (tmp_path / f"theta-seed{cfg.seed}.json").exists()
+
+    def test_no_csv_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_experiment(preset("contention").with_overrides(steps=100))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBatch:

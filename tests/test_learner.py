@@ -37,7 +37,7 @@ from gradroute.presets import preset
 
 def fresh(n_links=2, dests=(1,)):
     table = ParamTable(0, n_links, list(dests))
-    return table, EligibilityTrace(table)
+    return table, EligibilityTrace(table.rows)
 
 
 class TestLearnerConfig:
@@ -130,7 +130,7 @@ class TestApplyReward:
             with pytest.raises(ValueError):
                 apply_reward(table, trace, LearnerConfig(), bad)
             with pytest.raises(ValueError):
-                tick_update(table, trace, LearnerConfig(), [], bad)
+                tick_update(table.rows, trace, LearnerConfig(), [], bad)
 
     @settings(max_examples=200)
     @given(
@@ -188,11 +188,11 @@ class TestTickUpdate:
                 grads.append((dest, decision_gradient(trace_l.weights[dest], slot)))
             r = rng.uniform(-20, 2)
             scale_before = trace_l.scale
-            tick_update(table_l, trace_l, cfg, decisions, r)
+            tick_update(table_l.rows, trace_l, cfg, decisions, r)
             dense_tick_update(table_d, trace_d, cfg, grads, r)
             rescales += trace_l.scale > scale_before
             if t % 2_500 == 0:
-                settle_all(table_l, trace_l)
+                settle_all(table_l.rows, trace_l)
                 if beta == 0.0:
                     assert table_l.rows == table_d.rows
                     assert true_trace(trace_l) == trace_d.rows
@@ -207,9 +207,9 @@ class TestTickUpdate:
         # the reward of tick t reaches the decision of tick t; slot 0 drawn
         # from uniform weights has gradient [0.5, -0.5]
         table, trace = fresh()
-        weights = sampling_weights(table, trace, 1)
+        weights = sampling_weights(table.rows, trace, 1)
         assert weights == ([1.0, 1.0], 2.0, [1.0, math.inf])
-        tick_update(table, trace, LearnerConfig(beta=beta, gamma=1.0), [(1, 0)], -2.0)
+        tick_update(table.rows, trace, LearnerConfig(beta=beta, gamma=1.0), [(1, 0)], -2.0)
         assert table.rows[1] == [-1.0, 1.0]
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
@@ -217,21 +217,21 @@ class TestTickUpdate:
         table, trace = fresh()
         cfg = LearnerConfig(beta=beta, gamma=1.0)
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table, trace, cfg, [(1, 0)], -1.0)
-        weights = sampling_weights(table, trace, 1)
+            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
+        weights = sampling_weights(table.rows, trace, 1)
         assert trace.weights == {1: weights}
-        tick_update(table, trace, cfg, [(1, 0), (1, 1)], -1.0)
+        tick_update(table.rows, trace, cfg, [(1, 0), (1, 1)], -1.0)
         assert trace.weights == {}  # consumed by the tick that used them
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table, trace, cfg, [(1, 0)], -1.0)
-        sampling_weights(table, trace, 1)
-        tick_update(table, trace, cfg, [], -1.0)  # recorded, unused: dropped
+            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
+        sampling_weights(table.rows, trace, 1)
+        tick_update(table.rows, trace, cfg, [], -1.0)  # recorded, unused: dropped
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
 
     @pytest.mark.parametrize(
         "decision, message",
-        [((9, 0), "row 9: no weights"), ((1, 2), "slot 2"), ((1, -1), "slot -1")],
+        [((9, 0), "row 9: no such row"), ((1, 2), "slot 2"), ((1, -1), "slot -1")],
         ids=["unknown_row", "slot_past_end", "negative_slot"],
     )
     @pytest.mark.parametrize("beta", [0.0, 0.9])
@@ -240,10 +240,10 @@ class TestTickUpdate:
         table, trace = fresh()
         cfg = LearnerConfig(beta=beta, gamma=1.0)
         with pytest.raises(KeyError):
-            sampling_weights(table, trace, 9)
-        sampling_weights(table, trace, 1)
+            sampling_weights(table.rows, trace, 9)
+        sampling_weights(table.rows, trace, 1)
         with pytest.raises(ValueError, match=message):
-            tick_update(table, trace, cfg, [decision], -1.0)
+            tick_update(table.rows, trace, cfg, [decision], -1.0)
         assert table.rows[1] == [0.0, 0.0]  # rejected before any update
 
 
@@ -283,8 +283,8 @@ class TestSamplingWeightsKernel:
         for _ in range(200):
             (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
             mark_before = dict(trace.mark)
-            weights = sampling_weights(table, trace, 1)
-            want = gibbs_weights(settle(ref_table, ref_trace, 1))
+            weights = sampling_weights(table.rows, trace, 1)
+            want = gibbs_weights(settle(ref_table.rows, ref_trace, 1))
             assert weights == want
             assert weights[2][-1] == math.inf
             assert trace.weights == {1: weights}
@@ -298,30 +298,50 @@ class TestSamplingWeightsKernel:
 
 class TestOneColumnTable:
     """A router with one out-link: every decision's gradient is exactly zero,
-    so tick_update checks the decisions and changes nothing."""
+    so tick_update checks the decisions and never touches the rows."""
 
     @staticmethod
-    def state(table, trace):
+    def rows_state(table, trace):
+        """Everything of the table and trace but the network's clock."""
         return (
             {y: list(row) for y, row in table.rows.items()},
             {y: list(row) for y, row in trace.rows.items()},
-            trace.scale,
-            trace.acc,
             dict(trace.mark),
             set(trace.active),
             dict(trace.weights),
         )
 
+    def state(self, table, trace):
+        return (*self.rows_state(table, trace), trace.scale, trace.acc)
+
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_table_and_trace_untouched(self, beta):
         table, trace = fresh(1, dests=(1, 2))
         cfg = LearnerConfig(beta=beta, gamma=1.0)
-        before = self.state(table, trace)
+        before = self.rows_state(table, trace)
         for _ in range(3):
-            tick_update(table, trace, cfg, [(1, 0), (2, 0), (1, 0)], -7.5)
-            tick_update(table, trace, cfg, [], -1.0)
-        assert self.state(table, trace) == before
+            tick_update(table.rows, trace, cfg, [(1, 0), (2, 0), (1, 0)], -7.5)
+            tick_update(table.rows, trace, cfg, [], -1.0)
+            assert not trace.active
+        # the clock is the network's and runs on, but no row is owed by it
+        assert trace.acc != 0.0
+        assert self.rows_state(table, trace) == before
+        assert [settle(table.rows, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
         assert table.rows == {1: [0.0], 2: [0.0]}
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_stays_zero_beside_a_learning_row(self, beta):
+        # one network: row 1 of a two-link router and row 3 of a one-link
+        # router, under one clock and one call per tick
+        rows = {1: [0.0, 0.0], 3: [0.0]}
+        trace = EligibilityTrace(rows)
+        cfg = LearnerConfig(beta=beta, gamma=0.1)
+        for t in range(400):  # past several rescales at beta = 0.9
+            sampling_weights(rows, trace, 1)
+            tick_update(rows, trace, cfg, [(3, 0), (1, t % 2), (3, 0)], -1.0 - t % 2)
+            assert 3 not in trace.active and 3 not in trace.mark
+        assert settle(rows, trace, 3) == [0.0] and trace.rows[3] == [0.0]
+        assert abs(rows[1][0]) > 1.0  # while the two-link row learned
 
     @pytest.mark.parametrize(
         "decision, message",
@@ -332,16 +352,16 @@ class TestOneColumnTable:
         table, trace = fresh(1, dests=(1, 2))
         before = self.state(table, trace)
         with pytest.raises(ValueError, match=message):
-            tick_update(table, trace, LearnerConfig(), [(2, 0), decision], -1.0)
+            tick_update(table.rows, trace, LearnerConfig(), [(2, 0), decision], -1.0)
         assert self.state(table, trace) == before
 
     def test_non_finite_reward_checked_first(self):
         table, trace = fresh(1, dests=(1,))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite reward"):
-                tick_update(table, trace, LearnerConfig(), [(1, 0)], bad)
+                tick_update(table.rows, trace, LearnerConfig(), [(1, 0)], bad)
             with pytest.raises(ValueError, match="non-finite reward"):
-                tick_update(table, trace, LearnerConfig(), [(9, 5)], bad)
+                tick_update(table.rows, trace, LearnerConfig(), [(9, 5)], bad)
 
 
 class TestBanditAscent:
@@ -351,9 +371,9 @@ class TestBanditAscent:
         table, trace = fresh()
         cfg = LearnerConfig(beta=0.0, gamma=0.01)
         for _ in range(100_000):
-            sampling_weights(table, trace, 1)
+            sampling_weights(table.rows, trace, 1)
             slot = sample_slot(softmax_row(table.rows[1]), rng)
-            tick_update(table, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
+            tick_update(table.rows, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
         assert softmax_row(table.rows[1])[0] > 0.95
 
 
@@ -386,8 +406,9 @@ FORCED = gibbs_weights([0.0])  # the Gibbs weights of a one-column row
 
 
 class TestLazyMatchesDenseInSimulation:
-    """Replay every tick_update call of a run through the dense oracle; the
-    lazily updated logits the run reports must match it."""
+    """Replay every tick_update call of a run through the dense oracle, with
+    a trace of its own per router: the lazily updated logits the run
+    reports, under one network clock, must match N separate dense traces."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -404,35 +425,38 @@ class TestLazyMatchesDenseInSimulation:
         ids=["six_node", "ring12", "braess1"],
     )
     def test_theta_and_tracked_probability(self, cfg, monkeypatch):
+        tables = make_tables(cfg.topology)
+        n = cfg.topology.n_nodes
         calls = []
         real = engine.tick_update
 
-        def recording(table, trace, learner_cfg, decisions, reward):
-            # rebuild each decision's gradient before the real call pops
-            # the row's recorded weights; a one-link router records none,
-            # and a forced decision's weights are those of one zero logit
-            grads = [
-                (d, decision_gradient(trace.weights[d] if table.n_links > 1 else FORCED, s))
-                for d, s in decisions
-            ]
-            calls.append((table.router, grads, reward))
-            real(table, trace, learner_cfg, decisions, reward)
+        def recording(rows, trace, learner_cfg, decisions, reward):
+            # rebuild each decision's gradient, by router, before the real
+            # call pops the row's recorded weights; a one-column row records
+            # none, and a forced decision's weights are those of one zero logit
+            grads = {router: [] for router in tables}
+            for row, s in decisions:
+                router, dest = divmod(row, n)
+                weights = trace.weights[row] if len(rows[row]) > 1 else FORCED
+                grads[router].append((dest, decision_gradient(weights, s)))
+            calls.append((grads, reward))
+            real(rows, trace, learner_cfg, decisions, reward)
 
         monkeypatch.setattr(engine, "tick_update", recording)
         res = run_experiment(cfg)
+        assert len(calls) == cfg.steps  # one call per tick, for every router
 
-        tables = make_tables(cfg.topology)
-        traces = {r: EligibilityTrace(t) for r, t in tables.items()}
-        for router, grads, reward in calls:
-            for dest, g in grads:
-                # each decision sampled from the up-to-date policy: its
-                # gradient is one-hot(slot) - probs under the oracle's logits
-                probs = softmax_row(tables[router].rows[dest])
-                dev = sorted(gi + p for gi, p in zip(g, probs))
-                dev[-1] -= 1.0
-                assert max(map(abs, dev)) < 1e-9
-            dense_tick_update(tables[router], traces[router], cfg.learner, grads, reward)
-        assert len(calls) == cfg.steps * len(tables)
+        traces = {r: EligibilityTrace(t.rows) for r, t in tables.items()}
+        for grads, reward in calls:
+            for router, table in tables.items():
+                for dest, g in grads[router]:
+                    # each decision sampled from the up-to-date policy: its
+                    # gradient is one-hot(slot) - probs under the oracle's logits
+                    probs = softmax_row(table.rows[dest])
+                    dev = sorted(gi + p for gi, p in zip(g, probs))
+                    dev[-1] -= 1.0
+                    assert max(map(abs, dev)) < 1e-9
+                dense_tick_update(table, traces[router], cfg.learner, grads[router], reward)
 
         want = snapshot(tables, cfg.topology)
         for router, rows in res.final_theta.items():

@@ -27,9 +27,9 @@ def applied_gradient(table, dest, slot):
     beta = 0.5, gamma = 1 and reward 1 the learner adds exactly that
     decision's log-policy gradient to the row."""
     before = list(table.rows[dest])
-    trace = EligibilityTrace(table)
-    sampling_weights(table, trace, dest)
-    tick_update(table, trace, LearnerConfig(beta=0.5, gamma=1.0), [(dest, slot)], 1.0)
+    trace = EligibilityTrace(table.rows)
+    sampling_weights(table.rows, trace, dest)
+    tick_update(table.rows, trace, LearnerConfig(beta=0.5, gamma=1.0), [(dest, slot)], 1.0)
     return [a - b for a, b in zip(table.rows[dest], before)]
 
 

@@ -22,7 +22,7 @@ from gradroute.shaping import ShapingConfig
 
 def _records():
     cfg = preset("contention")
-    run = RunResult(cfg, 0, [], {}, 0.0, 0, 0, 0, 0, None)
+    run = RunResult(cfg, 0, [], {}, 0.0, 0, 0, 0, 0, None, "steps")
     return [
         Node(0, "A"),
         Link(0, 1),
