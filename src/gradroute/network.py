@@ -3,8 +3,8 @@
 Topologies are immutable once constructed and safe to share read-only.
 Routing-relevant order is pinned here: the outgoing links of a node are
 always listed in link declaration order, and that order defines the
-column order of every per-router parameter table, eligibility trace and
-action distribution built on top of the topology.
+column order of every per-router parameter table, eligibility trace row
+and action distribution built on top of the topology.
 """
 from __future__ import annotations
 
