@@ -23,7 +23,7 @@ from .network import (
     shortest_path_delay,
     validate_topology,
 )
-from .policy import ParamTable, make_tables
+from .policy import make_tables
 from .presets import preset, PRESET_NAMES
 from .shaping import ShapingConfig, detect_cycle, shaping_reward
 
@@ -37,7 +37,6 @@ __all__ = [
     "Node",
     "NodeCost",
     "Packet",
-    "ParamTable",
     "PRESET_NAMES",
     "ShapingConfig",
     "Simulation",

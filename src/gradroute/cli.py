@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config, save_config
 from .engine import SimulationError
-from .harness import batch, default_output_dir, run_experiment, summary_line
+from .harness import batch, default_output_dir, resolve_paths, run_experiment, summary_line
 from .oracles import (
     braess_cost_for_flows,
     braess_expected_cost,
@@ -91,10 +91,12 @@ def _out_dir(arg: str | None, name: str) -> Path:
 
 
 def _run_and_save(cfg, out: Path) -> int:
-    """Run cfg with its files in `out`, save the resolved config beside
-    them and print the summary."""
+    """Save the resolved config in `out`, then run cfg there and print the
+    summary: a run stopped by an error still leaves the config its
+    manifest names. An invalid cfg is refused before `out` exists."""
+    cfg.validate()
+    save_config(resolve_paths(cfg, out), out / "config.json")
     res = run_experiment(cfg, out)
-    save_config(res.config, out / "config.json")
     print(summary_line(res))
     print(f"metrics: {res.config.csv_path}")
     return 0

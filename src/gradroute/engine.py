@@ -3,13 +3,14 @@
 Two engine modes share the learner plumbing:
 
 * link-delay transit (queued): every tick runs a fixed phase order --
-  (1) advance in-transit packets and collect arrivals, (2) deliver
+  (1) take the tick's arrivals, each at the node it carries, (2) deliver
   arrivals that reached their destination, scoring -(trip time) each,
   (3) generate new traffic, (4) route everything that needs a decision
   in (node id, packet id) order, with cycle detection at arrival and
-  capacity drops at placement, (5) hand the tick's decisions and reward
-  to the learner (one learner tail for both modes), (6) emit per-tick
-  stats.
+  capacity drops at placement (a link without a capacity counts none);
+  a placed packet carries its next node to its arrival tick's bucket,
+  (5) hand the tick's decisions and reward to the learner (one learner
+  tail for both modes), (6) emit per-tick stats.
 
 * node-flow traversal (synchronous): each generated packet walks its
   whole source-to-destination path within the tick, one policy sample
@@ -51,7 +52,7 @@ logit row is owed its share of the reward until it is read. Every read
 therefore settles the row first: sampling_weights for the routing
 kernel, `logits()` for readers outside the engine, and `theta()` for
 every row before the snapshot. Outside code reads logits through these,
-never through `tables` directly.
+never through the rows directly.
 
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
@@ -95,17 +96,21 @@ class LoadDiverged(SimulationError):
 
 
 class Packet:
-    __slots__ = ("id", "source", "destination", "birth_tick", "history")
+    """`history` is the packet's own maxlen-H deque of the nodes it last
+    visited, begun as (source,) so that a bounce-back to the source is a
+    cycle; `node` is where the packet is, or on a link, where it arrives."""
+
+    __slots__ = ("id", "source", "destination", "birth_tick", "history", "node")
 
     def __init__(
-        self, pid: int, source: int, destination: int, birth_tick: int, history_len: int
+        self, pid: int, source: int, destination: int, birth_tick: int, history: deque
     ):
         self.id = pid
         self.source = source
         self.destination = destination
         self.birth_tick = birth_tick
-        # the source counts as visited, so an immediate bounce-back is a cycle
-        self.history = deque((source,), maxlen=history_len)
+        self.history = history
+        self.node = source
 
 
 class TickReward(NamedTuple):
@@ -140,24 +145,23 @@ class Simulation:
         self.rng = Random(cfg.seed)
         self.tick_count = 0
 
-        self.tables = make_tables(topo)
-        # every table's logit rows by flat row id (module doc), the same
-        # lists, and the one learner trace over them
-        n = topo.n_nodes
-        self._rows = {
-            r * n + y: row for r, table in self.tables.items() for y, row in table.rows.items()
-        }
+        # every logit row by flat row id (module doc), and the one learner
+        # trace over them
+        self._rows = make_tables(topo)
         self._trace = EligibilityTrace(self._rows)
         self.reward_sum = 0.0  # left-to-right sum of every tick's total reward
 
         # traffic, flattened for the generation loop: (source, rate, draw
-        # table of its destinations up to the last it can draw)
-        self._sources: list[tuple[int, int, list[float]]] = []
+        # table of its destinations up to the last it can draw, the history
+        # a new packet copies, which is cheaper than building its deque)
+        history_len = cfg.shaping.history_length
+        self._sources: list[tuple[int, int, list[float], deque]] = []
         for s, rate in enumerate(cfg.traffic.rates):
             if rate > 0:
                 probs = cfg.traffic.dest_probs[s]
                 last = max(y for y, p in enumerate(probs) if p > 0.0)
-                self._sources.append((s, rate, draw_table(probs[: last + 1])[2]))
+                cum = draw_table(probs[: last + 1])[2]
+                self._sources.append((s, rate, cum, deque((s,), history_len)))
 
         # per node, per outgoing slot: (link index, capacity, delay, next node)
         self._hops: list[list[tuple[int, int | None, int, int]]] = [
@@ -174,8 +178,8 @@ class Simulation:
         ]
 
         self._next_packet_id = 0
-        # packets in transit, bucketed by arrival tick: {tick: [(packet, node)]}
-        self._arrivals: dict[int, list[tuple[Packet, int]]] = {}
+        # packets on links by arrival tick, {tick: [packet]}, each at its `node`
+        self._arrivals: dict[int, list[Packet]] = {}
         self.in_flight = 0
 
         self.generated_total = 0
@@ -226,9 +230,9 @@ class Simulation:
         return self.reward_sum / self.tick_count if self.tick_count else 0.0
 
     def theta(self) -> dict:
-        """Settle every logit row and return the snapshot of all tables."""
+        """Settle every logit row and return the snapshot of them all."""
         settle_all(self._rows, self._trace)
-        return snapshot(self.tables, self.topology)
+        return snapshot(self._rows, self.topology)
 
     def logits(self, router: int, dest: int) -> list[float]:
         """Up-to-date logit row of `router` for packets destined `dest`."""
@@ -242,18 +246,16 @@ class Simulation:
     def _step_link_delay(self) -> TickStats:
         t = self.tick_count + 1
         self.tick_count = t
-        rng = self.rng
-        shaping_cfg = self.cfg.shaping
-        history_len = shaping_cfg.history_length
 
-        # (1) advance transit; (2) deliver what arrived at its destination
+        # (1) take the tick's arrivals; (2) deliver what reached its destination
         arrivals = self._arrivals.pop(t, ())
         in_flight = self.in_flight - len(arrivals)
         underlying = 0.0
         delivered = 0
         cycles = 0
         to_route: list[tuple[int, int, Packet]] = []
-        for packet, node in arrivals:
+        for packet in arrivals:
+            node = packet.node
             if node == packet.destination:
                 underlying -= t - packet.birth_tick
                 delivered += 1
@@ -263,17 +265,15 @@ class Simulation:
                 to_route.append((node, packet.id, packet))
 
         # (3) new traffic, sources in node-id order, one draw per packet
-        generated = 0
-        rng_random = rng.random
-        for source, rate, dest_cum in self._sources:
+        rng_random = self.rng.random
+        first_pid = pid = self._next_packet_id
+        for source, rate, dest_cum, history in self._sources:
             for _ in range(rate):
                 dest = bisect_right(dest_cum, rng_random())
-                pid = self._next_packet_id
-                self._next_packet_id += 1
-                to_route.append(
-                    (source, pid, Packet(pid, source, dest, t, history_len))
-                )
-                generated += 1
+                to_route.append((source, pid, Packet(pid, source, dest, t, history.copy())))
+                pid += 1
+        self._next_packet_id = pid
+        generated = pid - first_pid
 
         # (4) route in (node id, packet id) order; capacity drops here
         to_route.sort()
@@ -309,17 +309,22 @@ class Simulation:
                 slot = bisect_right(cum, rng_random() * total)
             decide((row, slot))
             link_index, capacity, delay, dst = hops[node][slot]
-            count = placed[link_index] + 1
-            placed[link_index] = count
-            if capacity is not None and count > capacity:
-                dropped += 1  # placement beyond capacity: packet is lost
+            if capacity is not None:
+                placed[link_index] += 1
+                if placed[link_index] > capacity:
+                    dropped += 1  # placement beyond capacity: packet is lost
+                    continue
+            packet.node = dst
+            bucket = arrivals_by_tick.get(t + delay)
+            if bucket is None:
+                arrivals_by_tick[t + delay] = [packet]
             else:
-                arrivals_by_tick.setdefault(t + delay, []).append((packet, dst))
-                in_flight += 1
+                bucket.append(packet)
+            in_flight += 1
         self.in_flight = in_flight
 
         # (5) the learner update: one shared reward for every router
-        shaping = shaping_reward(cycles, dropped, shaping_cfg)
+        shaping = shaping_reward(cycles, dropped, self.cfg.shaping)
         reward = TickReward(underlying, shaping, underlying + shaping)
         tick_update(rows, trace, self.cfg.learner, decisions, reward.total)
 
@@ -347,7 +352,7 @@ class Simulation:
         rng_random = rng.random
         recorded = trace.weights
         forced = self._forced
-        for source, rate, dest_cum in self._sources:
+        for source, rate, dest_cum, _ in self._sources:
             for _ in range(rate):
                 dest = bisect_right(dest_cum, rng_random())
                 generated += 1

@@ -13,9 +13,10 @@ A run that writes a CSV also writes its manifest, run-seed<S>.json,
 beside it: the SHA-256 of the config text save_config writes, the
 version, seed, steps and steps_run, the wall time and ticks/s, the final
 counters and the stop reason: "steps", "threshold" (stopped at the
-threshold) or "load_diverged", for which steps_run is the tick the load
-passed its bound and the manifest is written before LoadDiverged is
-raised again.
+threshold), "load_diverged" or "error" (any other SimulationError or
+ValueError, such as a non-finite reward). A run stopped by an exception
+closes its CSV and writes the manifest, with steps_run the tick that
+failed and `error` the message, before raising it again.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_text
-from .engine import LoadDiverged, Simulation
+from .engine import LoadDiverged, Simulation, SimulationError
 from .metrics import (
     MetricsRow,
     SampledMovingAverage,
@@ -93,7 +94,7 @@ def run_experiment(
         )
     start = perf_counter()
     sim = Simulation(cfg)
-    cfg = _resolve_paths(cfg, out_dir)
+    cfg = resolve_paths(cfg, out_dir)
     rows: list[MetricsRow] = []
     tracked = [
         (tp.router, tp.dest, cfg.topology.out_link_indices(tp.router).index(tp.link_index))
@@ -146,8 +147,9 @@ def run_experiment(
                     if stop_at_threshold:
                         stop_reason = "threshold"
                         break
-    except LoadDiverged:
-        _write_manifest(cfg, sim, "load_diverged", perf_counter() - start)
+    except (SimulationError, ValueError) as e:
+        reason = "load_diverged" if isinstance(e, LoadDiverged) else "error"
+        _write_manifest(cfg, sim, reason, perf_counter() - start, str(e))
         raise
     finally:
         if csv_fh:
@@ -158,7 +160,7 @@ def run_experiment(
         Path(cfg.theta_path).write_text(
             json.dumps(theta, indent=2) + "\n", encoding="utf-8"
         )
-    _write_manifest(cfg, sim, stop_reason, perf_counter() - start)
+    _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
     return RunResult(
         config=cfg,
         steps_run=sim.tick_count,
@@ -175,7 +177,7 @@ def run_experiment(
 
 
 def _write_manifest(
-    cfg: ExperimentConfig, sim: Simulation, stop_reason: str, wall_s: float
+    cfg: ExperimentConfig, sim: Simulation, stop_reason: str, wall_s: float, error: str | None
 ) -> None:
     """Write run-seed<S>.json beside the CSV (module doc); a run without a
     CSV writes none."""
@@ -188,6 +190,7 @@ def _write_manifest(
         "steps": cfg.steps,
         "steps_run": sim.tick_count,
         "stop_reason": stop_reason,
+        "error": error,
         "wall_s": wall_s,
         "ticks_per_s": sim.tick_count / wall_s,
         "counters": {
@@ -216,7 +219,9 @@ def summary_line(res: RunResult) -> str:
     return "  ".join(parts)
 
 
-def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> ExperimentConfig:
+def resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> ExperimentConfig:
+    """cfg with the output paths a run in out_dir writes, which it creates;
+    cfg itself without an out_dir."""
     if out_dir is None:
         return cfg
     # absolute, so a saved config names the same files wherever it is loaded

@@ -11,8 +11,8 @@ penalty incurred in the same tick as the decision that caused it (e.g. a
 drop) credits that decision.
 
 Every logit row of the network has one flat row id, router * N + dest
-for N nodes, and `rows` maps each id to the row's logit list (the same
-list the router's policy.ParamTable holds). A routing decision reaches
+for N nodes, and `rows` maps each id to the row's logit list, as
+policy.make_tables builds them. A routing decision reaches
 the learner as a (row, slot) pair. The router samples from the row's
 weights as sampling_weights() computes and records them for the tick,
 (exps, total, cum): the max-subtracted exponentials of the row's logits,

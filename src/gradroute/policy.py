@@ -1,10 +1,11 @@
-"""Gibbs (softmax) routing policy: the logit tables and their readers.
+"""Gibbs (softmax) routing policy: the logit rows and their readers.
 
 Each router holds one logit row per destination, with one column per
-outgoing link in declaration order. Routing a packet destined for y
-samples a link slot from softmax(theta[y]). The engine samples from the
-weights that learner.sampling_weights records, and learner.tick_update
-forms the gradient of each draw.
+outgoing link in declaration order; the network's rows live in one dict
+keyed by the flat row id router * N + destination. Routing a packet
+destined for y samples a link slot from softmax(theta[y]). The engine
+samples from the weights that learner.sampling_weights records, and
+learner.tick_update forms the gradient of each draw.
 """
 from __future__ import annotations
 
@@ -18,29 +19,13 @@ from .network import Topology
 _PROB_FLOOR = 1e-300
 
 
-class ParamTable:
-    """Logit table of one router: rows[destination] -> list of slot logits."""
-
-    __slots__ = ("router", "n_links", "rows")
-
-    def __init__(self, router: int, n_links: int, destinations: list[int]):
-        self.router = router
-        self.n_links = n_links
-        # zero logits = uniform routing at the start
-        self.rows: dict[int, list[float]] = {y: [0.0] * n_links for y in destinations}
-
-
-def make_tables(topology: Topology) -> dict[int, ParamTable]:
-    """One table per node that has at least one outgoing link, with a row
-    for every other node."""
-    tables = {}
-    for node in range(topology.n_nodes):
-        n_out = len(topology.out_link_indices(node))
-        if n_out == 0:
-            continue
-        dests = [y for y in range(topology.n_nodes) if y != node]
-        tables[node] = ParamTable(node, n_out, dests)
-    return tables
+def make_tables(topology: Topology) -> dict[int, list[float]]:
+    """Every logit row of the network by flat row id router * N +
+    destination: one row, of zero logits (uniform routing), for every
+    other node at each node that has an outgoing link."""
+    n = topology.n_nodes
+    widths = [len(topology.out_link_indices(node)) for node in range(n)]
+    return {r * n + y: [0.0] * w for r, w in enumerate(widths) if w for y in range(n) if y != r}
 
 
 def draw_table(weights: Sequence[float]) -> tuple[Sequence[float], float, list[float]]:
@@ -69,11 +54,11 @@ def softmax_row(logits: list[float]) -> list[float]:
     return [_PROB_FLOOR if _PROB_FLOOR > (p := e / s) else p for e in exps]
 
 
-def snapshot(tables: dict[int, ParamTable], topology: Topology) -> dict:
+def snapshot(rows: dict[int, list[float]], topology: Topology) -> dict:
     """Read-only logits export: {router label: {destination label: [logits]}}."""
-    return {
-        topology.label(router): {
-            topology.label(y): list(row) for y, row in sorted(table.rows.items())
-        }
-        for router, table in sorted(tables.items())
-    }
+    label = topology.label
+    out: dict = {}
+    for row_id, row in sorted(rows.items()):
+        router, y = divmod(row_id, topology.n_nodes)
+        out.setdefault(label(router), {})[label(y)] = list(row)
+    return out

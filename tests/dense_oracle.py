@@ -13,7 +13,7 @@ from random import Random
 from typing import Iterable
 
 from gradroute.learner import EligibilityTrace, LearnerConfig
-from gradroute.policy import ParamTable, draw_table
+from gradroute.policy import draw_table
 
 
 def begin_tick_accumulate(
@@ -55,23 +55,24 @@ def begin_tick_accumulate(
 
 
 def apply_reward(
-    table: ParamTable, trace: EligibilityTrace, cfg: LearnerConfig, reward: float
-) -> ParamTable:
-    """theta <- theta + gamma * reward * z, element-wise. Mutates `table`."""
+    table: dict[int, list[float]], trace: EligibilityTrace, cfg: LearnerConfig, reward: float
+) -> dict[int, list[float]]:
+    """theta <- theta + gamma * reward * z, element-wise, on one router's
+    logit rows by destination. Mutates `table`."""
     if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
     if reward != 0.0:
         gr = cfg.gamma * reward
         for y in trace.active:
             zrow = trace.rows[y]
-            trow = table.rows[y]
+            trow = table[y]
             for i, z in enumerate(zrow):
                 trow[i] += gr * z
     return table
 
 
 def dense_tick_update(
-    table: ParamTable,
+    table: dict[int, list[float]],
     trace: EligibilityTrace,
     cfg: LearnerConfig,
     grads: Iterable[tuple[int, list[float]]],

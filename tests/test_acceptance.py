@@ -36,7 +36,7 @@ from gradroute.oracles import (
     contention_optimal_p,
 )
 from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
-from gradroute.policy import ParamTable, softmax_row
+from gradroute.policy import softmax_row
 from gradroute.presets import preset
 
 
@@ -72,13 +72,12 @@ def test_criterion_2_gradient_correctness():
     for _ in range(1000):
         n = rng.randint(1, 8)
         row = [rng.uniform(-8.0, 8.0) for _ in range(n)]
-        table = ParamTable(0, n, [1])
-        table.rows[1][:] = row
-        trace = EligibilityTrace(table.rows)
+        rows = {1: list(row)}
+        trace = EligibilityTrace(rows)
         slot = rng.randrange(n)
-        sampling_weights(table.rows, trace, 1)
-        tick_update(table.rows, trace, cfg, [(1, slot)], 1.0)
-        grad = [a - b for a, b in zip(table.rows[1], row)]
+        sampling_weights(rows, trace, 1)
+        tick_update(rows, trace, cfg, [(1, slot)], 1.0)
+        grad = [a - b for a, b in zip(rows[1], row)]
         assert abs(sum(grad)) <= 1e-12
         for j in range(n):
             up = list(row)

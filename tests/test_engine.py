@@ -38,8 +38,8 @@ def advance_logging_trips(sim, steps):
     trips = []
     for _ in range(steps):
         t = sim.tick_count + 1
-        for packet, node in sim._arrivals.get(t, ()):
-            if node == packet.destination:
+        for packet in sim._arrivals.get(t, ()):
+            if packet.node == packet.destination:
                 trips.append((packet.source, packet.destination, t - packet.birth_tick))
         sim.step()
     return trips
@@ -47,14 +47,13 @@ def advance_logging_trips(sim, steps):
 
 def oldest_in_flight_age(sim):
     """Age in ticks of the oldest packet on a link (0 when none is)."""
-    births = [p.birth_tick for bucket in sim._arrivals.values() for p, _ in bucket]
+    births = [p.birth_tick for bucket in sim._arrivals.values() for p in bucket]
     return sim.tick_count - min(births, default=sim.tick_count)
 
 
 def force_row(sim, router_label, dest_label, logits):
     topo = sim.topology
-    row = sim.tables[topo.node_id(router_label)].rows[topo.node_id(dest_label)]
-    row[:] = logits
+    sim._rows[topo.node_id(router_label) * topo.n_nodes + topo.node_id(dest_label)][:] = logits
 
 
 class TestContentionArithmetic:
@@ -95,6 +94,22 @@ class TestContentionArithmetic:
         sim, stats = self.run_forced([30.0, -30.0], steps=5)
         # the lower-id packet transmits; exactly one drop per tick either way
         assert all(s.dropped == 1 for s in stats)
+
+    def test_only_a_capacitated_link_drops(self):
+        # top loses its capacity and bottom keeps 1 of its 2; both packets of
+        # a tick take the forced link
+        topo = Topology.build(["A", "B"], [("A", "B", 1, None, "top"), ("A", "B", 6, 1, "bottom")])
+        cfg = preset("contention").with_overrides(steps=20, learner=FROZEN, topology=topo)
+        top = Simulation(cfg)
+        force_row(top, "A", "B", [30.0, -30.0])
+        for s in [top.step() for _ in range(20)][1:]:
+            assert s.dropped == 0 and s.delivered == 2 and s.reward.total == -2.0
+        bottom = Simulation(cfg)
+        force_row(bottom, "A", "B", [-30.0, 30.0])
+        stats = [bottom.step() for _ in range(20)]
+        assert all(s.dropped == 2 - 1 for s in stats)
+        for s in stats[6:]:
+            assert s.delivered == 1 and s.reward.total == -6.0 - 21.0
 
 
 class TestNodeFlowArithmetic:
@@ -188,9 +203,9 @@ class TestLogits:
         sim = Simulation(cfg)
         advance(sim, cfg.steps)
         n = cfg.topology.n_nodes
-        for router, table in sim.tables.items():
-            for dest, row in table.rows.items():
-                assert sim.logits(router, dest) is row  # the table's own list
+        for row_id, row in sim._rows.items():
+            router, dest = divmod(row_id, n)
+            assert sim.logits(router, dest) is row  # the row's own list
             # a flat row id past the router's own would name another router's row
             for dest in (router, n, n + 1, -1):
                 with pytest.raises(KeyError):
@@ -352,13 +367,12 @@ class TestTripTimes:
         cfg = preset("six_node").with_overrides(steps=3_000, learner=FROZEN)
         sim = Simulation(cfg)
         topo = cfg.topology
-        for router, table in sim.tables.items():
-            for dest in table.rows:
-                direct = [
-                     40.0 if topo.links[i].dst == dest else -40.0
-                    for i in topo.out_link_indices(router)
-                ]
-                table.rows[dest][:] = direct
+        for row_id, row in sim._rows.items():
+            router, dest = divmod(row_id, topo.n_nodes)
+            row[:] = [
+                40.0 if topo.links[i].dst == dest else -40.0
+                for i in topo.out_link_indices(router)
+            ]
         trip_log = advance_logging_trips(sim, cfg.steps)
         assert sim.cycles_total == 0
         assert all(trip == 1 for _, _, trip in trip_log)

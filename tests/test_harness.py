@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradroute
+from gradroute import engine
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     MAX_RATE,
@@ -19,7 +20,7 @@ from gradroute.config import (
     load_config,
     save_config,
 )
-from gradroute.engine import LoadDiverged
+from gradroute.engine import LoadDiverged, SimulationError
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import Topology
@@ -408,6 +409,7 @@ class TestRunManifest:
             gradroute.__version__, 4, 300, 300
         )
         assert m["stop_reason"] == res.stop_reason == "steps"
+        assert m["error"] is None
         assert m["wall_s"] > 0.0 and m["ticks_per_s"] == 300 / m["wall_s"]
         assert m["counters"] == {
             "generated": res.generated,
@@ -433,10 +435,63 @@ class TestRunManifest:
             run_experiment(cfg, tmp_path)
         m = self.manifest(tmp_path, cfg.seed)
         assert m["stop_reason"] == "load_diverged"
+        assert m["error"] == str(stop.value)
         assert str(stop.value).startswith(f"load diverged at tick {m['steps_run']}: ")
         assert m["steps_run"] < m["steps"]
         assert m["counters"]["in_flight"] == 501  # one over the bound
         assert not (tmp_path / f"theta-seed{cfg.seed}.json").exists()
+
+    def assert_error_at(self, tmp_path, cfg, stop, tick):
+        """The run failed at `tick`: its manifest names the error, its CSV
+        holds the header and every sample before the tick, and it wrote no
+        theta."""
+        m = self.manifest(tmp_path, cfg.seed)
+        assert (m["stop_reason"], m["steps_run"], m["error"]) == ("error", tick, str(stop.value))
+        header, rows = read_csv(tmp_path / f"metrics-seed{cfg.seed}.csv")
+        assert header == column_names(cfg)
+        assert [row[0] for row in rows] == list(range(cfg.sample_every, tick, cfg.sample_every))
+        assert not (tmp_path / f"theta-seed{cfg.seed}.json").exists()
+
+    def test_conservation_error(self, tmp_path, monkeypatch):
+        real = engine.Simulation._step_link_delay
+
+        def leaking(sim):
+            stats = real(sim)
+            if sim.tick_count == 57:
+                sim.in_flight -= 1  # a packet lost without a drop
+            return stats
+
+        monkeypatch.setattr(engine.Simulation, "_step_link_delay", leaking)
+        cfg = preset("six_node").with_overrides(steps=300, sample_every=10)
+        with pytest.raises(SimulationError, match="conservation violated at tick 57") as stop:
+            run_experiment(cfg, tmp_path)
+        self.assert_error_at(tmp_path, cfg, stop, 57)
+
+    def test_non_finite_reward(self, tmp_path, monkeypatch):
+        real = engine.shaping_reward
+        calls = 0
+
+        def failing(cycles, drops, shaping_cfg):
+            nonlocal calls
+            calls += 1
+            return math.nan if calls == 41 else real(cycles, drops, shaping_cfg)
+
+        monkeypatch.setattr(engine, "shaping_reward", failing)
+        cfg = preset("contention").with_overrides(steps=300, sample_every=10)
+        with pytest.raises(ValueError, match="non-finite reward nan") as stop:
+            run_experiment(cfg, tmp_path)
+        self.assert_error_at(tmp_path, cfg, stop, 41)
+
+    def test_cli_saves_the_config_before_the_run(self, tmp_path):
+        path = tmp_path / "livelock.json"
+        cfg = livelock_config()
+        save_config(cfg, path)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        run_dir = tmp_path / "out" / f"livelock-seed{cfg.seed}"
+        m = self.manifest(run_dir, cfg.seed)
+        assert m["stop_reason"] == "load_diverged"
+        digest = hashlib.sha256((run_dir / "config.json").read_bytes()).hexdigest()
+        assert m["config_sha256"] == digest
 
     def test_no_csv_no_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,18 +26,14 @@ from gradroute.learner import (
     tick_update,
 )
 from gradroute.network import Topology, TrafficSpec
-from gradroute.policy import (
-    ParamTable,
-    make_tables,
-    snapshot,
-    softmax_row,
-)
+from gradroute.policy import make_tables, snapshot, softmax_row
 from gradroute.presets import preset
 
 
 def fresh(n_links=2, dests=(1,)):
-    table = ParamTable(0, n_links, list(dests))
-    return table, EligibilityTrace(table.rows)
+    """One router's zero logit rows by destination, and a trace over them."""
+    table = {y: [0.0] * n_links for y in dests}
+    return table, EligibilityTrace(table)
 
 
 class TestLearnerConfig:
@@ -110,19 +106,19 @@ class TestApplyReward:
         trace.rows[1][:] = [1.0, 2.0]
         trace.active.add(1)
         apply_reward(table, trace, LearnerConfig(beta=0.5, gamma=0.1), 0.0)
-        assert table.rows[1] == [0.0, 0.0]
+        assert table[1] == [0.0, 0.0]
 
     def test_hand_computed_update(self):
         table, trace = fresh()
         trace.rows[1][:] = [0.5, -0.5]
         trace.active.add(1)
         apply_reward(table, trace, LearnerConfig(beta=0.5, gamma=1e-5), -3.0)
-        assert table.rows[1] == pytest.approx([-1.5e-5, 1.5e-5], rel=1e-12)
+        assert table[1] == pytest.approx([-1.5e-5, 1.5e-5], rel=1e-12)
 
     def test_zero_trace_means_no_update(self):
         table, trace = fresh()
         apply_reward(table, trace, LearnerConfig(beta=0.5, gamma=0.5), -100.0)
-        assert table.rows[1] == [0.0, 0.0]
+        assert table[1] == [0.0, 0.0]
 
     def test_non_finite_reward_rejected(self):
         table, trace = fresh()
@@ -130,7 +126,7 @@ class TestApplyReward:
             with pytest.raises(ValueError):
                 apply_reward(table, trace, LearnerConfig(), bad)
             with pytest.raises(ValueError):
-                tick_update(table.rows, trace, LearnerConfig(), [], bad)
+                tick_update(table, trace, LearnerConfig(), [], bad)
 
     @settings(max_examples=200)
     @given(
@@ -148,7 +144,7 @@ class TestApplyReward:
         apply_reward(table_a, trace_a, cfg, r1)
         apply_reward(table_a, trace_a, cfg, r2)
         apply_reward(table_b, trace_b, cfg, r1 + r2)
-        for a, b in zip(table_a.rows[1], table_b.rows[1]):
+        for a, b in zip(table_a[1], table_b[1]):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
@@ -188,16 +184,16 @@ class TestTickUpdate:
                 grads.append((dest, decision_gradient(trace_l.weights[dest], slot)))
             r = rng.uniform(-20, 2)
             scale_before = trace_l.scale
-            tick_update(table_l.rows, trace_l, cfg, decisions, r)
+            tick_update(table_l, trace_l, cfg, decisions, r)
             dense_tick_update(table_d, trace_d, cfg, grads, r)
             rescales += trace_l.scale > scale_before
             if t % 2_500 == 0:
-                settle_all(table_l.rows, trace_l)
+                settle_all(table_l, trace_l)
                 if beta == 0.0:
-                    assert table_l.rows == table_d.rows
+                    assert table_l == table_d
                     assert true_trace(trace_l) == trace_d.rows
                 else:
-                    assert_rows_close(table_l.rows, table_d.rows)
+                    assert_rows_close(table_l, table_d)
                     assert_rows_close(true_trace(trace_l), trace_d.rows)
         if beta > 0.0:
             assert rescales >= 20
@@ -207,27 +203,27 @@ class TestTickUpdate:
         # the reward of tick t reaches the decision of tick t; slot 0 drawn
         # from uniform weights has gradient [0.5, -0.5]
         table, trace = fresh()
-        weights = sampling_weights(table.rows, trace, 1)
+        weights = sampling_weights(table, trace, 1)
         assert weights == ([1.0, 1.0], 2.0, [1.0, math.inf])
-        tick_update(table.rows, trace, LearnerConfig(beta=beta, gamma=1.0), [(1, 0)], -2.0)
-        assert table.rows[1] == [-1.0, 1.0]
+        tick_update(table, trace, LearnerConfig(beta=beta, gamma=1.0), [(1, 0)], -2.0)
+        assert table[1] == [-1.0, 1.0]
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_decision_needs_weights_recorded_this_tick(self, beta):
         table, trace = fresh()
         cfg = LearnerConfig(beta=beta, gamma=1.0)
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
-        weights = sampling_weights(table.rows, trace, 1)
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+        weights = sampling_weights(table, trace, 1)
         assert trace.weights == {1: weights}
-        tick_update(table.rows, trace, cfg, [(1, 0), (1, 1)], -1.0)
+        tick_update(table, trace, cfg, [(1, 0), (1, 1)], -1.0)
         assert trace.weights == {}  # consumed by the tick that used them
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
-        sampling_weights(table.rows, trace, 1)
-        tick_update(table.rows, trace, cfg, [], -1.0)  # recorded, unused: dropped
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
+        sampling_weights(table, trace, 1)
+        tick_update(table, trace, cfg, [], -1.0)  # recorded, unused: dropped
         with pytest.raises(ValueError, match="decision row 1: no weights"):
-            tick_update(table.rows, trace, cfg, [(1, 0)], -1.0)
+            tick_update(table, trace, cfg, [(1, 0)], -1.0)
 
     @pytest.mark.parametrize(
         "decision, message",
@@ -240,11 +236,11 @@ class TestTickUpdate:
         table, trace = fresh()
         cfg = LearnerConfig(beta=beta, gamma=1.0)
         with pytest.raises(KeyError):
-            sampling_weights(table.rows, trace, 9)
-        sampling_weights(table.rows, trace, 1)
+            sampling_weights(table, trace, 9)
+        sampling_weights(table, trace, 1)
         with pytest.raises(ValueError, match=message):
-            tick_update(table.rows, trace, cfg, [decision], -1.0)
-        assert table.rows[1] == [0.0, 0.0]  # rejected before any update
+            tick_update(table, trace, cfg, [decision], -1.0)
+        assert table[1] == [0.0, 0.0]  # rejected before any update
 
 
 class TestSamplingWeightsKernel:
@@ -264,7 +260,7 @@ class TestSamplingWeightsKernel:
         made = []
         for _ in range(2):
             table, trace = fresh(width, dests=(1, 2))
-            table.rows[1][:] = logits
+            table[1][:] = logits
             trace.rows[1][:] = z
             trace.active.add(1)
             trace.acc = acc
@@ -283,12 +279,12 @@ class TestSamplingWeightsKernel:
         for _ in range(200):
             (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
             mark_before = dict(trace.mark)
-            weights = sampling_weights(table.rows, trace, 1)
-            want = gibbs_weights(settle(ref_table.rows, ref_trace, 1))
+            weights = sampling_weights(table, trace, 1)
+            want = gibbs_weights(settle(ref_table, ref_trace, 1))
             assert weights == want
             assert weights[2][-1] == math.inf
             assert trace.weights == {1: weights}
-            assert table.rows == ref_table.rows
+            assert table == ref_table
             assert trace.mark == ref_trace.mark
             if case == "stale":
                 assert trace.mark == {**mark_before, 1: trace.acc}
@@ -304,7 +300,7 @@ class TestOneColumnTable:
     def rows_state(table, trace):
         """Everything of the table and trace but the network's clock."""
         return (
-            {y: list(row) for y, row in table.rows.items()},
+            {y: list(row) for y, row in table.items()},
             {y: list(row) for y, row in trace.rows.items()},
             dict(trace.mark),
             set(trace.active),
@@ -320,14 +316,14 @@ class TestOneColumnTable:
         cfg = LearnerConfig(beta=beta, gamma=1.0)
         before = self.rows_state(table, trace)
         for _ in range(3):
-            tick_update(table.rows, trace, cfg, [(1, 0), (2, 0), (1, 0)], -7.5)
-            tick_update(table.rows, trace, cfg, [], -1.0)
+            tick_update(table, trace, cfg, [(1, 0), (2, 0), (1, 0)], -7.5)
+            tick_update(table, trace, cfg, [], -1.0)
             assert not trace.active
         # the clock is the network's and runs on, but no row is owed by it
         assert trace.acc != 0.0
         assert self.rows_state(table, trace) == before
-        assert [settle(table.rows, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
-        assert table.rows == {1: [0.0], 2: [0.0]}
+        assert [settle(table, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
+        assert table == {1: [0.0], 2: [0.0]}
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_stays_zero_beside_a_learning_row(self, beta):
@@ -352,16 +348,16 @@ class TestOneColumnTable:
         table, trace = fresh(1, dests=(1, 2))
         before = self.state(table, trace)
         with pytest.raises(ValueError, match=message):
-            tick_update(table.rows, trace, LearnerConfig(), [(2, 0), decision], -1.0)
+            tick_update(table, trace, LearnerConfig(), [(2, 0), decision], -1.0)
         assert self.state(table, trace) == before
 
     def test_non_finite_reward_checked_first(self):
         table, trace = fresh(1, dests=(1,))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite reward"):
-                tick_update(table.rows, trace, LearnerConfig(), [(1, 0)], bad)
+                tick_update(table, trace, LearnerConfig(), [(1, 0)], bad)
             with pytest.raises(ValueError, match="non-finite reward"):
-                tick_update(table.rows, trace, LearnerConfig(), [(9, 5)], bad)
+                tick_update(table, trace, LearnerConfig(), [(9, 5)], bad)
 
 
 class TestBanditAscent:
@@ -371,10 +367,10 @@ class TestBanditAscent:
         table, trace = fresh()
         cfg = LearnerConfig(beta=0.0, gamma=0.01)
         for _ in range(100_000):
-            sampling_weights(table.rows, trace, 1)
-            slot = sample_slot(softmax_row(table.rows[1]), rng)
-            tick_update(table.rows, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
-        assert softmax_row(table.rows[1])[0] > 0.95
+            sampling_weights(table, trace, 1)
+            slot = sample_slot(softmax_row(table[1]), rng)
+            tick_update(table, trace, cfg, [(1, slot)], -1.0 if slot == 0 else -2.0)
+        assert softmax_row(table[1])[0] > 0.95
 
 
 def ring_config():
@@ -425,8 +421,12 @@ class TestLazyMatchesDenseInSimulation:
         ids=["six_node", "ring12", "braess1"],
     )
     def test_theta_and_tracked_probability(self, cfg, monkeypatch):
-        tables = make_tables(cfg.topology)
         n = cfg.topology.n_nodes
+        # the dense oracle's logits, per router: {router: {dest: row}}
+        tables = {}
+        for row_id, row in make_tables(cfg.topology).items():
+            router, dest = divmod(row_id, n)
+            tables.setdefault(router, {})[dest] = row
         calls = []
         real = engine.tick_update
 
@@ -446,24 +446,26 @@ class TestLazyMatchesDenseInSimulation:
         res = run_experiment(cfg)
         assert len(calls) == cfg.steps  # one call per tick, for every router
 
-        traces = {r: EligibilityTrace(t.rows) for r, t in tables.items()}
+        traces = {r: EligibilityTrace(t) for r, t in tables.items()}
         for grads, reward in calls:
             for router, table in tables.items():
                 for dest, g in grads[router]:
                     # each decision sampled from the up-to-date policy: its
                     # gradient is one-hot(slot) - probs under the oracle's logits
-                    probs = softmax_row(table.rows[dest])
+                    probs = softmax_row(table[dest])
                     dev = sorted(gi + p for gi, p in zip(g, probs))
                     dev[-1] -= 1.0
                     assert max(map(abs, dev)) < 1e-9
                 dense_tick_update(table, traces[router], cfg.learner, grads[router], reward)
 
-        want = snapshot(tables, cfg.topology)
+        want = snapshot(
+            {r * n + y: row for r, t in tables.items() for y, row in t.items()}, cfg.topology
+        )
         for router, rows in res.final_theta.items():
             assert_rows_close(rows, want[router])
         (tp,) = cfg.tracked
         slot = cfg.topology.out_link_indices(tp.router).index(tp.link_index)
-        p = softmax_row(tables[tp.router].rows[tp.dest])[slot]
+        p = softmax_row(tables[tp.router][tp.dest])[slot]
         assert res.rows[-1].probs[0] == pytest.approx(p, rel=1e-9)
         # the run learned something, so the comparison is not of zeros
         learned = [v for rows in want.values() for row in rows.values() for v in row]

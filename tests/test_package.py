@@ -16,7 +16,6 @@ PUBLIC = [
     "NodeCost",
     "PRESET_NAMES",
     "Packet",
-    "ParamTable",
     "ShapingConfig",
     "Simulation",
     "SimulationError",

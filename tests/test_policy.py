@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import sample_slot
 from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
-from gradroute.policy import _PROB_FLOOR, ParamTable, make_tables, softmax_row
+from gradroute.policy import _PROB_FLOOR, make_tables, snapshot, softmax_row
 from gradroute.presets import braess_network, triangle_network
 
 logit_rows = st.lists(
@@ -16,21 +16,15 @@ logit_rows = st.lists(
 )
 
 
-def table_with_row(row):
-    t = ParamTable(router=0, n_links=len(row), destinations=[1])
-    t.rows[1][:] = row
-    return t
-
-
-def applied_gradient(table, dest, slot):
-    """The change one decision (dest, slot) makes to its logit row. With
+def applied_gradient(rows, row_id, slot):
+    """The change one decision (row_id, slot) makes to its logit row. With
     beta = 0.5, gamma = 1 and reward 1 the learner adds exactly that
     decision's log-policy gradient to the row."""
-    before = list(table.rows[dest])
-    trace = EligibilityTrace(table.rows)
-    sampling_weights(table.rows, trace, dest)
-    tick_update(table.rows, trace, LearnerConfig(beta=0.5, gamma=1.0), [(dest, slot)], 1.0)
-    return [a - b for a, b in zip(table.rows[dest], before)]
+    before = list(rows[row_id])
+    trace = EligibilityTrace(rows)
+    sampling_weights(rows, trace, row_id)
+    tick_update(rows, trace, LearnerConfig(beta=0.5, gamma=1.0), [(row_id, slot)], 1.0)
+    return [a - b for a, b in zip(rows[row_id], before)]
 
 
 class TestActionProbabilities:
@@ -91,22 +85,22 @@ class TestSampling:
 
 class TestLogPolicyGradient:
     def test_uniform_case(self):
-        assert applied_gradient(table_with_row([0.0, 0.0]), 1, 0) == [0.5, -0.5]
+        assert applied_gradient({1: [0.0, 0.0]}, 1, 0) == [0.5, -0.5]
 
     def test_quarter_case(self):
-        g = applied_gradient(table_with_row([math.log(3), 0.0]), 1, 1)
+        g = applied_gradient({1: [math.log(3), 0.0]}, 1, 1)
         assert g[0] == pytest.approx(-0.75, abs=1e-12)
         assert g[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_slot(self):
         with pytest.raises(ValueError):
-            applied_gradient(table_with_row([0.0, 0.0]), 1, 2)
+            applied_gradient({1: [0.0, 0.0]}, 1, 2)
 
     @settings(max_examples=300)
     @given(logit_rows, st.randoms(use_true_random=False))
     def test_components_sum_to_zero(self, row, rng):
         slot = rng.randrange(len(row))
-        g = applied_gradient(table_with_row(row), 1, slot)
+        g = applied_gradient({1: list(row)}, 1, slot)
         assert sum(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference(self):
@@ -116,7 +110,7 @@ class TestLogPolicyGradient:
             n = rng.randint(1, 8)
             row = [rng.uniform(-5, 5) for _ in range(n)]
             slot = rng.randrange(n)
-            analytic = applied_gradient(table_with_row(row), 1, slot)
+            analytic = applied_gradient({1: list(row)}, 1, slot)
             for j in range(n):
                 up = list(row)
                 up[j] += h
@@ -131,26 +125,38 @@ class TestLogPolicyGradient:
 class TestMakeTables:
     def test_single_link_router_keeps_a_one_column_table(self):
         topo, _ = braess_network(augmented=True)
-        tables = make_tables(topo)
-        c = topo.node_id("C")
-        assert tables[c].n_links == 1
+        rows = make_tables(topo)
+        row_id = topo.node_id("C") * topo.n_nodes + topo.node_id("B")
+        assert rows[row_id] == [0.0]
         # its gradient is identically zero: only one action to explain
-        assert applied_gradient(tables[c], topo.node_id("B"), 0) == [0.0]
-        assert tables[c].rows[topo.node_id("B")] == [0.0]
+        assert applied_gradient(rows, row_id, 0) == [0.0]
+        assert rows[row_id] == [0.0]
 
     def test_sink_gets_no_table_and_self_rows_are_absent(self):
         topo, _ = braess_network(augmented=True)
-        tables = make_tables(topo)
-        assert topo.node_id("B") not in tables
-        a = topo.node_id("A")
-        assert a not in tables[a].rows
+        n = topo.n_nodes
+        routers = {row_id // n for row_id in make_tables(topo)}
+        assert topo.node_id("B") not in routers
+        assert not any(row_id // n == row_id % n for row_id in make_tables(topo))
+        # every other node has a row at every router with an out-link
+        assert len(make_tables(topo)) == len(routers) * (n - 1)
 
     def test_initial_tables_are_uniform(self):
         topo, _ = triangle_network()
-        for table in make_tables(topo).values():
-            for dest in table.rows:
-                probs = softmax_row(table.rows[dest])
-                assert probs == pytest.approx([1 / len(probs)] * len(probs))
+        for row in make_tables(topo).values():
+            probs = softmax_row(row)
+            assert probs == pytest.approx([1 / len(probs)] * len(probs))
+
+    def test_snapshot_decodes_router_and_destination(self):
+        topo, _ = braess_network(augmented=True)
+        rows = make_tables(topo)
+        a, e, b = (topo.node_id(x) for x in "AEB")
+        rows[a * topo.n_nodes + b][:] = [1.0, -1.0]
+        rows[e * topo.n_nodes + b][:] = [2.0, -2.0]
+        snap = snapshot(rows, topo)
+        assert snap["A"]["B"] == [1.0, -1.0] and snap["E"]["B"] == [2.0, -2.0]
+        assert "B" not in snap and "A" not in snap["A"]
+        assert list(snap) == sorted(snap, key=topo.node_id)
 
 
 def reference_softmax_row(logits):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,8 +8,14 @@ from gradroute.engine import Packet
 from gradroute.shaping import ShapingConfig, detect_cycle, shaping_reward
 
 
+def new_packet(source, h):
+    """A packet bound for node 99 whose history holds its source alone, in
+    a window of h nodes, as the engine starts one."""
+    return Packet(0, source, 99, 0, deque((source,), maxlen=h))
+
+
 def packet_with_history(nodes, h=2):
-    p = Packet(0, nodes[0], 99, 0, h)
+    p = new_packet(nodes[0], h)
     for n in nodes[1:]:
         p.history.append(n)
     return p
@@ -25,13 +33,13 @@ class TestDetectCycle:
 
     def test_three_cycle_evades_a_two_node_window(self):
         # walk A->B->C->A with H = 2: by the time A recurs it already left the window
-        p = Packet(0, 0, 99, 0, 2)
+        p = new_packet(0, 2)
         assert detect_cycle(p, 1) is False  # history (0,) -> (0, 1)
         assert detect_cycle(p, 2) is False  # history (0, 1) -> (1, 2)
         assert detect_cycle(p, 0) is False  # history (1, 2): 0 already evicted
 
     def test_immediate_bounce_back_is_caught(self):
-        p = Packet(0, 0, 99, 0, 2)
+        p = new_packet(0, 2)
         assert detect_cycle(p, 1) is False
         assert detect_cycle(p, 0) is True  # straight back to the source
 
@@ -42,7 +50,7 @@ class TestDetectCycle:
         assert detect_cycle(p, 1) is True  # still in window, flags again
 
     def test_no_false_positive_on_first_h_distinct_hops(self):
-        p = Packet(0, 0, 99, 0, 4)
+        p = new_packet(0, 4)
         for node in (1, 2, 3, 4):
             assert detect_cycle(p, node) is False
 
