@@ -48,11 +48,11 @@ what it is when every hop samples.
 
 Both modes update the learner lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
-logit row is owed its share of the reward until it is read. Every read
-therefore settles the row first: sampling_weights for the routing
-kernel, `logits()` for readers outside the engine, and `theta()` for
-every row before the snapshot. Outside code reads logits through these,
-never through the rows directly.
+logit row is owed its share of the reward until the learner next
+settles it. Outside code reads logits through `logits()` and `theta()`,
+never through the rows directly. Both apply the owed credit to fresh
+lists through learner.current_logits and write nothing, so a run ends
+in the same state however often, and whichever rows, it is read.
 
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
@@ -72,13 +72,7 @@ from random import Random
 from typing import NamedTuple
 
 from .config import ExperimentConfig
-from .learner import (
-    EligibilityTrace,
-    sampling_weights,
-    settle,
-    settle_all,
-    tick_update,
-)
+from .learner import EligibilityTrace, current_logits, sampling_weights, tick_update
 from .network import CostModel
 from .policy import draw_table, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
@@ -230,16 +224,17 @@ class Simulation:
         return self.reward_sum / self.tick_count if self.tick_count else 0.0
 
     def theta(self) -> dict:
-        """Settle every logit row and return the snapshot of them all."""
-        settle_all(self._rows, self._trace)
-        return snapshot(self._rows, self.topology)
+        """The snapshot of every current logit row, in fresh lists."""
+        rows, trace = self._rows, self._trace
+        return snapshot({y: current_logits(rows, trace, y) for y in rows}, self.topology)
 
     def logits(self, router: int, dest: int) -> list[float]:
-        """Up-to-date logit row of `router` for packets destined `dest`."""
+        """Current logit row of `router` for packets destined `dest`, in a
+        fresh list."""
         n = self.topology.n_nodes
         if not 0 <= dest < n:  # else the flat id could name another router's row
             raise KeyError(f"no node {dest}")
-        return settle(self._rows, self._trace, router * n + dest)
+        return current_logits(self._rows, self._trace, router * n + dest)
 
     # -- link-delay mode ----------------------------------------------------
 

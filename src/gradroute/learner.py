@@ -46,18 +46,23 @@ make the same floats. A router still reads and writes only its own rows,
 and the shared clock is a function of the global reward alone, so
 sharing it adds no communication between routers.
 
-theta[y] is therefore current only after settle(): sampling_weights()
-settles a row before the router samples from it, and anything else that
-reads logits goes through settle() or settle_all().
+theta[y] is therefore current only once the row is settled, that is,
+once its owed credit is written into it and its mark moved to acc. Only
+the learner settles, and only where the update itself needs it:
+sampling_weights() settles a row before the router samples from it,
+tick_update a row it credits, and a rescale every active row. A reader
+outside the learner takes current_logits(), which applies the owed
+credit to a copy and writes nothing, so reading a run never changes how
+it rounds.
 
 sampling_weights() is the cost of every fresh row a tick reads, so it is
 one kernel of two passes over the row: the first settles each entry (only
 when the row is owed credit) and tracks the max, the second appends each
-exponential and its running sum. It calls neither settle() nor
-policy.draw_table: on the link-delay workloads most decisions read a
-fresh row, and those calls, with the list handed between them, would
-take back more than half of what the fusion saves. It makes every float,
-and every addition in its order, as they would, so outputs are the same.
+exponential and its running sum. It does not call policy.draw_table: on
+the link-delay workloads most decisions read a fresh row, and the call,
+with the list handed to it, would take back more than half of what the
+fusion saves. It makes every float, and every addition in its order, as
+current_logits() and then draw_table would, so outputs are the same.
 
 When scale falls below RESCALE_BELOW, every row is settled, the scale is
 folded into the rows, and scale, acc and the marks restart from 1, 0 and
@@ -113,23 +118,15 @@ class EligibilityTrace:
         self.weights: dict[int, tuple[list[float], float, list[float]]] = {}
 
 
-def settle(rows: dict[int, list[float]], trace: EligibilityTrace, y: int) -> list[float]:
-    """Apply the credit row `y` is owed and return its current logits."""
+def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int) -> list[float]:
+    """The current logits of row `y` in a new list: the row with the credit
+    it is owed applied. Writes neither the row nor its mark."""
     row = rows[y]
     acc = trace.acc
-    mark = trace.mark
-    d = acc - mark.get(y, acc)
-    if d != 0.0:
-        for i, z in enumerate(trace.rows[y]):
-            row[i] += d * z
-        mark[y] = acc
-    return row
-
-
-def settle_all(rows: dict[int, list[float]], trace: EligibilityTrace) -> None:
-    """Bring every logit row up to date."""
-    for y in trace.active:
-        settle(rows, trace, y)
+    d = acc - trace.mark.get(y, acc)
+    if d == 0.0:
+        return row[:]
+    return [v + d * z for v, z in zip(row, trace.rows[y])]
 
 
 def sampling_weights(
@@ -140,7 +137,7 @@ def sampling_weights(
     max-subtracted exponentials of its logits, their sum and the running
     sums with the last set to +inf, as policy.draw_table builds them.
     One kernel, two passes over the row (module doc): the same floats as
-    settle() and then draw_table over the exponentials."""
+    current_logits() and then draw_table over the exponentials."""
     row = rows[y]
     acc = trace.acc
     mark = trace.mark
@@ -217,7 +214,8 @@ def tick_update(
     slot 0 of a one-column row, which records none (module doc). Only the
     decided rows are touched: each is settled, gets the sum of its
     gradients and is credited with this tick's reward in one pass; every
-    other row is owed its credit through trace.acc until its next settle.
+    other row is owed its credit through trace.acc until the learner next
+    settles it.
     At beta = 0 the trace is forgotten first and the tick runs at scale 1.
     The simulation calls this once per tick.
     """

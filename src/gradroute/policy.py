@@ -55,10 +55,11 @@ def softmax_row(logits: list[float]) -> list[float]:
 
 
 def snapshot(rows: dict[int, list[float]], topology: Topology) -> dict:
-    """Read-only logits export: {router label: {destination label: [logits]}}."""
+    """Logits export: {router label: {destination label: [logits]}}. It
+    holds the lists of `rows` themselves, so give it lists of its own."""
     label = topology.label
     out: dict = {}
     for row_id, row in sorted(rows.items()):
         router, y = divmod(row_id, topology.n_nodes)
-        out.setdefault(label(router), {})[label(y)] = list(row)
+        out.setdefault(label(router), {})[label(y)] = row
     return out

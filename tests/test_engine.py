@@ -203,9 +203,14 @@ class TestLogits:
         sim = Simulation(cfg)
         advance(sim, cfg.steps)
         n = cfg.topology.n_nodes
-        for row_id, row in sim._rows.items():
+        label = cfg.topology.label
+        theta = sim.theta()
+        for row_id in sim._rows:
             router, dest = divmod(row_id, n)
-            assert sim.logits(router, dest) is row  # the row's own list
+            got = sim.logits(router, dest)
+            assert got == theta[label(router)][label(dest)]
+            got[0] += 1.0  # a list of the caller's own: the run does not see it
+            assert sim.theta() == theta
             # a flat row id past the router's own would name another router's row
             for dest in (router, n, n + 1, -1):
                 with pytest.raises(KeyError):

@@ -22,8 +22,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_digests.py
 
 GOLDEN = {
     "triangle": (
-        "abc9bab4cd802d4f2cfd0a8b6cb3b15d91fba39d5f0995676cb413a12bbe376a",
-        "9d30cfceca78fb510e8e953a9b6d682b9e54bdc1cf2f0ed6c63fd54c35c69baa",
+        "ddc3c22699895d146dfa97d65d6ac4be9536f4cd2666caf6d6cc1a7cc925ef1c",
+        "c61e060585e5c9702d8e158eb5f52b0d89b22e14492d71dd804b8b38d1853ff4",
         "6ce9ee1e10b8441dc813de89ff2a3569deb6f497f6e3923cff89c9aff4d63467",
     ),
     "contention": (
@@ -37,13 +37,13 @@ GOLDEN = {
         "6339c97d46cdbcb9fdaf044a59c948ddabbf346758dc6095ec62bee4d666d8e3",
     ),
     "braess1": (
-        "f4d0284de936d3932bd426c8640419ff67cc95fb10595517ffaa0e56b6a488d8",
-        "d0146151353e8b6f8c50acc3f674c5c43e0579b74553dee24f4632b5bb9ca11e",
+        "1cc99de161a83f67989ecf83a867bb7d90add24ff880affd8c779288348abf46",
+        "b8ed5bffe73d6f9f25ccc6089d5b34e4397033aba4c3bd023e51b840043112df",
         "f44bd4302b8cb5c3642b24d1897cb95c8b5d35a12874a6407b44b911e36059c3",
     ),
     "forced_hops": (
-        "ebfb1efa9e0c55556a19b97487bc3f549f14899015fa395bb0f2c86ad60d92e3",
-        "2e73550add7c1c69e3e8e29549a86dcefcb392089fd7d832517303a4c9faa411",
+        "25b57105ce7f38dbd9ef85ddd192cf378dd9cf53720d4338c016a4db4a434054",
+        "dac1aa1d339dad9837b21f5bebc3a9fa107a073beef7d115e1cead2edbc34d16",
         "fec125876d2bd68fa7f8b0f9e90f1628e6415a0e19a36e1e76a5d8872ac0d5df",
     ),
     "memoryless": (

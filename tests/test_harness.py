@@ -15,12 +15,13 @@ from gradroute.cli import main as cli_main
 from gradroute.config import (
     MAX_RATE,
     ConfigError,
+    TrackedProbability,
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
-from gradroute.engine import LoadDiverged, SimulationError
+from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import Topology
@@ -337,6 +338,30 @@ class TestRunExperiment:
         b = run_experiment(cfg, tmp_path / "b")
         with open(a.config.csv_path, "rb") as fa, open(b.config.csv_path, "rb") as fb:
             assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_observing_a_run_does_not_steer_it(self, name):
+        # reading the tracked rows at every sample must leave the run where
+        # a bare step() loop ends, float for float, however often and
+        # whichever rows it reads: the preset's, every row with a choice,
+        # or none
+        cfg = preset(name).with_overrides(steps=3_000, seed=3)
+        sim = Simulation(cfg)
+        for _ in range(cfg.steps):
+            sim.step()
+        bare = sim.theta()
+        topo = cfg.topology
+        every_row = tuple(
+            TrackedProbability(r, y, links[0])
+            for r in range(topo.n_nodes)
+            if len(links := topo.out_link_indices(r)) > 1
+            for y in range(topo.n_nodes)
+            if y != r
+        )
+        for sample_every in (1, 7):
+            for tracked in (cfg.tracked, every_row, ()):
+                watched = cfg._replace(sample_every=sample_every, tracked=tracked)
+                assert run_experiment(watched).final_theta == bare, (sample_every, tracked)
 
     def test_theta_snapshot_format(self, tmp_path):
         cfg = preset("contention").with_overrides(steps=500)

@@ -20,9 +20,8 @@ from gradroute.harness import run_experiment
 from gradroute.learner import (
     EligibilityTrace,
     LearnerConfig,
+    current_logits,
     sampling_weights,
-    settle,
-    settle_all,
     tick_update,
 )
 from gradroute.network import Topology, TrafficSpec
@@ -188,12 +187,12 @@ class TestTickUpdate:
             dense_tick_update(table_d, trace_d, cfg, grads, r)
             rescales += trace_l.scale > scale_before
             if t % 2_500 == 0:
-                settle_all(table_l, trace_l)
+                current = {y: current_logits(table_l, trace_l, y) for y in table_l}
                 if beta == 0.0:
-                    assert table_l == table_d
+                    assert current == table_d
                     assert true_trace(trace_l) == trace_d.rows
                 else:
-                    assert_rows_close(table_l, table_d)
+                    assert_rows_close(current, table_d)
                     assert_rows_close(true_trace(trace_l), trace_d.rows)
         if beta > 0.0:
             assert rescales >= 20
@@ -245,8 +244,9 @@ class TestTickUpdate:
 
 class TestSamplingWeightsKernel:
     """sampling_weights settles, takes the max, the exponentials and the
-    draw table in one kernel; it must equal settle() followed by the
-    reference gibbs_weights float for float, the +inf entry included."""
+    draw table in one kernel; it must equal the pure read current_logits()
+    followed by the reference gibbs_weights float for float, the +inf
+    entry included, and leave the row holding what current_logits read."""
 
     @staticmethod
     def pair(rng, width, case):
@@ -279,13 +279,15 @@ class TestSamplingWeightsKernel:
         for _ in range(200):
             (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
             mark_before = dict(trace.mark)
+            ref_before = {y: list(row) for y, row in ref_table.items()}
             weights = sampling_weights(table, trace, 1)
-            want = gibbs_weights(settle(ref_table, ref_trace, 1))
-            assert weights == want
+            logits = current_logits(ref_table, ref_trace, 1)
+            assert weights == gibbs_weights(logits)
             assert weights[2][-1] == math.inf
             assert trace.weights == {1: weights}
-            assert table == ref_table
-            assert trace.mark == ref_trace.mark
+            assert table == {**ref_before, 1: logits}
+            # the read wrote nothing
+            assert ref_table == ref_before and ref_trace.mark == mark_before
             if case == "stale":
                 assert trace.mark == {**mark_before, 1: trace.acc}
             else:
@@ -322,7 +324,7 @@ class TestOneColumnTable:
         # the clock is the network's and runs on, but no row is owed by it
         assert trace.acc != 0.0
         assert self.rows_state(table, trace) == before
-        assert [settle(table, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
+        assert [current_logits(table, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
         assert table == {1: [0.0], 2: [0.0]}
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
@@ -336,7 +338,7 @@ class TestOneColumnTable:
             sampling_weights(rows, trace, 1)
             tick_update(rows, trace, cfg, [(3, 0), (1, t % 2), (3, 0)], -1.0 - t % 2)
             assert 3 not in trace.active and 3 not in trace.mark
-        assert settle(rows, trace, 3) == [0.0] and trace.rows[3] == [0.0]
+        assert current_logits(rows, trace, 3) == [0.0] and trace.rows[3] == [0.0]
         assert abs(rows[1][0]) > 1.0  # while the two-link row learned
 
     @pytest.mark.parametrize(
