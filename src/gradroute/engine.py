@@ -293,13 +293,7 @@ class Simulation:
             else:
                 parts = recorded.get(row)
                 if parts is None:
-                    try:
-                        parts = sampling_weights(rows, trace, row)
-                    except KeyError:
-                        raise SimulationError(
-                            f"packet {pid} stranded at {self.topology.label(node)}: "
-                            "no outgoing links"
-                        ) from None
+                    parts = sampling_weights(rows, trace, row)
                 _, total, cum = parts
                 slot = bisect_right(cum, rng_random() * total)
             decide((row, slot))
@@ -364,13 +358,7 @@ class Simulation:
                     else:
                         parts = recorded.get(row)
                         if parts is None:
-                            try:
-                                parts = sampling_weights(rows, trace, row)
-                            except KeyError:
-                                raise SimulationError(
-                                    f"packet stranded at {self.topology.label(node)}: "
-                                    "no outgoing links"
-                                ) from None
+                            parts = sampling_weights(rows, trace, row)
                         _, total, cum = parts
                         slot = bisect_right(cum, rng_random() * total)
                         decide((row, slot))
