@@ -30,7 +30,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, config_text
+from .config import ConfigError, ExperimentConfig, config_text, save_config
 from .engine import LoadDiverged, Simulation, SimulationError
 from .metrics import (
     MetricsRow,
@@ -86,12 +86,7 @@ def run_experiment(
     An invalid config is refused before out_dir is created. A run with a
     CSV writes its manifest beside it (module doc).
     """
-    if stop_at_threshold and underlying_threshold is None:
-        raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
-    if underlying_threshold is not None and not math.isfinite(underlying_threshold):
-        raise ValueError(
-            f"--threshold must be a finite number, got {underlying_threshold!r}"
-        )
+    _check_threshold(underlying_threshold, stop_at_threshold)
     start = perf_counter()
     sim = Simulation(cfg)
     cfg = resolve_paths(cfg, out_dir)
@@ -174,6 +169,15 @@ def run_experiment(
         ticks_to_threshold=ticks_to_threshold,
         stop_reason=stop_reason,
     )
+
+
+def _check_threshold(underlying_threshold: float | None, stop_at_threshold: bool) -> None:
+    if stop_at_threshold and underlying_threshold is None:
+        raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
+    if underlying_threshold is not None and not math.isfinite(underlying_threshold):
+        raise ValueError(
+            f"--threshold must be a finite number, got {underlying_threshold!r}"
+        )
 
 
 def _write_manifest(
@@ -265,9 +269,13 @@ def batch(
     bound on their true crossing time), which can only understate the
     advantage of the faster arm in a comparison.
 
-    Each seed's files go to out_dir; without one, a config that names
-    output files is refused, since every seed would write to them.
+    Each seed's files go to out_dir, its config first: config-seed<S>.json,
+    with the seed's resolved output paths, as save_config writes it, so
+    its manifest's config_sha256 names a file beside it. Without an
+    out_dir, a config that names output files is refused, since every
+    seed would write to them.
     """
+    _check_threshold(underlying_threshold, stop_at_threshold)
     if not seeds:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
@@ -280,15 +288,21 @@ def batch(
                     f"{key}: every seed of a batch would write to {path!r}; "
                     "give the batch an output directory instead"
                 )
-    runs = [
-        run_experiment(
-            cfg._replace(seed=seed),
-            out_dir,
-            underlying_threshold=underlying_threshold,
-            stop_at_threshold=stop_at_threshold,
+    runs = []
+    for seed in seeds:
+        seed_cfg = cfg._replace(seed=seed)
+        if out_dir is not None:
+            seed_cfg.validate()  # refused before out_dir is created
+            resolved = resolve_paths(seed_cfg, out_dir)
+            save_config(resolved, Path(resolved.csv_path).with_name(f"config-seed{seed}.json"))
+        runs.append(
+            run_experiment(
+                seed_cfg,
+                out_dir,
+                underlying_threshold=underlying_threshold,
+                stop_at_threshold=stop_at_threshold,
+            )
         )
-        for seed in seeds
-    ]
     median = None
     if underlying_threshold is not None:
         median = statistics.median(

@@ -557,6 +557,16 @@ class TestBatch:
             batch(cfg, [1], stop_at_threshold=True, out_dir=tmp_path / "batch")
         assert not any(tmp_path.iterdir())
 
+    def test_out_dir_saves_the_config_each_manifest_names(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=200)
+        b = batch(cfg, [1, 2], out_dir=tmp_path)
+        for res in b.runs:
+            seed = res.config.seed
+            saved = tmp_path / f"config-seed{seed}.json"
+            m = json.loads((tmp_path / f"run-seed{seed}.json").read_text())
+            assert m["config_sha256"] == hashlib.sha256(saved.read_bytes()).hexdigest()
+            assert load_config(saved) == res.config
+
     def test_stop_at_threshold_shortens_run(self):
         cfg = preset("contention").with_overrides(steps=5_000, ma_window=3)
         res = run_experiment(
