@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Print the golden SHA-256 digests that tests/test_golden.py pins.
 
-Each config in GOLDEN_NAMES runs for STEPS ticks from its own seed, with a row every SAMPLE_EVERY ticks and a
-moving-average window of MA_WINDOW rows (fewer than the rows written, so
-the window evicts). The metrics CSV and theta JSON are written to a
-temporary directory and hashed, and so is the run's config as
-`save_config` writes it, before the run gives it output paths. GOLDEN_NAMES holds every preset, plus
-`forced_hops` (a link-delay network with one-link routers) and
-`memoryless` (triangle at beta = 0, the memoryless trace).
+Each config in GOLDEN_NAMES runs for STEPS ticks from its own seed, with
+a row every SAMPLE_EVERY ticks and a moving-average window of MA_WINDOW
+rows (fewer than the rows written, so the window evicts). The metrics
+CSV and theta JSON are written to a temporary directory and hashed, and
+so is the run's config as `save_config` writes it, before the run gives
+it output paths. GOLDEN_NAMES holds every preset, plus `forced_hops` (a
+link-delay network with one-link routers), `memoryless` (triangle at
+beta = 0, the memoryless trace) and `wide_tracked` (six_node at seed 3
+tracking A's first out-link towards B, a 5-slot row, so a probability
+column sums more than two exponentials).
 
 Usage:  python3 scripts/golden_digests.py
+
+The script needs only the standard library, so any installed CPython can
+run it; every supported version must print the same table.
 
 The output is the GOLDEN table in the form tests/test_golden.py holds
 it. Paste it there only for a change that is meant to alter the output
@@ -32,7 +38,7 @@ from gradroute.shaping import ShapingConfig
 STEPS = 3000
 SAMPLE_EVERY = 7
 MA_WINDOW = 50
-GOLDEN_NAMES = PRESET_NAMES + ("forced_hops", "memoryless")
+GOLDEN_NAMES = PRESET_NAMES + ("forced_hops", "memoryless", "wide_tracked")
 
 
 def forced_hops_config() -> ExperimentConfig:
@@ -69,6 +75,12 @@ def golden_config(name: str) -> ExperimentConfig:
     if name == "memoryless":
         # gamma large enough that the 3000 ticks learn (max |theta| ~ 0.74)
         return preset("triangle").with_overrides(beta=0.0, gamma=1e-3)
+    if name == "wide_tracked":
+        cfg = preset("six_node")
+        topo = cfg.topology
+        a = topo.node_id("A")
+        tracked = TrackedProbability(a, topo.node_id("B"), topo.out_link_indices(a)[0])
+        return cfg._replace(seed=3, tracked=(tracked,))
     return preset(name)
 
 

@@ -1,7 +1,8 @@
 """Golden digests: the metrics CSV, theta JSON and saved config.json of a
 short run of every preset, of a link-delay network with one-link routers,
-capacity drops and cycles (`forced_hops`), and of triangle with a
-memoryless trace, beta = 0 (`memoryless`), pinned by SHA-256.
+capacity drops and cycles (`forced_hops`), of triangle with a memoryless
+trace, beta = 0 (`memoryless`), and of six_node tracking a 5-slot row
+(`wide_tracked`), pinned by SHA-256.
 
 A change that only makes the program faster or smaller must leave these
 files byte-identical. The digests hold for CPython 3.11 on x86-64 Linux;
@@ -51,6 +52,11 @@ GOLDEN = {
         "0d4290c016709643fa1de295022b35476203f1916ccffa180beafdde405cbfc3",
         "db59df2fa3ff8f12e47671e62e27807819050a729b6a7ff53db77af9c99f06af",
     ),
+    "wide_tracked": (
+        "ef9229f7d9935baaf05b7e7830805ff376539893539183d48edfa81550c6fee5",
+        "ba29f38ec367585fd7119c8033ed7b509dc6a8f7651d7453570bbf2d4478a17d",
+        "f039fbe93536c0d072483c24dbc8294303b7bfb9b5827d4fd6714d54008203a1",
+    ),
 }
 
 
@@ -61,7 +67,7 @@ def _script():
     return module
 
 
-@pytest.mark.parametrize("name", (*PRESET_NAMES, "forced_hops", "memoryless"))
+@pytest.mark.parametrize("name", (*PRESET_NAMES, "forced_hops", "memoryless", "wide_tracked"))
 def test_outputs_match_golden_digests(name, tmp_path):
     script = _script()
     assert set(script.GOLDEN_NAMES) == set(GOLDEN)
