@@ -11,6 +11,8 @@ cycle penalty, and passes when the unshaped median is the longer; its
 summary adds the one-sided p-value of an exact rank-sum test over the
 seeds (rank_sum_p). A seed that trips the engine's load guard is
 recorded as diverged and fails its claim; the other seeds still run.
+Given an output directory, each seed saves its config-seed<S>.json there
+before it runs, as a batch does, then writes its CSV, theta and manifest.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import oracles
 from .engine import LoadDiverged
-from .harness import RunResult, run_experiment
+from .harness import RunResult, run_experiment, save_seed_config
 from .presets import BRAESS_PATHS, braess_network, preset, six_node_network, triangle_network
 
 
@@ -137,11 +139,15 @@ def check(name: str, out: Path | None) -> tuple[str, str, str, bool]:
     cells = []
     for arm, cfg in claim.arms().items():
         values[arm] = []
+        arm_out = out and out / arm
         for seed in claim.seeds:
+            seed_cfg = cfg._replace(seed=seed)
+            if arm_out:
+                save_seed_config(seed_cfg, arm_out)
             try:
                 res = run_experiment(
-                    cfg._replace(seed=seed),
-                    out and out / arm,
+                    seed_cfg,
+                    arm_out,
                     underlying_threshold=claim.threshold,
                     stop_at_threshold=claim.threshold is not None,
                 )

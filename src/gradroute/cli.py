@@ -11,8 +11,9 @@ Each run writes metrics-seed<S>.csv, theta-seed<S>.json, its manifest
 run-seed<S>.json and the resolved config.json into the output directory,
 whatever the config's `output` section names. A batch writes files only
 when given --out: per seed, config-seed<S>.json (saved before the seed
-runs), then its CSV, theta file and manifest. Without --out it refuses a
-config that names output files.
+runs), then its CSV, theta file and manifest; so does each seed of
+`reproduce`. Without --out a batch refuses a config that names output
+files.
 `reproduce` exits 1 if any claim fails. An error, such as a run whose
 load diverged, prints one line and exits 2.
 """

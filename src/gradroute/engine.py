@@ -50,9 +50,11 @@ Both modes update the learner lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until the learner next
 settles it. Outside code reads logits through `logits()` and `theta()`,
-never through the rows directly. Both apply the owed credit to fresh
-lists through learner.current_logits and write nothing, so a run ends
-in the same state however often, and whichever rows, it is read.
+and tracked probabilities through `probabilities()`, never through the
+rows directly. All three apply the owed credit through
+learner.current_logits or learner.current_probability and write
+nothing, so a run ends in the same state however often, and whichever
+rows, it is read.
 
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
@@ -72,7 +74,13 @@ from random import Random
 from typing import NamedTuple
 
 from .config import ExperimentConfig
-from .learner import EligibilityTrace, current_logits, sampling_weights, tick_update
+from .learner import (
+    EligibilityTrace,
+    current_logits,
+    current_probability,
+    sampling_weights,
+    tick_update,
+)
 from .network import CostModel
 from .policy import draw_table, make_tables, snapshot
 from .shaping import detect_cycle, shaping_reward
@@ -235,6 +243,12 @@ class Simulation:
         if not 0 <= dest < n:  # else the flat id could name another router's row
             raise KeyError(f"no node {dest}")
         return current_logits(self._rows, self._trace, router * n + dest)
+
+    def probabilities(self, tracked: list[tuple[int, int]]) -> tuple[float, ...]:
+        """The current probability of each (flat row id, slot) of `tracked`,
+        through learner.current_probability."""
+        rows, trace = self._rows, self._trace
+        return tuple([current_probability(rows, trace, y, slot) for y, slot in tracked])
 
     # -- link-delay mode ----------------------------------------------------
 

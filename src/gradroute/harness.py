@@ -39,7 +39,9 @@ from .metrics import (
     probability_column_names,
     write_header,
 )
-from .policy import softmax_row
+# not called here: perfbench's tracer patches harness.softmax_row by name,
+# and a traced run raises KeyError if the name is missing
+from .policy import softmax_row  # noqa: F401
 
 OUTPUT_DIR_ENV = "GRADROUTE_OUT"
 
@@ -91,8 +93,11 @@ def run_experiment(
     sim = Simulation(cfg)
     cfg = resolve_paths(cfg, out_dir)
     rows: list[MetricsRow] = []
+    # each tracked probability as (flat row id, slot), resolved once
+    topo = cfg.topology
+    n = topo.n_nodes
     tracked = [
-        (tp.router, tp.dest, cfg.topology.out_link_indices(tp.router).index(tp.link_index))
+        (tp.router * n + tp.dest, topo.out_link_indices(tp.router).index(tp.link_index))
         for tp in cfg.tracked
     ]
     ticks_to_threshold: int | None = None
@@ -109,7 +114,7 @@ def run_experiment(
         # the loop's per-tick lookups, bound once
         write = csv_fh.write if csv_fh else None
         step = sim.step
-        logits = sim.logits
+        probabilities = sim.probabilities
         push = SampledMovingAverage(window).push
         keep = rows.append
         steps = cfg.steps
@@ -126,7 +131,7 @@ def run_experiment(
                 shaping,
                 push(total),
                 sim.running_mean,
-                tuple([softmax_row(logits(r, d))[slot] for r, d, slot in tracked]),
+                probabilities(tracked),
                 sim.delivered_total,
                 sim.dropped_total,
                 sim.cycles_total,
@@ -237,6 +242,16 @@ def resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> Experime
     )
 
 
+def save_seed_config(cfg: ExperimentConfig, out_dir: str | Path) -> None:
+    """Save config-seed<S>.json in out_dir before the seed runs there: cfg
+    with the output paths the run writes, as save_config writes it, so the
+    run's manifest's config_sha256 names a file beside it. An invalid cfg
+    is refused before out_dir is created."""
+    cfg.validate()
+    resolved = resolve_paths(cfg, out_dir)
+    save_config(resolved, Path(resolved.csv_path).with_name(f"config-seed{cfg.seed}.json"))
+
+
 class BatchResult(NamedTuple):
     runs: list[RunResult]  # one per seed, in the order given
     mean_final_reward: float
@@ -269,11 +284,9 @@ def batch(
     bound on their true crossing time), which can only understate the
     advantage of the faster arm in a comparison.
 
-    Each seed's files go to out_dir, its config first: config-seed<S>.json,
-    with the seed's resolved output paths, as save_config writes it, so
-    its manifest's config_sha256 names a file beside it. Without an
-    out_dir, a config that names output files is refused, since every
-    seed would write to them.
+    Each seed's files go to out_dir, its config first (save_seed_config).
+    Without an out_dir, a config that names output files is refused, since
+    every seed would write to them.
     """
     _check_threshold(underlying_threshold, stop_at_threshold)
     if not seeds:
@@ -292,9 +305,7 @@ def batch(
     for seed in seeds:
         seed_cfg = cfg._replace(seed=seed)
         if out_dir is not None:
-            seed_cfg.validate()  # refused before out_dir is created
-            resolved = resolve_paths(seed_cfg, out_dir)
-            save_config(resolved, Path(resolved.csv_path).with_name(f"config-seed{seed}.json"))
+            save_seed_config(seed_cfg, out_dir)
         runs.append(
             run_experiment(
                 seed_cfg,

@@ -52,8 +52,9 @@ the learner settles, and only where the update itself needs it:
 sampling_weights() settles a row before the router samples from it,
 tick_update a row it credits, and a rescale every active row. A reader
 outside the learner takes current_logits(), which applies the owed
-credit to a copy and writes nothing, so reading a run never changes how
-it rounds.
+credit to a copy and writes nothing, or current_probability(), one
+slot's Gibbs probability read the same way, so reading a run never
+changes how it rounds.
 
 sampling_weights() is the cost of every fresh row a tick reads, so it is
 one kernel of two passes over the row: the first settles each entry (only
@@ -80,6 +81,8 @@ from __future__ import annotations
 import math
 from math import exp, inf
 from typing import Iterable, NamedTuple
+
+from .policy import _PROB_FLOOR
 
 
 class LearnerConfig(NamedTuple):
@@ -127,6 +130,26 @@ def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int
     if d == 0.0:
         return row[:]
     return [v + d * z for v, z in zip(row, trace.rows[y])]
+
+
+def current_probability(
+    rows: dict[int, list[float]], trace: EligibilityTrace, y: int, slot: int
+) -> float:
+    """The current Gibbs probability of `slot` in row `y`: the same float
+    as policy.softmax_row(current_logits(rows, trace, y))[slot], floored
+    alike, without building the row's other probabilities. It copies the
+    row only when the row is owed credit, and writes neither the row nor
+    its mark."""
+    row = rows[y]
+    acc = trace.acc
+    if acc - trace.mark.get(y, acc) != 0.0:
+        row = current_logits(rows, trace, y)
+    m = max(row)
+    total = 0.0
+    for v in row:  # left to right, as softmax_row totals
+        total += exp(v - m)
+    p = exp(row[slot] - m) / total
+    return _PROB_FLOOR if _PROB_FLOOR > p else p
 
 
 def sampling_weights(

@@ -10,6 +10,7 @@ learner.tick_update forms the gradient of each draw.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Sequence
 
 from .network import Topology
@@ -45,11 +46,18 @@ def draw_table(weights: Sequence[float]) -> tuple[Sequence[float], float, list[f
 
 def softmax_row(logits: list[float]) -> list[float]:
     """Max-subtracted softmax over one logit row, each probability floored
-    at _PROB_FLOOR (a NaN stays NaN)."""
+    at _PROB_FLOOR (a NaN stays NaN). The exponentials are totalled by a
+    plain left-to-right loop, not the builtin sum, which compensates its
+    rounding from CPython 3.12 on: the same row gives the same floats on
+    every supported interpreter."""
     exp = math.exp
     m = max(logits)
     exps = [exp(v - m) for v in logits]
-    s = sum(exps)
+    s = 0.0
+    for e in exps:
+        # operator.add, not +=: the sign of NaN + NaN may change once the
+        # interpreter specialises +=, and this one C addition never does
+        s = add(s, e)
     # max(p, _PROB_FLOOR) without the call: the floor only where it is larger
     return [_PROB_FLOOR if _PROB_FLOOR > (p := e / s) else p for e in exps]
 

@@ -1,5 +1,6 @@
 """The claim records and `gradroute reproduce`, on records shrunk to a
 few hundred ticks; the full-length runs are the slow acceptance gates."""
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from gradroute import claims
 from gradroute.cli import main as cli_main
-from gradroute.config import config_from_dict, config_to_dict
+from gradroute.config import config_from_dict, config_to_dict, load_config
 from gradroute.engine import LoadDiverged
 from gradroute.oracles import (
     braess_expected_cost,
@@ -81,6 +82,21 @@ def test_reproduce_prints_one_row_per_claim(monkeypatch, tmp_path, capsys):
     assert code == (1 if "FAIL" in verdicts else 0)
     assert (tmp_path / "reproduce" / "triangle" / "metrics-seed1.csv").exists()
     assert (tmp_path / "reproduce" / "shaping_speedup" / "unshaped" / "theta-seed1.json").exists()
+
+
+def test_reproduce_saves_the_config_each_manifest_names(monkeypatch, tmp_path):
+    shrink(monkeypatch)
+    cli_main(["reproduce", "triangle", "shaping_speedup", "--out", str(tmp_path)])
+    root = tmp_path / "reproduce"
+    manifests = sorted(root.rglob("run-seed*.json"))
+    assert [m.parent.relative_to(root).as_posix() for m in manifests] == [
+        "shaping_speedup/shaped", "shaping_speedup/unshaped", "triangle"
+    ]
+    for manifest in manifests:
+        saved = manifest.with_name("config-seed1.json")
+        sha = json.loads(manifest.read_text())["config_sha256"]
+        assert sha == hashlib.sha256(saved.read_bytes()).hexdigest()
+        assert load_config(saved).csv_path == str(manifest.with_name("metrics-seed1.csv"))
 
 
 def test_reproduce_exit_code_follows_the_verdicts(monkeypatch, tmp_path, capsys):

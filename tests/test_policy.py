@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import struct
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import sample_slot
-from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
+from gradroute.learner import (
+    EligibilityTrace,
+    LearnerConfig,
+    current_logits,
+    current_probability,
+    sampling_weights,
+    tick_update,
+)
 from gradroute.policy import _PROB_FLOOR, make_tables, snapshot, softmax_row
 from gradroute.presets import braess_network, triangle_network
 
@@ -160,10 +168,14 @@ class TestMakeTables:
 
 
 def reference_softmax_row(logits):
-    """softmax_row as first written, with a max() call per entry."""
+    """softmax_row as first written, with a max() call per entry, totalling
+    its exponentials left to right as softmax_row does (the builtin sum
+    rounds otherwise from CPython 3.12 on)."""
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
-    s = sum(exps)
+    s = 0.0
+    for e in exps:
+        s = operator.add(s, e)
     return [max(e / s, _PROB_FLOOR) for e in exps]
 
 
@@ -203,3 +215,47 @@ class TestSoftmaxRowPin:
         assert bits(got) == bits(reference_softmax_row(row))
         if row == [0.0, -800.0]:
             assert got == [1.0, _PROB_FLOOR]  # the floor binds
+
+
+def same_float(got, want):
+    """Bit-equal, except that any NaN matches any NaN: the sign of NaN +
+    NaN depends on whether CPython has specialised the addition yet, so
+    one function can return either on different calls."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return bits([got]) == bits([want])
+
+
+class TestCurrentProbabilityPin:
+    # logit_rows too: moderate logits, whose totals of three or more
+    # exponentials round differently under another summation
+    @settings(max_examples=300, deadline=None)
+    @given(
+        row=st.one_of(st.lists(any_logit, min_size=1, max_size=6), wide_rows, logit_rows),
+        data=st.data(),
+    )
+    @pytest.mark.parametrize("owed", [False, True])
+    def test_each_slot_as_softmax_of_current_logits(self, owed, row, data):
+        y = 3
+        rows = {y: row}
+        trace = EligibilityTrace(rows)
+        if owed:
+            trace.rows[y] = data.draw(st.lists(any_logit, min_size=len(row), max_size=len(row)))
+            trace.mark[y] = 0.0
+            trace.acc = data.draw(any_logit.filter(lambda d: d != 0.0))
+        else:
+            trace.acc = data.draw(st.floats(-1e6, 1e6))
+            if data.draw(st.booleans()):
+                trace.mark[y] = trace.acc
+        before = (bits(row), bits(trace.rows[y]), dict(trace.mark), bits([trace.acc]))
+        try:
+            want = softmax_row(current_logits(rows, trace, y))
+        except (OverflowError, ValueError) as e:
+            with pytest.raises(type(e)):
+                current_probability(rows, trace, y, 0)
+            return
+        for slot, p in enumerate(want):
+            assert same_float(current_probability(rows, trace, y, slot), p), slot
+        # a pure read: the row, its trace row, the marks and acc unchanged
+        assert rows[y] is row
+        assert (bits(row), bits(trace.rows[y]), dict(trace.mark), bits([trace.acc])) == before
