@@ -5,9 +5,9 @@ trace, beta = 0 (`memoryless`), and of six_node tracking a 5-slot row
 (`wide_tracked`), pinned by SHA-256.
 
 A change that only makes the program faster or smaller must leave these
-files byte-identical. The digests hold for CPython 3.11 on x86-64 Linux;
-another interpreter version or platform may format or round a float
-differently. Regenerate them with `python3 scripts/golden_digests.py`
+files byte-identical. The digests hold for CPython 3.11, 3.12 and 3.13
+on x86-64 Linux, which print the same table; another platform may format
+or round a float differently. Regenerate them with `python3 scripts/golden_digests.py`
 only for a change meant to alter some run's output, and record why in
 CHANGES.md. braess1's learning amplifies rounding, so any change to the
 order or precision of its arithmetic moves its digests.
