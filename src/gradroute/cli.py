@@ -7,13 +7,12 @@
     gradroute reproduce [claim ...] [--out DIR]
 
 The default output directory is $GRADROUTE_OUT, falling back to ./runs.
-Each run writes metrics-seed<S>.csv, theta-seed<S>.json, its manifest
-run-seed<S>.json and the resolved config.json into the output directory,
-whatever the config's `output` section names. A batch writes files only
-when given --out: per seed, config-seed<S>.json (saved before the seed
-runs), then its CSV, theta file and manifest; so does each seed of
-`reproduce`. Without --out a batch refuses a config that names output
-files.
+Every run, whichever command starts it, writes the same files per seed
+into its directory, whatever the config's `output` section names:
+config-seed<S>.json (saved before the run starts), metrics-seed<S>.csv,
+theta-seed<S>.json (not for a run that fails) and its manifest
+run-seed<S>.json. `batch` writes files only when given --out; without
+it, a batch refuses a config that names output files.
 `reproduce` exits 1 if any claim fails. An error, such as a run whose
 load diverged, prints one line and exits 2.
 """
@@ -24,9 +23,9 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, save_config
+from .config import ConfigError, load_config
 from .engine import SimulationError
-from .harness import batch, default_output_dir, resolve_paths, run_experiment, summary_line
+from .harness import batch, default_output_dir, run_experiment, summary_line
 from .oracles import (
     braess_cost_for_flows,
     braess_expected_cost,
@@ -94,11 +93,8 @@ def _out_dir(arg: str | None, name: str) -> Path:
 
 
 def _run_and_save(cfg, out: Path) -> int:
-    """Save the resolved config in `out`, then run cfg there and print the
-    summary: a run stopped by an error still leaves the config its
-    manifest names. An invalid cfg is refused before `out` exists."""
-    cfg.validate()
-    save_config(resolve_paths(cfg, out), out / "config.json")
+    """Run cfg in `out`, which saves its config first, and print the
+    summary."""
     res = run_experiment(cfg, out)
     print(summary_line(res))
     print(f"metrics: {res.config.csv_path}")

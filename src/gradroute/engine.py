@@ -49,12 +49,11 @@ what it is when every hop samples.
 Both modes update the learner lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until the learner next
-settles it. Outside code reads logits through `logits()` and `theta()`,
-and tracked probabilities through `probabilities()`, never through the
-rows directly. All three apply the owed credit through
-learner.current_logits or learner.current_probability and write
-nothing, so a run ends in the same state however often, and whichever
-rows, it is read.
+settles it. Outside code reads logits through `theta()` and tracked
+probabilities through `probabilities()`, never through the rows
+directly. Both apply the owed credit through learner.current_logits or
+learner.current_probability and write nothing, so a run ends in the
+same state however often, and whichever rows, it is read.
 
 A simulation is single-threaded, owns a single seeded random stream, and
 is a deterministic function of (config, seed). The per-tick conservation
@@ -235,14 +234,6 @@ class Simulation:
         """The snapshot of every current logit row, in fresh lists."""
         rows, trace = self._rows, self._trace
         return snapshot({y: current_logits(rows, trace, y) for y in rows}, self.topology)
-
-    def logits(self, router: int, dest: int) -> list[float]:
-        """Current logit row of `router` for packets destined `dest`, in a
-        fresh list."""
-        n = self.topology.n_nodes
-        if not 0 <= dest < n:  # else the flat id could name another router's row
-            raise KeyError(f"no node {dest}")
-        return current_logits(self._rows, self._trace, router * n + dest)
 
     def probabilities(self, tracked: list[tuple[int, int]]) -> tuple[float, ...]:
         """The current probability of each (flat row id, slot) of `tracked`,

@@ -9,6 +9,13 @@ last ma_window samples reaches a threshold. A crossing counts only once
 the window is full, so no tick before the ma_window-th sample can reach
 it, however good its first samples are.
 
+A run given an output directory saves its config there first, as
+config-seed<S>.json (the config with the output paths the run writes, as
+save_config writes it), then writes metrics-seed<S>.csv,
+theta-seed<S>.json and run-seed<S>.json. run_experiment is the only place
+that saves a run's config, so every command's directories share this
+layout; a run without a directory saves none.
+
 A run that writes a CSV also writes its manifest, run-seed<S>.json,
 beside it: the SHA-256 of the config text save_config writes, the
 version, seed, steps and steps_run, the wall time and ticks/s, the final
@@ -75,10 +82,11 @@ def run_experiment(
     underlying_threshold: float | None = None,
     stop_at_threshold: bool = False,
 ) -> RunResult:
-    """Execute one run. Given an out_dir, the run writes
-    metrics-seed<S>.csv and theta-seed<S>.json there, whatever paths cfg
-    names; without one, it writes to cfg's paths, if any, and otherwise
-    keeps its rows in memory only.
+    """Execute one run. Given an out_dir, the run saves
+    config-seed<S>.json there first, then writes metrics-seed<S>.csv and
+    theta-seed<S>.json, whatever paths cfg names; without one, it saves no
+    config, writes to cfg's paths, if any, and otherwise keeps its rows in
+    memory only.
 
     underlying_threshold arms the ticks-to-threshold detector and must be
     finite; with stop_at_threshold the run ends at the first sampled tick
@@ -91,7 +99,9 @@ def run_experiment(
     _check_threshold(underlying_threshold, stop_at_threshold)
     start = perf_counter()
     sim = Simulation(cfg)
-    cfg = resolve_paths(cfg, out_dir)
+    if out_dir is not None:
+        cfg = _resolve_paths(cfg, out_dir)
+        save_config(cfg, Path(cfg.csv_path).with_name(f"config-seed{cfg.seed}.json"))
     rows: list[MetricsRow] = []
     # each tracked probability as (flat row id, slot), resolved once
     topo = cfg.topology
@@ -228,11 +238,8 @@ def summary_line(res: RunResult) -> str:
     return "  ".join(parts)
 
 
-def resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> ExperimentConfig:
-    """cfg with the output paths a run in out_dir writes, which it creates;
-    cfg itself without an out_dir."""
-    if out_dir is None:
-        return cfg
+def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentConfig:
+    """cfg with the output paths a run in out_dir writes, which it creates."""
     # absolute, so a saved config names the same files wherever it is loaded
     out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -240,16 +247,6 @@ def resolve_paths(cfg: ExperimentConfig, out_dir: str | Path | None) -> Experime
         csv_path=str(out / f"metrics-seed{cfg.seed}.csv"),
         theta_path=str(out / f"theta-seed{cfg.seed}.json"),
     )
-
-
-def save_seed_config(cfg: ExperimentConfig, out_dir: str | Path) -> None:
-    """Save config-seed<S>.json in out_dir before the seed runs there: cfg
-    with the output paths the run writes, as save_config writes it, so the
-    run's manifest's config_sha256 names a file beside it. An invalid cfg
-    is refused before out_dir is created."""
-    cfg.validate()
-    resolved = resolve_paths(cfg, out_dir)
-    save_config(resolved, Path(resolved.csv_path).with_name(f"config-seed{cfg.seed}.json"))
 
 
 class BatchResult(NamedTuple):
@@ -284,11 +281,10 @@ def batch(
     bound on their true crossing time), which can only understate the
     advantage of the faster arm in a comparison.
 
-    Each seed's files go to out_dir, its config first (save_seed_config).
-    Without an out_dir, a config that names output files is refused, since
-    every seed would write to them.
+    Each seed writes its four files to out_dir, its config first
+    (run_experiment). Without an out_dir, a config that names output files
+    is refused, since every seed would write to them.
     """
-    _check_threshold(underlying_threshold, stop_at_threshold)
     if not seeds:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
@@ -303,12 +299,9 @@ def batch(
                 )
     runs = []
     for seed in seeds:
-        seed_cfg = cfg._replace(seed=seed)
-        if out_dir is not None:
-            save_seed_config(seed_cfg, out_dir)
         runs.append(
             run_experiment(
-                seed_cfg,
+                cfg._replace(seed=seed),
                 out_dir,
                 underlying_threshold=underlying_threshold,
                 stop_at_threshold=stop_at_threshold,

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 from pathlib import Path
 from random import Random
@@ -197,24 +198,17 @@ class TestConservationAndDeterminism:
         )
 
 
-class TestLogits:
-    def test_each_router_reads_its_own_rows_only(self):
+class TestTheta:
+    def test_snapshot_lists_are_the_callers_own(self):
         cfg = preset("six_node").with_overrides(steps=200)
         sim = Simulation(cfg)
         advance(sim, cfg.steps)
-        n = cfg.topology.n_nodes
-        label = cfg.topology.label
         theta = sim.theta()
-        for row_id in sim._rows:
-            router, dest = divmod(row_id, n)
-            got = sim.logits(router, dest)
-            assert got == theta[label(router)][label(dest)]
-            got[0] += 1.0  # a list of the caller's own: the run does not see it
-            assert sim.theta() == theta
-            # a flat row id past the router's own would name another router's row
-            for dest in (router, n, n + 1, -1):
-                with pytest.raises(KeyError):
-                    sim.logits(router, dest)
+        before = copy.deepcopy(theta)
+        for dests in theta.values():
+            for row in dests.values():
+                row[0] += 1.0  # the run does not see it
+        assert sim.theta() == before
 
 
 class CountingRandom(Random):

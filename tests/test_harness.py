@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradroute
-from gradroute import engine
+from gradroute import claims, engine
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     MAX_RATE,
@@ -26,6 +26,7 @@ from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
+from test_claims import shrink
 from test_engine import livelock_config
 
 
@@ -427,8 +428,7 @@ class TestRunManifest:
         cfg = preset("six_node").with_overrides(steps=300, seed=4)
         res = run_experiment(cfg, tmp_path)
         m = self.manifest(tmp_path, 4)
-        save_config(res.config, tmp_path / "config.json")
-        digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+        digest = hashlib.sha256((tmp_path / "config-seed4.json").read_bytes()).hexdigest()
         assert m["config_sha256"] == digest
         assert (m["version"], m["seed"], m["steps"], m["steps_run"]) == (
             gradroute.__version__, 4, 300, 300
@@ -507,21 +507,80 @@ class TestRunManifest:
             run_experiment(cfg, tmp_path)
         self.assert_error_at(tmp_path, cfg, stop, 41)
 
-    def test_cli_saves_the_config_before_the_run(self, tmp_path):
-        path = tmp_path / "livelock.json"
-        cfg = livelock_config()
-        save_config(cfg, path)
-        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        run_dir = tmp_path / "out" / f"livelock-seed{cfg.seed}"
-        m = self.manifest(run_dir, cfg.seed)
-        assert m["stop_reason"] == "load_diverged"
-        digest = hashlib.sha256((run_dir / "config.json").read_bytes()).hexdigest()
-        assert m["config_sha256"] == digest
-
     def test_no_csv_no_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_experiment(preset("contention").with_overrides(steps=100))
         assert list(tmp_path.iterdir()) == []
+
+
+def cli_layout(kind, out, tmp_path, monkeypatch):
+    """Run `kind` through the CLI into `out`: (its exit code, {each
+    directory it wrote: (the config run there, its seeds)})."""
+    cfg = preset("contention").with_overrides(steps=200, seed=3)
+    if kind == "load_diverged":
+        cfg = livelock_config()
+    path = tmp_path / "c.json"
+    save_config(cfg, path)
+    if kind in ("run", "load_diverged"):
+        code = cli_main(["run", str(path), "--out", str(out)])
+        return code, {f"c-seed{cfg.seed}": (cfg, [cfg.seed])}
+    if kind == "preset":
+        argv = ["preset", "contention", "--steps", "200", "--seed", "4", "--out", str(out)]
+        return cli_main(argv), {"contention-seed4": (cfg.with_overrides(seed=4), [4])}
+    if kind == "batch":
+        argv = ["batch", str(path), "--seeds", "1,2", "--out", str(out)]
+        return cli_main(argv), {"c-batch": (cfg, [1, 2])}
+    shrink(monkeypatch)
+    code = cli_main(["reproduce", "triangle", "shaping_speedup", "--out", str(out)])
+    return code, {
+        Path("reproduce", name, arm).as_posix(): (arm_cfg, [1])  # "" names no arm
+        for name in ("triangle", "shaping_speedup")
+        for arm, arm_cfg in claims.CLAIMS[name].arms().items()
+    }
+
+
+class TestRunLayout:
+    """Every directory a run is given holds the same files per seed,
+    whichever command started it, its config first."""
+
+    @pytest.mark.parametrize("kind", ["run", "preset", "batch", "reproduce", "load_diverged"])
+    def test_each_directory_holds_the_config_each_manifest_names(
+        self, kind, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        code, dirs = cli_layout(kind, out, tmp_path, monkeypatch)
+        # a claim may fail on shrunk runs; a diverged run exits 2
+        assert code in {"reproduce": (0, 1), "load_diverged": (2,)}.get(kind, (0,))
+        written = {p.parent.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == set(dirs)
+        for rel, (cfg, seeds) in dirs.items():
+            d = out / rel
+            names = ["config-seed{}.json", "metrics-seed{}.csv", "run-seed{}.json"]
+            if kind != "load_diverged":  # a run stopped by an error writes no theta
+                names.append("theta-seed{}.json")
+            assert sorted(p.name for p in d.iterdir()) == sorted(
+                name.format(seed) for name in names for seed in seeds
+            )
+            for seed in seeds:
+                saved = d / f"config-seed{seed}.json"
+                m = json.loads((d / f"run-seed{seed}.json").read_text())
+                assert m["config_sha256"] == hashlib.sha256(saved.read_bytes()).hexdigest()
+                assert load_config(saved) == cfg._replace(
+                    seed=seed,
+                    csv_path=str(d / f"metrics-seed{seed}.csv"),
+                    theta_path=str(d / f"theta-seed{seed}.json"),
+                )
+                if kind == "load_diverged":
+                    assert m["stop_reason"] == "load_diverged"
+
+    def test_output_paths_without_out_dir_save_no_config(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=100)._replace(
+            csv_path=str(tmp_path / "m.csv"), theta_path=str(tmp_path / "t.json")
+        )
+        run_experiment(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.csv", f"run-seed{cfg.seed}.json", "t.json"
+        ]
 
 
 class TestBatch:
@@ -557,16 +616,6 @@ class TestBatch:
             batch(cfg, [1], stop_at_threshold=True, out_dir=tmp_path / "batch")
         assert not any(tmp_path.iterdir())
 
-    def test_out_dir_saves_the_config_each_manifest_names(self, tmp_path):
-        cfg = preset("contention").with_overrides(steps=200)
-        b = batch(cfg, [1, 2], out_dir=tmp_path)
-        for res in b.runs:
-            seed = res.config.seed
-            saved = tmp_path / f"config-seed{seed}.json"
-            m = json.loads((tmp_path / f"run-seed{seed}.json").read_text())
-            assert m["config_sha256"] == hashlib.sha256(saved.read_bytes()).hexdigest()
-            assert load_config(saved) == res.config
-
     def test_stop_at_threshold_shortens_run(self):
         cfg = preset("contention").with_overrides(steps=5_000, ma_window=3)
         res = run_experiment(
@@ -585,7 +634,7 @@ class TestCli:
         out_dir = tmp_path / "contention-seed3"
         assert (out_dir / "metrics-seed3.csv").exists()
         assert (out_dir / "theta-seed3.json").exists()
-        saved = out_dir / "config.json"
+        saved = out_dir / "config-seed3.json"
         assert load_config(saved).learner.gamma == 1e-5
         # the saved config names the files above in its output section
         first = {p: p.read_bytes() for p in out_dir.iterdir()}
@@ -593,15 +642,18 @@ class TestCli:
         # an explicit --out decides where a re-run writes
         rc = cli_main(["run", str(saved), "--out", str(tmp_path / "again")])
         assert rc == 0
-        again = tmp_path / "again" / "config-seed3"
+        # the usual stem rule names the directory after the saved file
+        again = tmp_path / "again" / "config-seed3-seed3"
         assert (again / "metrics-seed3.csv").exists()
         assert (again / "theta-seed3.json").exists()
-        assert load_config(again / "config.json").csv_path == str(again / "metrics-seed3.csv")
+        assert load_config(again / "config-seed3.json").csv_path == str(
+            again / "metrics-seed3.csv"
+        )
 
         # a batch writes each seed to its own files under --out
         rc = cli_main(["batch", str(saved), "--seeds", "1,2", "--out", str(tmp_path / "b")])
         assert rc == 0
-        batch_dir = tmp_path / "b" / "config-batch"
+        batch_dir = tmp_path / "b" / "config-seed3-batch"
         csvs = [(batch_dir / f"metrics-seed{s}.csv").read_bytes() for s in (1, 2)]
         assert csvs[0] != csvs[1]
         assert (batch_dir / "theta-seed2.json").exists()
@@ -626,7 +678,7 @@ class TestCli:
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
-        res = run_experiment(load_config(run_dir / "config.json"))
+        res = run_experiment(load_config(run_dir / "config-seed4.json"))
         assert [Path(res.config.csv_path), Path(res.config.theta_path)] == files
         assert [f.read_bytes() for f in files] == first
         assert not any(elsewhere.iterdir())
