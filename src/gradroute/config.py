@@ -12,7 +12,7 @@ A config file is one JSON document with top-level keys
         "node_costs": {"C": {"base": 50.0, "per_flow": 1.0}, ...}   # node_flow only
       },
       "traffic": {
-        "rates": {"A": 1, ...},          # omitted nodes are silent; <= MAX_RATE
+        "rates": {"A": 1, ...},          # omitted nodes are silent; <= network.MAX_RATE
         "destinations": {"A": {"B": 0.5, "C": 0.5}}    # per-source distribution
       },
       "learner": {"beta": 0.99, "gamma": 1e-5},
@@ -24,8 +24,17 @@ A config file is one JSON document with top-level keys
 
 Links are referenced by their display label (explicit label, else the
 concatenated endpoint labels). Presets serialize to this format and load
-back equal. Types are not coerced: an integer key takes a JSON integer,
-and a number key an integer or a float; a bool is neither.
+back equal.
+
+config_from_dict only decodes: it checks the document's shape, unknown
+and required keys and node and link labels, and reads a number key as a
+float (from an int or a float; a bool is neither). Integer keys pass as
+given. Every value rule lives once, in a record's validator
+(validate_topology, LearnerConfig.validate, ShapingConfig.validate, the
+run section in ExperimentConfig.validate), as `<dotted key>: <problem>`.
+ExperimentConfig.validate raises them all as one ConfigError; load_config
+and Simulation both call it, so a config built in Python meets the same
+rules and messages as one read from a file.
 
 The learner, shaping and run sections are the records LearnerConfig,
 ShapingConfig and ExperimentConfig's scalar run fields: their keys, their
@@ -34,9 +43,9 @@ own, read from `_field_defaults`, not a second list. Every object has
 one declared key set, and an unknown key (a misspelling) is refused with
 a ConfigError naming its dotted path, e.g. "learner.gama: unknown key".
 
-The loader also accepts the learner keys of older files when they name
-what is now the only choice, "schedule": "constant" and
-"credit_current_tick": true, and refuses any other value of them.
+The loader also accepts "credit_current_tick": true, which older files
+write for what is now the only update order, and refuses any other
+value of it.
 """
 from __future__ import annotations
 
@@ -52,6 +61,7 @@ from .network import (
     NodeCost,
     Topology,
     TrafficSpec,
+    _is_int,
     validate_topology,
 )
 from .shaping import ShapingConfig
@@ -84,35 +94,30 @@ class ExperimentConfig(NamedTuple):
     theta_path: str | None = None
 
     def validate(self) -> None:
-        report = validate_topology(self.topology, self.traffic)
-        if not report.ok:
-            raise ConfigError(f"network: {report}")
-        try:
-            self.learner.validate()
-        except ValueError as e:
-            raise ConfigError(f"learner: {e}") from None
-        try:
-            self.shaping.validate()
-        except ValueError as e:
-            raise ConfigError(f"shaping: {e}") from None
-        if self.steps < 1:
-            raise ConfigError("run.steps: must be >= 1")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ConfigError("run.seed: must fit in 64 unsigned bits")
-        if self.sample_every < 1:
-            raise ConfigError("run.sample_every: must be >= 1")
-        if self.ma_window < 1:
-            raise ConfigError("run.ma_window: must be >= 1")
-        for tp in self.tracked:
-            out = self.topology.out_link_indices(tp.router)
-            if tp.link_index not in out:
-                raise ConfigError(
-                    "run.tracked_probabilities: link is not an outgoing link of the router"
-                )
-            if not (0 <= tp.dest < self.topology.n_nodes) or tp.dest == tp.router:
-                raise ConfigError(
-                    "run.tracked_probabilities: destination is not routable from the router"
-                )
+        """Raise one ConfigError listing every violation of the config's
+        rules, each `<dotted config key>: <problem>`, joined by "; "."""
+        v = [
+            *validate_topology(self.topology, self.traffic),
+            *self.learner.validate(),
+            *self.shaping.validate(),
+        ]
+        for key in ("steps", "sample_every", "ma_window"):
+            value = getattr(self, key)
+            if not (_is_int(value) and value >= 1):
+                v.append(f"run.{key}: must be an integer >= 1, got {value!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            v.append(f"run.seed: must be an integer from 0 to 2**64 - 1, got {self.seed!r}")
+        n = self.topology.n_nodes
+        for j, tp in enumerate(self.tracked):
+            where = f"run.tracked_probabilities[{j}]"
+            if not 0 <= tp.router < n:
+                v.append(f"{where}: no router {tp.router}")
+            elif tp.link_index not in self.topology.out_link_indices(tp.router):
+                v.append(f"{where}: link is not an outgoing link of the router")
+            if not (0 <= tp.dest < n) or tp.dest == tp.router:
+                v.append(f"{where}: destination is not routable from the router")
+        if v:
+            raise ConfigError("; ".join(v))
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy with selected fields replaced; learner/shaping fields may be
@@ -125,14 +130,6 @@ class ExperimentConfig(NamedTuple):
                 cfg = cfg._replace(**{section: record._replace(**keys)})
         return cfg._replace(**kwargs)
 
-
-# the most packets one source may generate per tick. Each packet is a
-# Python object of about 0.85 kB (its cycle-detection deque included) that
-# lives until it is delivered, and a tick makes and routes every one of
-# them, so a rate like 10**30 would never finish its first tick and would
-# grow memory without bound. The presets' rates are at most 6; this cap
-# still admits 8.5 MB of new packets per source per tick.
-MAX_RATE = 10_000
 
 # the run section's scalars: the fields of ExperimentConfig with an integer default
 _RUN_DEFAULTS = {
@@ -230,11 +227,6 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: an int, and not a bool, which Python counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(value, where: str) -> float:
     if _is_int(value) or isinstance(value, float):
         try:
@@ -242,12 +234,6 @@ def _number(value, where: str) -> float:
         except OverflowError:
             pass
     raise ConfigError(f"{where}: must be a number, got {value!r}")
-
-
-def _integer(value, where: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{where}: must be an integer, got {value!r}")
-    return value
 
 
 def _optional_str(value, where: str) -> str | None:
@@ -258,11 +244,12 @@ def _optional_str(value, where: str) -> str | None:
 
 def _section(doc: dict, section: str, defaults: dict, extra_keys=()) -> tuple[dict, dict]:
     """(the section's object, its scalars): each key of `defaults` read
-    from the section, or its default if absent, as an integer where the
-    default is one and as a number otherwise."""
+    from the section, or its default if absent, as given where the default
+    is an integer (the records' validators check it) and as a number
+    otherwise."""
     d = _object(doc.get(section, {}), section, (*defaults, *extra_keys))
     return d, {
-        k: (_integer if type(v) is int else _number)(d.get(k, v), f"{section}.{k}")
+        k: d.get(k, v) if type(v) is int else _number(d.get(k, v), f"{section}.{k}")
         for k, v in defaults.items()
     }
 
@@ -282,8 +269,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     ):
         raise ConfigError("network.nodes: must be a non-empty list of labels")
     ids = {lb: i for i, lb in enumerate(labels)}
-    if len(ids) != len(labels):
-        raise ConfigError("network.nodes: labels must be unique")
 
     def node(label, where):
         if not isinstance(label, str) or label not in ids:
@@ -299,18 +284,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for i, ld in enumerate(_list(_require(net, "links", "network"), "network.links")):
         where = f"network.links[{i}]"
         _object(ld, where, ("from", "to", "delay", "capacity", "label"))
-        delay = _require(ld, "delay", where)
-        if not _is_int(delay) or delay < 1:
-            raise ConfigError(f"{where}.delay: must be a positive integer")
-        capacity = ld.get("capacity")
-        if capacity is not None and (not _is_int(capacity) or capacity < 1):
-            raise ConfigError(f"{where}.capacity: must be a positive integer or null")
         links.append(
             Link(
                 src=node(_require(ld, "from", where), where),
                 dst=node(_require(ld, "to", where), where),
-                delay=delay,
-                capacity=capacity,
+                delay=_require(ld, "delay", where),
+                capacity=ld.get("capacity"),
                 label=_optional_str(ld.get("label"), f"{where}.label"),
             )
         )
@@ -338,13 +317,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     n = len(labels)
     rates = [0] * n
     for lb, r in _object(_require(tr, "rates", "traffic"), "traffic.rates").items():
-        where = f"traffic.rates.{lb}"
-        s = node(lb, where)
-        if not _is_int(r) or not 0 <= r <= MAX_RATE:
-            raise ConfigError(
-                f"{where}: must be an integer from 0 to {MAX_RATE}, got {r!r}"
-            )
-        rates[s] = r
+        rates[node(lb, f"traffic.rates.{lb}")] = r
     dest_rows = [[0.0] * n for _ in range(n)]
     destinations = _object(_require(tr, "destinations", "traffic"), "traffic.destinations")
     for lb, row in destinations.items():
@@ -356,14 +329,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows)
     )
 
-    # the step size is constant and a tick's reward credits that tick's
-    # decisions; older files spell both out
-    le, learner = _section(
-        doc, "learner", LearnerConfig._field_defaults, ("schedule", "credit_current_tick")
-    )
-    schedule = le.get("schedule", "constant")
-    if schedule != "constant":
-        raise ConfigError(f"learner.schedule: unknown value {schedule!r}")
+    # a tick's reward credits that tick's decisions; older files spell it out
+    le, learner = _section(doc, "learner", LearnerConfig._field_defaults, ("credit_current_tick",))
     credit = le.get("credit_current_tick", True)
     if credit is not True:
         raise ConfigError(f"learner.credit_current_tick: must be true, got {credit!r}")

@@ -177,6 +177,12 @@ class Simulation:
         self._forced: list[int | None] = [
             h[0][3] if len(h) == 1 else None for h in self._hops
         ]
+        # each tracked probability as (flat row id, slot), read by probabilities()
+        n = topo.n_nodes
+        self._tracked = [
+            (tp.router * n + tp.dest, topo.out_link_indices(tp.router).index(tp.link_index))
+            for tp in cfg.tracked
+        ]
 
         self._next_packet_id = 0
         # packets on links by arrival tick, {tick: [packet]}, each at its `node`
@@ -235,11 +241,11 @@ class Simulation:
         rows, trace = self._rows, self._trace
         return snapshot({y: current_logits(rows, trace, y) for y in rows}, self.topology)
 
-    def probabilities(self, tracked: list[tuple[int, int]]) -> tuple[float, ...]:
-        """The current probability of each (flat row id, slot) of `tracked`,
+    def probabilities(self) -> tuple[float, ...]:
+        """The current probability of each of cfg.tracked, in order,
         through learner.current_probability."""
         rows, trace = self._rows, self._trace
-        return tuple([current_probability(rows, trace, y, slot) for y, slot in tracked])
+        return tuple([current_probability(rows, trace, y, slot) for y, slot in self._tracked])
 
     # -- link-delay mode ----------------------------------------------------
 

@@ -103,13 +103,6 @@ def run_experiment(
         cfg = _resolve_paths(cfg, out_dir)
         save_config(cfg, Path(cfg.csv_path).with_name(f"config-seed{cfg.seed}.json"))
     rows: list[MetricsRow] = []
-    # each tracked probability as (flat row id, slot), resolved once
-    topo = cfg.topology
-    n = topo.n_nodes
-    tracked = [
-        (tp.router * n + tp.dest, topo.out_link_indices(tp.router).index(tp.link_index))
-        for tp in cfg.tracked
-    ]
     ticks_to_threshold: int | None = None
     window = cfg.ma_window
     # the underlying-reward average is kept only while a threshold waits
@@ -141,7 +134,7 @@ def run_experiment(
                 shaping,
                 push(total),
                 sim.running_mean,
-                probabilities(tracked),
+                probabilities(),
                 sim.delivered_total,
                 sim.dropped_total,
                 sim.cycles_total,

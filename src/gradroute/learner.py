@@ -89,11 +89,14 @@ class LearnerConfig(NamedTuple):
     beta: float = 0.99
     gamma: float = 1e-5
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """The violations of the learner rules, as `learner.<key>: <problem>`."""
+        v = []
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+            v.append(f"learner.beta: must be in [0, 1), got {self.beta!r}")
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+            v.append(f"learner.gamma: must be positive and finite, got {self.gamma!r}")
+        return v
 
 
 # rescale the trace once its decay scale falls below this (see module doc)

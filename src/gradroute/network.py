@@ -1,5 +1,9 @@
 """Network model: nodes, links, node cost functions, traffic, validation.
 
+validate_topology holds every rule of the network and traffic config
+sections and returns the violations as `<dotted config key>: <problem>`,
+e.g. "traffic.rates.A: must be an integer from 0 to 10000, got 10001".
+
 Topologies are immutable once constructed and safe to share read-only.
 Routing-relevant order is pinned here: the outgoing links of a node are
 always listed in link declaration order, and that order defines the
@@ -253,89 +257,101 @@ def _reachable(topology: Topology, src: int) -> set[int]:
     return seen
 
 
-class ValidationReport(NamedTuple):
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "; ".join(self.violations)
+# the most packets one source may generate per tick. Each packet is a
+# Python object of about 0.85 kB (its cycle-detection deque included) that
+# lives until it is delivered, and a tick makes and routes every one of
+# them, so a rate like 10**30 would never finish its first tick and would
+# grow memory without bound. The presets' rates are at most 6; this cap
+# still admits 8.5 MB of new packets per source per tick.
+MAX_RATE = 10_000
 
 
-def validate_topology(topology: Topology, traffic: TrafficSpec) -> ValidationReport:
-    """Check structural invariants; returns a report instead of raising.
+def _is_int(value) -> bool:
+    """An integer: an int, and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ...]:
+    """The violations of the network and traffic rules, each as
+    `<dotted config key>: <problem>`, deduped, in order; () when valid.
 
     Detects: duplicate labels, non-dense ids, dangling links, self-loops,
-    bad delays/capacities, malformed destination distributions, nodes with
-    traffic but no outgoing links, unreachable destinations, missing or
-    misplaced node costs for the active cost model, and a directed cycle in
-    a node-flow network, where a packet walks its whole path in one tick.
+    a delay or capacity that is not an integer >= 1, a rate that is not an
+    integer from 0 to MAX_RATE, malformed destination distributions, nodes
+    with traffic but no outgoing links, unreachable destinations, missing
+    or misplaced node costs for the active cost model, and a directed cycle
+    in a node-flow network, where a packet walks its whole path in one
+    tick. A value of the wrong type is reported, never compared.
     """
     v: list[str] = []
     n = topology.n_nodes
 
     labels = [nd.label for nd in topology.nodes]
     if len(set(labels)) != len(labels):
-        v.append("node labels not unique")
+        v.append("network.nodes: labels must be unique")
     if [nd.id for nd in topology.nodes] != list(range(n)):
-        v.append("node ids not dense 0..N-1")
+        v.append("network.nodes: ids must be dense 0..N-1")
 
     for i, link in enumerate(topology.links):
-        where = f"link {i} ({link.src}->{link.dst})"
+        where = f"network.links[{i}]"
         if not (0 <= link.src < n and 0 <= link.dst < n):
-            v.append(f"{where}: dangling link endpoint")
+            v.append(f"{where}: dangling link endpoint ({link.src}->{link.dst})")
             continue
         if link.src == link.dst:
-            v.append(f"{where}: self-loop")
-        if link.delay < 1:
-            v.append(f"{where}: delay must be >= 1")
-        if link.capacity is not None and link.capacity < 1:
-            v.append(f"{where}: capacity must be >= 1 when finite")
+            v.append(f"{where}: self-loop at {labels[link.src]}")
+        if not (_is_int(link.delay) and link.delay >= 1):
+            v.append(f"{where}.delay: must be an integer >= 1, got {link.delay!r}")
+        capacity = link.capacity
+        if capacity is not None and not (_is_int(capacity) and capacity >= 1):
+            v.append(f"{where}.capacity: must be an integer >= 1 or null, got {capacity!r}")
 
     if topology.cost_model is CostModel.NODE_FLOW:
         costs = topology.node_costs or {}
         for nd in topology.nodes:
+            where = f"network.node_costs.{nd.label}"
             if nd.id not in costs:
-                v.append(f"missing node cost for node {nd.label}")
+                v.append(f"{where}: missing node cost")
             else:
                 c = costs[nd.id]
                 if not (0 <= c.base < math.inf and 0 <= c.per_flow < math.inf):
-                    v.append(f"node cost for {nd.label} must be finite and non-negative")
+                    v.append(f"{where}: must be finite and non-negative")
         on_cycle = _node_on_cycle(topology)
         if on_cycle is not None:
             v.append(
-                f"directed cycle through node {labels[on_cycle]}: "
+                f"network.links: directed cycle through node {labels[on_cycle]}: "
                 "a node-flow network must be acyclic"
             )
     elif topology.node_costs:
-        v.append("node_costs present in link-delay mode")
+        v.append("network.node_costs: only a node_flow network has node costs")
 
     if len(traffic.rates) != n or len(traffic.dest_probs) != n:
-        v.append("traffic spec size does not match node count")
-        return ValidationReport(tuple(v))
+        v.append("traffic: rates and destinations must have one entry per node")
+        return tuple(v)
 
     for s in range(n):
         rate = traffic.rates[s]
         row = traffic.dest_probs[s]
-        if rate < 0:
-            v.append(f"negative traffic rate at node {labels[s]}")
+        where = f"traffic.destinations.{labels[s]}"
         if not all(0 <= p < math.inf for p in row):
-            v.append(f"negative or non-finite destination weight at node {labels[s]}")
+            v.append(f"{where}: weights must be finite and non-negative")
         if row[s] != 0.0:
-            v.append(f"destination distribution of {labels[s]} puts weight on itself")
-        if rate > 0:
+            v.append(f"{where}: puts weight on its own source")
+        if not (_is_int(rate) and 0 <= rate <= MAX_RATE):
+            v.append(
+                f"traffic.rates.{labels[s]}: must be an integer from 0 to {MAX_RATE}, "
+                f"got {rate!r}"
+            )
+        elif rate > 0:
             if not abs(sum(row) - 1.0) <= 1e-12:
-                v.append(f"destination distribution of {labels[s]} does not sum to 1")
+                v.append(f"{where}: does not sum to 1")
             reach = _reachable(topology, s)
             targets = [y for y in range(n) if row[y] > 0.0]
             for y in targets:
                 if y not in reach:
-                    v.append(f"unreachable destination {labels[y]} from {labels[s]}")
+                    v.append(f"{where}: unreachable destination {labels[y]}")
             # every node a wandering packet can sit at needs a way out
             for m in reach:
                 if not topology.out_link_indices(m) and any(y != m for y in targets):
-                    v.append(f"node {labels[m]} has no outgoing links")
+                    v.append(f"network.links: node {labels[m]} has no outgoing links")
 
-    return ValidationReport(tuple(dict.fromkeys(v)))  # deduped, in order
+    return tuple(dict.fromkeys(v))  # deduped, in order

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from .network import _is_int
+
 if TYPE_CHECKING:
     from .engine import Packet
 
@@ -16,13 +18,17 @@ class ShapingConfig(NamedTuple):
     history_length: int = 2  # H, nodes remembered per packet
     drop_penalty: float = 0.0  # >= 0, subtracted per dropped packet
 
-    def validate(self) -> None:
-        if not -math.inf < self.cycle_penalty <= 0:
-            raise ValueError(f"cycle_penalty must be finite and <= 0, got {self.cycle_penalty}")
-        if self.history_length < 1:
-            raise ValueError("history_length must be >= 1")
-        if not 0 <= self.drop_penalty < math.inf:
-            raise ValueError(f"drop_penalty must be finite and >= 0, got {self.drop_penalty}")
+    def validate(self) -> list[str]:
+        """The violations of the shaping rules, as `shaping.<key>: <problem>`."""
+        cycle, h, drop = self.cycle_penalty, self.history_length, self.drop_penalty
+        v = []
+        if not -math.inf < cycle <= 0:
+            v.append(f"shaping.cycle_penalty: must be finite and <= 0, got {cycle!r}")
+        if not (_is_int(h) and h >= 1):
+            v.append(f"shaping.history_length: must be an integer >= 1, got {h!r}")
+        if not 0 <= drop < math.inf:
+            v.append(f"shaping.drop_penalty: must be finite and >= 0, got {drop!r}")
+        return v
 
 
 def detect_cycle(packet: "Packet", arriving_at: int) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,6 @@ import gradroute
 from gradroute import claims, engine
 from gradroute.cli import main as cli_main
 from gradroute.config import (
-    MAX_RATE,
     ConfigError,
     TrackedProbability,
     config_from_dict,
@@ -24,7 +24,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import Topology
+from gradroute.network import MAX_RATE, Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -226,12 +226,6 @@ class TestConfigRoundTrip:
         doc["traffic"]["rates"]["A"] = MAX_RATE
         assert config_from_dict(doc).traffic.rates[0] == MAX_RATE
 
-    def test_constant_schedule_still_loads(self):
-        doc = config_to_dict(preset("triangle"))
-        assert "schedule" not in doc["learner"]
-        doc["learner"]["schedule"] = "constant"
-        assert config_from_dict(doc) == preset("triangle")
-
     def test_credit_current_tick_true_still_loads(self):
         doc = config_to_dict(preset("triangle"))
         assert "credit_current_tick" not in doc["learner"]
@@ -243,6 +237,126 @@ def _at(doc, path):
     for k in path:
         doc = doc[k]
     return doc
+
+
+def _set(*path, value):
+    """A document edit that sets the value at `path`."""
+
+    def edit(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+
+    return edit
+
+
+def _links(edit):
+    """A config edit that replaces the topology's links with edit(links)."""
+
+    def apply(cfg):
+        t = cfg.topology
+        links = tuple(edit(list(t.links)))
+        return cfg._replace(topology=Topology(t.nodes, links, t.cost_model, t.node_costs))
+
+    return apply
+
+
+def _replace_at(items, i, **fields):
+    items[i] = items[i]._replace(**fields)
+    return items
+
+
+def _drop_links(doc):
+    """Triangle without its links into C (B->C, A->C)."""
+    links = doc["network"]["links"]
+    doc["network"]["links"] = [ld for i, ld in enumerate(links) if i not in (2, 4)]
+
+
+_TRAFFIC = preset("triangle").traffic
+
+
+# one violated rule each, on the triangle preset: (document edit, edit of
+# the preset in Python, the key the message starts with)
+_RULES = {
+    "rate_cap": (
+        _set("traffic", "rates", "A", value=MAX_RATE + 1),
+        lambda cfg: cfg._replace(traffic=_TRAFFIC._replace(rates=(MAX_RATE + 1, 1, 1))),
+        "traffic.rates.A",
+    ),
+    "rate_float": (
+        _set("traffic", "rates", "A", value=1.5),
+        lambda cfg: cfg._replace(traffic=_TRAFFIC._replace(rates=(1.5, 1, 1))),
+        "traffic.rates.A",
+    ),
+    "delay": (
+        _set("network", "links", 0, "delay", value=0),
+        _links(lambda links: _replace_at(links, 0, delay=0)),
+        "network.links[0].delay",
+    ),
+    "capacity": (
+        _set("network", "links", 0, "capacity", value=0),
+        _links(lambda links: _replace_at(links, 0, capacity=0)),
+        "network.links[0].capacity",
+    ),
+    "self_loop": (
+        _set("network", "links", 3, "to", value="C"),
+        _links(lambda links: _replace_at(links, 3, dst=2)),
+        "network.links[3]",
+    ),
+    "sum": (
+        _set("traffic", "destinations", "A", value={"B": 0.5, "C": 0.4}),
+        lambda cfg: cfg._replace(
+            traffic=_TRAFFIC._replace(dest_probs=((0.0, 0.5, 0.4), *_TRAFFIC.dest_probs[1:]))
+        ),
+        "traffic.destinations.A",
+    ),
+    "unreachable": (
+        _drop_links,
+        _links(lambda links: [ln for i, ln in enumerate(links) if i not in (2, 4)]),
+        "traffic.destinations.A",
+    ),
+    "steps": (
+        _set("run", "steps", value=2.5),
+        lambda cfg: cfg._replace(steps=2.5),
+        "run.steps",
+    ),
+    "history_length": (
+        _set("shaping", "history_length", value=0),
+        lambda cfg: cfg.with_overrides(history_length=0),
+        "shaping.history_length",
+    ),
+    "gamma": (
+        _set("learner", "gamma", value=-1.0),
+        lambda cfg: cfg.with_overrides(gamma=-1.0),
+        "learner.gamma",
+    ),
+    # a file names a router by its label, so it cannot name router 9: it
+    # names a label no node has, refused under the same key
+    "tracked_router": (
+        _set("run", "tracked_probabilities", 0, "router", value="Z"),
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(9, 2, 0),)),
+        "run.tracked_probabilities[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", _RULES)
+def test_one_rule_two_entry_points(rule):
+    """A rule refuses a value alike in a loaded document and in a config
+    built in Python: one ConfigError, the same message, led by the key."""
+    edit_doc, edit_cfg, key = _RULES[rule]
+    doc = config_to_dict(preset("triangle"))
+    edit_doc(doc)
+    with pytest.raises(ConfigError) as loaded:
+        config_from_dict(doc)
+    with pytest.raises(ConfigError) as built:
+        Simulation(edit_cfg(preset("triangle")))
+    assert str(built.value).startswith(f"{key}: ")
+    if rule != "tracked_router":
+        assert str(loaded.value) == str(built.value)
+    assert str(loaded.value).startswith(f"{key}: ")
+
+
+# a refusal names its key, rooted at a section (or "config", the document)
+_KEYED = re.compile(r"^(config|network|traffic|learner|shaping|run|output)([.\[][^:]*)?: ")
 
 
 def _where(path) -> str:
@@ -300,7 +414,8 @@ class TestConfigFuzz:
                 parent[path[-1]] = data.draw(_ODD_VALUES)
         try:
             cfg = config_from_dict(doc)
-        except ConfigError:
+        except ConfigError as e:
+            assert _KEYED.match(str(e)), str(e)
             return
         # an accepted config holds no NaN: it survives a round trip equal
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg

@@ -38,13 +38,15 @@ def fresh(n_links=2, dests=(1,)):
 class TestLearnerConfig:
     @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5])
     def test_bad_beta(self, beta):
-        with pytest.raises(ValueError):
-            LearnerConfig(beta=beta).validate()
+        assert LearnerConfig().validate() == []
+        (violation,) = LearnerConfig(beta=beta).validate()
+        assert violation.startswith("learner.beta: ")
 
     @pytest.mark.parametrize("gamma", [0.0, -1e-5])
     def test_bad_gamma(self, gamma):
-        with pytest.raises(ValueError):
-            LearnerConfig(gamma=gamma).validate()
+        assert LearnerConfig().validate() == []
+        (violation,) = LearnerConfig(gamma=gamma).validate()
+        assert violation.startswith("learner.gamma: ")
 
 
 class TestTraceAccumulation:

@@ -115,8 +115,7 @@ class TestValidation:
         for builder in (triangle_network, contention_network, six_node_network,
                         braess_network):
             topo, traffic = builder()
-            report = validate_topology(topo, traffic)
-            assert report.ok, report
+            assert validate_topology(topo, traffic) == ()
 
     def test_source_without_outgoing_links(self):
         topo = Topology.build(["A", "B", "C", "D"], [("A", "B", 1), ("B", "C", 1)])
@@ -129,9 +128,8 @@ class TestValidation:
                 (0.0, 1.0, 0.0, 0.0),
             ),
         )
-        report = validate_topology(topo, traffic)
-        assert not report.ok
-        assert any("no outgoing links" in v for v in report.violations)
+        violations = validate_topology(topo, traffic)
+        assert "network.links: node D has no outgoing links" in violations
 
     def test_missing_node_cost(self):
         topo, traffic = braess_network()
@@ -143,9 +141,8 @@ class TestValidation:
             cost_model=CostModel.NODE_FLOW,
             node_costs=costs,
         )
-        report = validate_topology(broken, traffic)
-        assert not report.ok
-        assert any("missing node cost" in v and "G" in v for v in report.violations)
+        violations = validate_topology(broken, traffic)
+        assert "network.node_costs.G: missing node cost" in violations
 
     def test_unreachable_destination(self):
         topo = Topology.build(["A", "B", "C"], [("A", "B", 1), ("B", "A", 1)])
@@ -153,23 +150,22 @@ class TestValidation:
             rates=(1, 0, 0),
             dest_probs=((0.0, 0.0, 1.0), (0.0,) * 3, (0.0,) * 3),
         )
-        report = validate_topology(topo, traffic)
-        assert any("unreachable destination" in v for v in report.violations)
+        violations = validate_topology(topo, traffic)
+        assert "traffic.destinations.A: unreachable destination C" in violations
 
     def test_dangling_link_and_bad_delay(self):
         topo = Topology(
             nodes=(Node(0, "A"), Node(1, "B")),
             links=(Link(0, 5, 1), Link(0, 1, 0)),
         )
-        report = validate_topology(topo, TrafficSpec.single_flow(2, 0, 1, 1))
-        assert any("dangling" in v for v in report.violations)
-        assert any("delay" in v for v in report.violations)
+        violations = validate_topology(topo, TrafficSpec.single_flow(2, 0, 1, 1))
+        assert any(v.startswith("network.links[0]: dangling") for v in violations)
+        assert "network.links[1].delay: must be an integer >= 1, got 0" in violations
 
     def test_distribution_must_sum_to_one(self):
         topo, _ = contention_network()
         bad = TrafficSpec(rates=(2, 0), dest_probs=((0.0, 0.9), (0.0, 0.0)))
-        report = validate_topology(topo, bad)
-        assert any("sum to 1" in v for v in report.violations)
+        assert validate_topology(topo, bad) == ("traffic.destinations.A: does not sum to 1",)
 
     def test_node_cost_monotone(self):
         c = NodeCost(base=50.0, per_flow=1.0)

@@ -14,7 +14,6 @@ from gradroute.network import (
     NodeCost,
     Topology,
     TrafficSpec,
-    ValidationReport,
 )
 from gradroute.presets import PRESET_NAMES, braess_network, preset
 from gradroute.shaping import ShapingConfig
@@ -28,7 +27,6 @@ def _records():
         Link(0, 1),
         NodeCost(1.0, 2.0),
         TrafficSpec.uniform(3),
-        ValidationReport(("bad",)),
         LearnerConfig(),
         ShapingConfig(),
         TrackedProbability(0, 1, 0),

@@ -84,9 +84,7 @@ class TestShapingReward:
             shaping_reward(-1, 0, ShapingConfig())
 
     def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            ShapingConfig(cycle_penalty=5.0).validate()
-        with pytest.raises(ValueError):
-            ShapingConfig(history_length=0).validate()
-        with pytest.raises(ValueError):
-            ShapingConfig(drop_penalty=-1.0).validate()
+        assert ShapingConfig().validate() == []
+        for key, value in (("cycle_penalty", 5.0), ("history_length", 0), ("drop_penalty", -1.0)):
+            (violation,) = ShapingConfig(**{key: value}).validate()
+            assert violation.startswith(f"shaping.{key}: ")
