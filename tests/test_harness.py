@@ -355,8 +355,9 @@ def test_one_rule_two_entry_points(rule):
     assert str(loaded.value).startswith(f"{key}: ")
 
 
-# a refusal names its key, rooted at a section (or "config", the document)
-_KEYED = re.compile(r"^(config|network|traffic|learner|shaping|run|output)([.\[][^:]*)?: ")
+# a refusal names its key, rooted at a section (or "config", the document);
+# the key runs to the first ": ", since a key or label may hold any character
+_KEYED = re.compile(r"^(config|network|traffic|learner|shaping|run|output)([.\[].*?)?: ", re.S)
 
 
 def _where(path) -> str:
