@@ -5,14 +5,13 @@ Routers that learn from one shared reward find cooperative routes
 faster with a shaped reward (shaping_speedup, on six_node). A claim runs
 each of its arms at each of its seeds and measures every run. An
 Endpoint passes when the seeds' mean lies within `tolerance` of its
-oracle target. A Speedup times each run to `threshold` (the run stops
-there, or counts at `steps` as `batch` counts it) with and without the
-cycle penalty, and passes when the unshaped median is the longer; its
-summary adds the one-sided p-value of an exact rank-sum test over the
-seeds (rank_sum_p). A seed that trips the engine's load guard is
-recorded as diverged and fails its claim; the other seeds still run.
-Given an output directory, each seed writes its config, CSV, theta and
-manifest there, as every run given a directory does (harness).
+oracle target. A Speedup times each run to `threshold`, where the run
+stops (harness.censored_ticks counts a miss at `steps`), with and
+without the cycle penalty, and passes when the unshaped median is the
+longer; its summary adds the one-sided p-value of an exact rank-sum test
+over the seeds (rank_sum_p). Each arm runs as one harness.batch, so a
+seed that trips the engine's load guard fails its claim, the other seeds
+still run, and given an output directory each seed writes its files there.
 """
 from __future__ import annotations
 
@@ -23,8 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import oracles
-from .engine import LoadDiverged
-from .harness import RunResult, run_experiment
+from .harness import RunResult, batch, censored_ticks
 from .presets import BRAESS_PATHS, braess_network, preset, six_node_network, triangle_network
 
 
@@ -71,8 +69,7 @@ class Speedup(NamedTuple):
             for arm, penalty in zip(("shaped", "unshaped"), self.penalties)
         }
 
-    def measure(self, res: RunResult) -> int:
-        return res.steps_run
+    measure = staticmethod(censored_ticks)
 
     def verdict(self, shaped: list[int], unshaped: list[int]) -> tuple[str, str, bool]:
         a, b = (statistics.median(v) if v else float("nan") for v in (shaped, unshaped))
@@ -133,26 +130,25 @@ CLAIMS = {
 
 
 def check(name: str, out: Path | None) -> tuple[str, str, str, bool]:
-    """Run one claim: (its target, a cell per run, its summary, its verdict)."""
+    """Run one claim, each arm a batch: (its target, a cell per run, its
+    summary, its verdict)."""
     claim = CLAIMS[name]
-    values: dict[str, list] = {}
+    values: list[list] = []  # the measures of each arm's finished runs
     cells = []
     for arm, cfg in claim.arms().items():
-        values[arm] = []
-        arm_out = out and out / arm
-        for seed in claim.seeds:
-            try:
-                res = run_experiment(
-                    cfg._replace(seed=seed),
-                    arm_out,
-                    underlying_threshold=claim.threshold,
-                    stop_at_threshold=claim.threshold is not None,
-                )
-            except LoadDiverged as e:
-                cells.append(f"{arm} {seed}: {e}".lstrip())
-                continue
-            values[arm].append(claim.measure(res))
-            cells.append(f"{arm} {seed}: {values[arm][-1]:.7g}".lstrip())
-    target, summary, passed = claim.verdict(*values.values())
-    finished = sum(map(len, values.values())) == len(cells)
+        runs = batch(
+            cfg,
+            list(claim.seeds),
+            underlying_threshold=claim.threshold,
+            stop_at_threshold=claim.threshold is not None,
+            out_dir=out and out / arm,
+        ).runs
+        values.append([])
+        for seed, r in runs.items():
+            if not isinstance(r, str):  # a str: why the seed diverged
+                values[-1].append(claim.measure(r))
+                r = f"{values[-1][-1]:.7g}"
+            cells.append(f"{arm} {seed}: {r}".lstrip())
+    target, summary, passed = claim.verdict(*values)
+    finished = sum(map(len, values)) == len(cells)
     return target, "  ".join(cells), summary, finished and passed

@@ -13,8 +13,9 @@ config-seed<S>.json (saved before the run starts), metrics-seed<S>.csv,
 theta-seed<S>.json (not for a run that fails) and its manifest
 run-seed<S>.json. `batch` writes files only when given --out; without
 it, a batch refuses a config that names output files.
-`reproduce` exits 1 if any claim fails. An error, such as a run whose
-load diverged, prints one line and exits 2.
+`batch` exits 1 if a seed's load diverged, after its table, and
+`reproduce` if a claim fails. An error, such as a `run` whose load
+diverged, prints one line and exits 2.
 """
 from __future__ import annotations
 
@@ -130,7 +131,7 @@ def _cmd_batch(args) -> int:
         out_dir=out,
     )
     print(result.table())
-    return 0
+    return 1 if any(isinstance(r, str) for r in result.runs.values()) else 0
 
 
 def _oracle_error(name: str, problem: str) -> ValueError:

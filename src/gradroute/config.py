@@ -27,11 +27,11 @@ concatenated endpoint labels). Presets serialize to this format and load
 back equal.
 
 config_from_dict only decodes: it checks the document's shape, unknown
-and required keys and node and link labels, and reads a number key as a
-float (from an int or a float; a bool is neither). Integer keys pass as
-given. Every value rule lives once, in a record's validator
-(validate_topology, LearnerConfig.validate, ShapingConfig.validate, the
-run section in ExperimentConfig.validate), as `<dotted key>: <problem>`.
+and required keys and node and link labels, and reads a number key's
+integer as a float. Every other value passes as given: every type and
+value rule lives once, in a record's validator (validate_topology,
+LearnerConfig.validate, ShapingConfig.validate, the run section in
+ExperimentConfig.validate), as `<dotted key>: <problem>`.
 ExperimentConfig.validate raises them all as one ConfigError; load_config
 and Simulation both call it, so a config built in Python meets the same
 rules and messages as one read from a file.
@@ -62,6 +62,7 @@ from .network import (
     Topology,
     TrafficSpec,
     _is_int,
+    _is_number,
     validate_topology,
 )
 from .shaping import ShapingConfig
@@ -227,13 +228,10 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _number(value, where: str) -> float:
-    if _is_int(value) or isinstance(value, float):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{where}: must be a number, got {value!r}")
+def _number(value):
+    """A number key's value as a float; a value that is no number passes
+    as given, for its record's validator to refuse (network._number_rule)."""
+    return float(value) if _is_number(value) else value
 
 
 def _optional_str(value, where: str) -> str | None:
@@ -245,11 +243,11 @@ def _optional_str(value, where: str) -> str | None:
 def _section(doc: dict, section: str, defaults: dict, extra_keys=()) -> tuple[dict, dict]:
     """(the section's object, its scalars): each key of `defaults` read
     from the section, or its default if absent, as given where the default
-    is an integer (the records' validators check it) and as a number
-    otherwise."""
+    is an integer and through _number otherwise; the records' validators
+    check both."""
     d = _object(doc.get(section, {}), section, (*defaults, *extra_keys))
     return d, {
-        k: d.get(k, v) if type(v) is int else _number(d.get(k, v), f"{section}.{k}")
+        k: d.get(k, v) if type(v) is int else _number(d.get(k, v))
         for k, v in defaults.items()
     }
 
@@ -302,8 +300,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             nd = node(lb, where)  # an unknown node is named before its keys
             _object(cd, where, NodeCost._fields)
             node_costs[nd] = NodeCost(
-                base=_number(_require(cd, "base", where), f"{where}.base"),
-                per_flow=_number(_require(cd, "per_flow", where), f"{where}.per_flow"),
+                base=_number(_require(cd, "base", where)),
+                per_flow=_number(_require(cd, "per_flow", where)),
             )
 
     topology = Topology(
@@ -324,7 +322,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         where = f"traffic.destinations.{lb}"
         s = node(lb, where)
         for dlb, p in _object(row, where).items():
-            dest_rows[s][node(dlb, f"{where}.{dlb}")] = _number(p, f"{where}.{dlb}")
+            dest_rows[s][node(dlb, f"{where}.{dlb}")] = _number(p)
     traffic = TrafficSpec(
         rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows)
     )

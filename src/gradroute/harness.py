@@ -1,13 +1,13 @@
 """Run orchestration: metrics sampling, CSV/theta output, multi-seed batches.
 
 run_experiment drives one simulation, sampling a MetricsRow every
-cfg.sample_every ticks (and at the final tick). batch repeats a config
-over seeds and aggregates, including the ticks-to-threshold statistic
-used to compare convergence speed with and without reward shaping: the
-first sampled tick at which the mean of the *underlying* reward over the
-last ma_window samples reaches a threshold. A crossing counts only once
-the window is full, so no tick before the ma_window-th sample can reach
-it, however good its first samples are.
+cfg.sample_every ticks (and at the final tick). batch is the one loop
+over seeds: it records a seed whose load diverges, runs the rest and
+aggregates those, with the ticks-to-threshold statistic that compares
+convergence speed with and without reward shaping: the first sampled
+tick at which the mean of the *underlying* reward over the last
+ma_window samples, once the window is full, reaches a threshold, else
+cfg.steps (censored_ticks).
 
 A run given an output directory saves its config there first, as
 config-seed<S>.json (the config with the output paths the run writes, as
@@ -242,20 +242,28 @@ def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentConf
     )
 
 
+def censored_ticks(res: RunResult) -> int:
+    """Ticks to threshold, else cfg.steps: a lower bound for a run that never
+    got there, which can only understate the faster arm's advantage."""
+    return res.config.steps if res.ticks_to_threshold is None else res.ticks_to_threshold
+
+
 class BatchResult(NamedTuple):
-    runs: list[RunResult]  # one per seed, in the order given
-    mean_final_reward: float
-    median_ticks_to_threshold: float | None
+    runs: dict[int, RunResult | str]  # by seed, as given: its run, or why its load diverged
+    mean_final_reward: float | None  # over the seeds that finished; None if none did
+    median_ticks_to_threshold: float | None  # the same, censored; None without a threshold
 
     def table(self) -> str:
         lines = ["seed  ticks_to_threshold  final_running_mean"]
-        for r in self.runs:
-            ttt = "-" if r.ticks_to_threshold is None else str(r.ticks_to_threshold)
-            lines.append(f"{r.config.seed:<6}{ttt:<20}{r.final_running_mean:.4f}")
-        med = self.median_ticks_to_threshold
+        for seed, r in self.runs.items():
+            if not isinstance(r, str):  # a str: why the seed diverged
+                ttt = "-" if r.ticks_to_threshold is None else str(r.ticks_to_threshold)
+                r = f"{ttt:<20}{r.final_running_mean:.4f}"
+            lines.append(f"{seed:<6}{r}")
+        med, mean = self.median_ticks_to_threshold, self.mean_final_reward
         lines.append(
-            f"aggregate: median_ticks_to_threshold="
-            f"{'-' if med is None else med}  mean_final_reward={self.mean_final_reward:.4f}"
+            f"aggregate: median_ticks_to_threshold={'-' if med is None else med}  "
+            f"mean_final_reward={'-' if mean is None else f'{mean:.4f}'}"
         )
         return "\n".join(lines)
 
@@ -268,16 +276,13 @@ def batch(
     stop_at_threshold: bool = False,
     out_dir: str | Path | None = None,
 ) -> BatchResult:
-    """Run the config once per seed and aggregate.
-
-    Runs that never reach the threshold are counted at cfg.steps (a lower
-    bound on their true crossing time), which can only understate the
-    advantage of the faster arm in a comparison.
+    """Run the config once per seed and aggregate the seeds that finished.
+    A seed whose load diverges is recorded with its LoadDiverged message,
+    and the other seeds still run; any other error stops the batch.
 
     Each seed writes its four files to out_dir, its config first
     (run_experiment). Without an out_dir, a config that names output files
-    is refused, since every seed would write to them.
-    """
+    is refused, since every seed would write to them."""
     if not seeds:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
@@ -290,24 +295,21 @@ def batch(
                     f"{key}: every seed of a batch would write to {path!r}; "
                     "give the batch an output directory instead"
                 )
-    runs = []
+    runs: dict[int, RunResult | str] = {}
     for seed in seeds:
-        runs.append(
-            run_experiment(
+        try:
+            runs[seed] = run_experiment(
                 cfg._replace(seed=seed),
                 out_dir,
                 underlying_threshold=underlying_threshold,
                 stop_at_threshold=stop_at_threshold,
             )
-        )
-    median = None
-    if underlying_threshold is not None:
-        median = statistics.median(
-            float(r.ticks_to_threshold if r.ticks_to_threshold is not None else cfg.steps)
-            for r in runs
-        )
+        except LoadDiverged as e:
+            runs[seed] = str(e)
+    done = [r for r in runs.values() if not isinstance(r, str)]
+    timed = underlying_threshold is not None and done
     return BatchResult(
-        runs=runs,
-        mean_final_reward=statistics.fmean(r.final_running_mean for r in runs),
-        median_ticks_to_threshold=median,
+        runs,
+        statistics.fmean(r.final_running_mean for r in done) if done else None,
+        statistics.median(float(censored_ticks(r)) for r in done) if timed else None,
     )

@@ -82,6 +82,7 @@ import math
 from math import exp, inf
 from typing import Iterable, NamedTuple
 
+from .network import _number_rule
 from .policy import _PROB_FLOOR
 
 
@@ -91,12 +92,12 @@ class LearnerConfig(NamedTuple):
 
     def validate(self) -> list[str]:
         """The violations of the learner rules, as `learner.<key>: <problem>`."""
-        v = []
-        if not 0.0 <= self.beta < 1.0:
-            v.append(f"learner.beta: must be in [0, 1), got {self.beta!r}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            v.append(f"learner.gamma: must be positive and finite, got {self.gamma!r}")
-        return v
+        return [
+            *_number_rule("learner.beta", self.beta, lambda b: 0 <= b < 1, "must be in [0, 1)"),
+            *_number_rule(
+                "learner.gamma", self.gamma, lambda g: 0 < g < inf, "must be positive and finite"
+            ),
+        ]
 
 
 # rescale the trace once its decay scale falls below this (see module doc)

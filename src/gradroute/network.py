@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -271,6 +272,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A float, or an integer that a float can hold."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _number_rule(
+    key: str, value, ok=lambda x: 0 <= x < math.inf, rule="must be finite and non-negative"
+) -> list[str]:
+    """`<key>: must be a number` unless _is_number(value), else `<key>:
+    <rule>` unless ok(value), else []: a value of the wrong type is never
+    compared."""
+    if not _is_number(value):
+        return [f"{key}: must be a number, got {value!r}"]
+    return [] if ok(value) else [f"{key}: {rule}, got {value!r}"]
+
+
 def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ...]:
     """The violations of the network and traffic rules, each as
     `<dotted config key>: <problem>`, deduped, in order; () when valid.
@@ -312,9 +329,8 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
             if nd.id not in costs:
                 v.append(f"{where}: missing node cost")
             else:
-                c = costs[nd.id]
-                if not (0 <= c.base < math.inf and 0 <= c.per_flow < math.inf):
-                    v.append(f"{where}: must be finite and non-negative")
+                for field, x in zip(NodeCost._fields, costs[nd.id]):
+                    v += _number_rule(f"{where}.{field}", x)
         on_cycle = _node_on_cycle(topology)
         if on_cycle is not None:
             v.append(
@@ -332,8 +348,11 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
         rate = traffic.rates[s]
         row = traffic.dest_probs[s]
         where = f"traffic.destinations.{labels[s]}"
-        if not all(0 <= p < math.inf for p in row):
-            v.append(f"{where}: weights must be finite and non-negative")
+        bad = []
+        # per weight only if this pass fails: a call per weight doubled ring60's check
+        if not all(isinstance(p, float) and 0 <= p < math.inf for p in row):
+            bad = [m for lb, p in zip(labels, row) for m in _number_rule(f"{where}.{lb}", p)]
+        v += bad
         if row[s] != 0.0:
             v.append(f"{where}: puts weight on its own source")
         if not (_is_int(rate) and 0 <= rate <= MAX_RATE):
@@ -341,7 +360,7 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
                 f"traffic.rates.{labels[s]}: must be an integer from 0 to {MAX_RATE}, "
                 f"got {rate!r}"
             )
-        elif rate > 0:
+        elif rate > 0 and not bad:
             if not abs(sum(row) - 1.0) <= 1e-12:
                 v.append(f"{where}: does not sum to 1")
             reach = _reachable(topology, s)

@@ -4,10 +4,11 @@ reward; both components are reported separately every tick.
 """
 from __future__ import annotations
 
-import math
+import sys
+from math import inf
 from typing import TYPE_CHECKING, NamedTuple
 
-from .network import _is_int
+from .network import _is_int, _number_rule
 
 if TYPE_CHECKING:
     from .engine import Packet
@@ -20,15 +21,17 @@ class ShapingConfig(NamedTuple):
 
     def validate(self) -> list[str]:
         """The violations of the shaping rules, as `shaping.<key>: <problem>`."""
-        cycle, h, drop = self.cycle_penalty, self.history_length, self.drop_penalty
-        v = []
-        if not -math.inf < cycle <= 0:
-            v.append(f"shaping.cycle_penalty: must be finite and <= 0, got {cycle!r}")
-        if not (_is_int(h) and h >= 1):
-            v.append(f"shaping.history_length: must be an integer >= 1, got {h!r}")
-        if not 0 <= drop < math.inf:
-            v.append(f"shaping.drop_penalty: must be finite and >= 0, got {drop!r}")
-        return v
+        h = self.history_length
+        v = _number_rule(
+            "shaping.cycle_penalty", self.cycle_penalty, lambda c: -inf < c <= 0,
+            "must be finite and <= 0",
+        )
+        # a packet's visit history is a deque, whose maxlen is at most sys.maxsize
+        if not (_is_int(h) and 1 <= h <= sys.maxsize):
+            v.append(
+                f"shaping.history_length: must be an integer from 1 to {sys.maxsize}, got {h!r}"
+            )
+        return v + _number_rule("shaping.drop_penalty", self.drop_penalty)
 
 
 def detect_cycle(packet: "Packet", arriving_at: int) -> bool:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gradroute import claims
+from gradroute import claims, harness
 from gradroute.cli import main as cli_main
 from gradroute.config import config_from_dict, config_to_dict
 from gradroute.engine import LoadDiverged
@@ -104,7 +104,7 @@ def test_unknown_claim_exits_2(capsys):
 def test_diverged_seed_fails_its_claim_and_the_others_still_run(monkeypatch):
     triangle = claims.CLAIMS["triangle"]._replace(steps=300, tolerance=math.inf)
     monkeypatch.setitem(claims.CLAIMS, "triangle", triangle)
-    real = claims.run_experiment
+    real = harness.run_experiment
     ran = []
 
     def run(cfg, out, **kwargs):
@@ -113,7 +113,7 @@ def test_diverged_seed_fails_its_claim_and_the_others_still_run(monkeypatch):
             raise LoadDiverged("load diverged at tick 7: 99 packets in flight")
         return real(cfg, out, **kwargs)
 
-    monkeypatch.setattr(claims, "run_experiment", run)
+    monkeypatch.setattr(harness, "run_experiment", run)
     target, cells, summary, passed = claims.check("triangle", None)
     assert ran == [1, 2, 3]
     assert "2: load diverged at tick 7" in cells

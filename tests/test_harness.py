@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradroute
-from gradroute import claims, engine
+from gradroute import claims, engine, harness
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     ConfigError,
@@ -22,7 +23,7 @@ from gradroute.config import (
     save_config,
 )
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
-from gradroute.harness import batch, run_experiment
+from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import MAX_RATE, Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
@@ -323,10 +324,34 @@ _RULES = {
         lambda cfg: cfg.with_overrides(history_length=0),
         "shaping.history_length",
     ),
+    # a deque's maxlen holds at most sys.maxsize
+    "history_length_cap": (
+        _set("shaping", "history_length", value=2**70),
+        lambda cfg: cfg.with_overrides(history_length=2**70),
+        "shaping.history_length",
+    ),
     "gamma": (
         _set("learner", "gamma", value=-1.0),
         lambda cfg: cfg.with_overrides(gamma=-1.0),
         "learner.gamma",
+    ),
+    # a value of the wrong type is reported, never compared
+    "gamma_str": (
+        _set("learner", "gamma", value="1e-5"),
+        lambda cfg: cfg.with_overrides(gamma="1e-5"),
+        "learner.gamma",
+    ),
+    "cycle_penalty_none": (
+        _set("shaping", "cycle_penalty", value=None),
+        lambda cfg: cfg.with_overrides(cycle_penalty=None),
+        "shaping.cycle_penalty",
+    ),
+    "weight_str": (
+        _set("traffic", "destinations", "A", "B", value="0.5"),
+        lambda cfg: cfg._replace(
+            traffic=_TRAFFIC._replace(dest_probs=((0.0, "0.5", 0.5), *_TRAFFIC.dest_probs[1:]))
+        ),
+        "traffic.destinations.A.B",
     ),
     # a file names a router by its label, so it cannot name router 9: it
     # names a label no node has, refused under the same key
@@ -633,7 +658,7 @@ def cli_layout(kind, out, tmp_path, monkeypatch):
     """Run `kind` through the CLI into `out`: (its exit code, {each
     directory it wrote: (the config run there, its seeds)})."""
     cfg = preset("contention").with_overrides(steps=200, seed=3)
-    if kind == "load_diverged":
+    if kind in ("load_diverged", "batch_diverged"):
         cfg = livelock_config()
     path = tmp_path / "c.json"
     save_config(cfg, path)
@@ -643,7 +668,7 @@ def cli_layout(kind, out, tmp_path, monkeypatch):
     if kind == "preset":
         argv = ["preset", "contention", "--steps", "200", "--seed", "4", "--out", str(out)]
         return cli_main(argv), {"contention-seed4": (cfg.with_overrides(seed=4), [4])}
-    if kind == "batch":
+    if kind in ("batch", "batch_diverged"):
         argv = ["batch", str(path), "--seeds", "1,2", "--out", str(out)]
         return cli_main(argv), {"c-batch": (cfg, [1, 2])}
     shrink(monkeypatch)
@@ -659,20 +684,29 @@ class TestRunLayout:
     """Every directory a run is given holds the same files per seed,
     whichever command started it, its config first."""
 
-    @pytest.mark.parametrize("kind", ["run", "preset", "batch", "reproduce", "load_diverged"])
+    @pytest.mark.parametrize(
+        "kind", ["run", "preset", "batch", "reproduce", "load_diverged", "batch_diverged"]
+    )
     def test_each_directory_holds_the_config_each_manifest_names(
-        self, kind, tmp_path, monkeypatch
+        self, kind, tmp_path, monkeypatch, capsys
     ):
         out = tmp_path / "out"
         code, dirs = cli_layout(kind, out, tmp_path, monkeypatch)
-        # a claim may fail on shrunk runs; a diverged run exits 2
-        assert code in {"reproduce": (0, 1), "load_diverged": (2,)}.get(kind, (0,))
+        # a claim may fail on shrunk runs; a diverged run exits 2, a batch
+        # with a diverged seed 1
+        expected = {"reproduce": (0, 1), "load_diverged": (2,), "batch_diverged": (1,)}
+        assert code in expected.get(kind, (0,))
+        diverged = kind in ("load_diverged", "batch_diverged")
+        if kind == "batch_diverged":  # no seed finished: nothing to aggregate
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[0] for line in lines[1:3]] == ["1", "2"]
+            assert lines[-1] == "aggregate: median_ticks_to_threshold=-  mean_final_reward=-"
         written = {p.parent.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
         assert written == set(dirs)
         for rel, (cfg, seeds) in dirs.items():
             d = out / rel
             names = ["config-seed{}.json", "metrics-seed{}.csv", "run-seed{}.json"]
-            if kind != "load_diverged":  # a run stopped by an error writes no theta
+            if not diverged:  # a run stopped by an error writes no theta
                 names.append("theta-seed{}.json")
             assert sorted(p.name for p in d.iterdir()) == sorted(
                 name.format(seed) for name in names for seed in seeds
@@ -686,7 +720,7 @@ class TestRunLayout:
                     csv_path=str(d / f"metrics-seed{seed}.csv"),
                     theta_path=str(d / f"theta-seed{seed}.json"),
                 )
-                if kind == "load_diverged":
+                if diverged:
                     assert m["stop_reason"] == "load_diverged"
 
     def test_output_paths_without_out_dir_save_no_config(self, tmp_path):
@@ -704,7 +738,8 @@ class TestBatch:
         cfg = preset("contention").with_overrides(steps=2_000)
         single = run_experiment(cfg.with_overrides(seed=9))
         b = batch(cfg, [9])
-        assert b.runs[0].final_running_mean == single.final_running_mean
+        assert list(b.runs) == [9]
+        assert b.runs[9].final_running_mean == single.final_running_mean
         assert b.mean_final_reward == single.final_running_mean
 
     def test_empty_seed_list_rejected(self):
@@ -719,6 +754,30 @@ class TestBatch:
         # trivially satisfied threshold: crossing once the window is full
         b2 = batch(cfg.with_overrides(ma_window=5), [1, 2], underlying_threshold=-1e9)
         assert b2.median_ticks_to_threshold == 5 * cfg.sample_every
+
+    def test_diverged_seed_is_recorded_and_the_others_run(self, monkeypatch):
+        real = harness.run_experiment
+        ran = []
+
+        def run(cfg, out, **kwargs):
+            ran.append(cfg.seed)
+            if cfg.seed == 2:
+                raise LoadDiverged("load diverged at tick 7: 99 packets in flight")
+            return real(cfg, out, **kwargs)
+
+        monkeypatch.setattr(harness, "run_experiment", run)
+        cfg = preset("contention").with_overrides(steps=2_000, ma_window=5)
+        b = batch(cfg, [1, 2, 3], underlying_threshold=-10.6)
+        assert ran == [1, 2, 3]
+        assert list(b.runs) == [1, 2, 3]
+        assert b.runs[2] == "load diverged at tick 7: 99 packets in flight"
+        done = [b.runs[1], b.runs[3]]
+        assert b.mean_final_reward == statistics.fmean(r.final_running_mean for r in done)
+        assert b.median_ticks_to_threshold == statistics.median(map(censored_ticks, done))
+        rows = b.table().splitlines()
+        assert [row.split()[0] for row in rows[1:4]] == ["1", "2", "3"]
+        assert rows[2] == "2     load diverged at tick 7: 99 packets in flight"
+        assert rows[-1].startswith("aggregate: ")
 
     def test_repeated_seed_rejected(self):
         with pytest.raises(ValueError, match="seed 2 is given twice"):

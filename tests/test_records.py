@@ -32,7 +32,7 @@ def _records():
         TrackedProbability(0, 1, 0),
         cfg,
         run,
-        BatchResult([run], 0.0, None),
+        BatchResult({cfg.seed: run}, 0.0, None),
         cfg.topology,
     ]
 
