@@ -136,19 +136,16 @@ def check(name: str, out: Path | None) -> tuple[str, str, str, bool]:
     values: list[list] = []  # the measures of each arm's finished runs
     cells = []
     for arm, cfg in claim.arms().items():
-        runs = batch(
+        result = batch(
             cfg,
             list(claim.seeds),
             underlying_threshold=claim.threshold,
             stop_at_threshold=claim.threshold is not None,
             out_dir=out and out / arm,
-        ).runs
-        values.append([])
-        for seed, r in runs.items():
-            if not isinstance(r, str):  # a str: why the seed diverged
-                values[-1].append(claim.measure(r))
-                r = f"{values[-1][-1]:.7g}"
-            cells.append(f"{arm} {seed}: {r}".lstrip())
+        )
+        values.append([claim.measure(r) for r in result.finished.values()])
+        for seed, cell in result.cells(lambda r: f"{claim.measure(r):.7g}").items():
+            cells.append(f"{arm} {seed}: {cell}".lstrip())
     target, summary, passed = claim.verdict(*values)
     finished = sum(map(len, values)) == len(cells)
     return target, "  ".join(cells), summary, finished and passed

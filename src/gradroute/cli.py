@@ -131,7 +131,7 @@ def _cmd_batch(args) -> int:
         out_dir=out,
     )
     print(result.table())
-    return 1 if any(isinstance(r, str) for r in result.runs.values()) else 0
+    return 0 if len(result.finished) == len(seeds) else 1
 
 
 def _oracle_error(name: str, problem: str) -> ValueError:

@@ -34,7 +34,7 @@ import os
 import statistics
 from pathlib import Path
 from time import perf_counter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_text, save_config
@@ -253,13 +253,22 @@ class BatchResult(NamedTuple):
     mean_final_reward: float | None  # over the seeds that finished; None if none did
     median_ticks_to_threshold: float | None  # the same, censored; None without a threshold
 
+    @property
+    def finished(self) -> dict[int, RunResult]:
+        """The runs of the seeds that finished, by seed, as given."""
+        return {seed: r for seed, r in self.runs.items() if not isinstance(r, str)}
+
+    def cells(self, show: Callable[[RunResult], str]) -> dict[int, str]:
+        """By seed, as given: show(its run), or why its load diverged."""
+        return {seed: r if isinstance(r, str) else show(r) for seed, r in self.runs.items()}
+
     def table(self) -> str:
+        def row(r: RunResult) -> str:
+            ttt = "-" if r.ticks_to_threshold is None else str(r.ticks_to_threshold)
+            return f"{ttt:<20}{r.final_running_mean:.4f}"
+
         lines = ["seed  ticks_to_threshold  final_running_mean"]
-        for seed, r in self.runs.items():
-            if not isinstance(r, str):  # a str: why the seed diverged
-                ttt = "-" if r.ticks_to_threshold is None else str(r.ticks_to_threshold)
-                r = f"{ttt:<20}{r.final_running_mean:.4f}"
-            lines.append(f"{seed:<6}{r}")
+        lines += [f"{seed:<6}{cell}" for seed, cell in self.cells(row).items()]
         med, mean = self.median_ticks_to_threshold, self.mean_final_reward
         lines.append(
             f"aggregate: median_ticks_to_threshold={'-' if med is None else med}  "

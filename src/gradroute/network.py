@@ -155,16 +155,9 @@ class Topology:
         """Construct from labels and (src_label, dst_label, delay[, capacity[, label]]) tuples."""
         nodes = tuple(Node(i, lb) for i, lb in enumerate(labels))
         ids = {lb: i for i, lb in enumerate(labels)}
-        built = []
-        for spec in links:
-            src, dst, delay = spec[0], spec[1], spec[2]
-            capacity = spec[3] if len(spec) > 3 else None
-            label = spec[4] if len(spec) > 4 else None
-            built.append(Link(ids[src], ids[dst], delay, capacity, label))
-        costs = (
-            {ids[lb]: c for lb, c in node_costs.items()} if node_costs is not None else None
-        )
-        return cls(nodes=nodes, links=tuple(built), cost_model=cost_model, node_costs=costs)
+        built = tuple(Link(ids[spec[0]], ids[spec[1]], *spec[2:]) for spec in links)
+        costs = {ids[lb]: c for lb, c in node_costs.items()} if node_costs is not None else None
+        return cls(nodes=nodes, links=built, cost_model=cost_model, node_costs=costs)
 
     @property
     def n_nodes(self) -> int:
@@ -348,12 +341,9 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
         rate = traffic.rates[s]
         row = traffic.dest_probs[s]
         where = f"traffic.destinations.{labels[s]}"
-        bad = []
-        # per weight only if this pass fails: a call per weight doubled ring60's check
-        if not all(isinstance(p, float) and 0 <= p < math.inf for p in row):
-            bad = [m for lb, p in zip(labels, row) for m in _number_rule(f"{where}.{lb}", p)]
+        bad = [m for lb, p in zip(labels, row) for m in _number_rule(f"{where}.{lb}", p)]
         v += bad
-        if row[s] != 0.0:
+        if not bad and row[s] != 0.0:
             v.append(f"{where}: puts weight on its own source")
         if not (_is_int(rate) and 0 <= rate <= MAX_RATE):
             v.append(

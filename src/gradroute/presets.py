@@ -57,12 +57,7 @@ def contention_network() -> tuple[Topology, TrafficSpec]:
 
 def six_node_network() -> tuple[Topology, TrafficSpec]:
     labels = ["A", "B", "C", "D", "E", "F"]
-    links = [
-        (labels[s], labels[d], 1)
-        for s in range(6)
-        for d in range(6)
-        if s != d
-    ]
+    links = [(s, d, 1) for s in labels for d in labels if s != d]
     return Topology.build(labels, links), TrafficSpec.uniform(6, rate=1)
 
 
@@ -97,11 +92,8 @@ def braess_network(augmented: bool = True) -> tuple[Topology, TrafficSpec]:
     if augmented:
         links += [("E", "G", 1), ("G", "D", 1)]
     costs = {lb: BRAESS_COSTS[lb] for lb in labels}
-    topo = Topology.build(
-        labels, links, cost_model=CostModel.NODE_FLOW, node_costs=costs
-    )
-    traffic = TrafficSpec.single_flow(len(labels), src=0, dst=1, rate=6)
-    return topo, traffic
+    topo = Topology.build(labels, links, cost_model=CostModel.NODE_FLOW, node_costs=costs)
+    return topo, TrafficSpec.single_flow(len(labels), src=0, dst=1, rate=6)
 
 
 def _tracked(topo: Topology, router: str, dest: str, link: str) -> TrackedProbability:
@@ -117,7 +109,6 @@ def preset(name: str) -> ExperimentConfig:
             topology=topo,
             traffic=traffic,
             learner=LearnerConfig(beta=0.99, gamma=1e-5),
-            shaping=ShapingConfig(),
             steps=1_000_000,
             tracked=(_tracked(topo, "A", "C", "AB"),),
         )
@@ -146,7 +137,6 @@ def preset(name: str) -> ExperimentConfig:
             topology=topo,
             traffic=traffic,
             learner=LearnerConfig(beta=0.99, gamma=1e-5),
-            shaping=ShapingConfig(),
             steps=2_000_000,
             tracked=(
                 _tracked(topo, "A", "B", "AC"),

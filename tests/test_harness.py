@@ -353,6 +353,13 @@ _RULES = {
         ),
         "traffic.destinations.A.B",
     ),
+    "own_weight_str": (
+        _set("traffic", "destinations", "A", "A", value="0.5"),
+        lambda cfg: cfg._replace(
+            traffic=_TRAFFIC._replace(dest_probs=(("0.5", 0.5, 0.5), *_TRAFFIC.dest_probs[1:]))
+        ),
+        "traffic.destinations.A.A",
+    ),
     # a file names a router by its label, so it cannot name router 9: it
     # names a label no node has, refused under the same key
     "tracked_router": (
@@ -378,6 +385,15 @@ def test_one_rule_two_entry_points(rule):
     if rule != "tracked_router":
         assert str(loaded.value) == str(built.value)
     assert str(loaded.value).startswith(f"{key}: ")
+
+
+def test_a_weight_of_the_wrong_type_is_only_reported():
+    """An own-source weight that is no number is refused for its type
+    alone, never compared with 0 as weight on its own source."""
+    traffic = _TRAFFIC._replace(dest_probs=(("0.5", 0.5, 0.5), *_TRAFFIC.dest_probs[1:]))
+    with pytest.raises(ConfigError) as e:
+        Simulation(preset("triangle")._replace(traffic=traffic))
+    assert str(e.value) == "traffic.destinations.A.A: must be a number, got '0.5'"
 
 
 # a refusal names its key, rooted at a section (or "config", the document);
@@ -771,7 +787,8 @@ class TestBatch:
         assert ran == [1, 2, 3]
         assert list(b.runs) == [1, 2, 3]
         assert b.runs[2] == "load diverged at tick 7: 99 packets in flight"
-        done = [b.runs[1], b.runs[3]]
+        assert list(b.finished) == [1, 3]
+        done = list(b.finished.values())
         assert b.mean_final_reward == statistics.fmean(r.final_running_mean for r in done)
         assert b.median_ticks_to_threshold == statistics.median(map(censored_ticks, done))
         rows = b.table().splitlines()
