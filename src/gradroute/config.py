@@ -260,7 +260,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ("cost_model", "nodes", "links", "node_costs"),
     )
     labels = _require(net, "nodes", "network")
-    if not (isinstance(labels, list) and labels and all(isinstance(lb, str) for lb in labels)):
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(isinstance(lb, str) for lb in labels)
+    ):
         raise ConfigError("network.nodes: must be a non-empty list of labels")
     ids = {lb: i for i, lb in enumerate(labels)}
 
@@ -319,7 +323,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         s = node(lb, where)
         for dlb, p in _object(row, where).items():
             dest_rows[s][node(dlb, f"{where}.{dlb}")] = _number(p)
-    traffic = TrafficSpec(rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows))
+    traffic = TrafficSpec(
+        rates=tuple(rates), dest_probs=tuple(tuple(r) for r in dest_rows)
+    )
 
     # a tick's reward credits that tick's decisions; older files spell it out
     le, learner = _section(doc, "learner", LearnerConfig._field_defaults, ("credit_current_tick",))
@@ -330,7 +336,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     run, run_scalars = _section(doc, "run", _RUN_DEFAULTS, ("tracked_probabilities",))
     tracked = []
-    tracked_docs = _list(run.get("tracked_probabilities", []), "run.tracked_probabilities")
+    tracked_docs = _list(
+        run.get("tracked_probabilities", []), "run.tracked_probabilities"
+    )
     for j, td in enumerate(tracked_docs):
         where = f"run.tracked_probabilities[{j}]"
         _object(td, where, ("router", "dest", "link"))

@@ -156,7 +156,9 @@ class Topology:
         nodes = tuple(Node(i, lb) for i, lb in enumerate(labels))
         ids = {lb: i for i, lb in enumerate(labels)}
         built = tuple(Link(ids[spec[0]], ids[spec[1]], *spec[2:]) for spec in links)
-        costs = {ids[lb]: c for lb, c in node_costs.items()} if node_costs is not None else None
+        costs = (
+            {ids[lb]: c for lb, c in node_costs.items()} if node_costs is not None else None
+        )
         return cls(nodes=nodes, links=built, cost_model=cost_model, node_costs=costs)
 
     @property

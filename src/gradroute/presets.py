@@ -92,8 +92,11 @@ def braess_network(augmented: bool = True) -> tuple[Topology, TrafficSpec]:
     if augmented:
         links += [("E", "G", 1), ("G", "D", 1)]
     costs = {lb: BRAESS_COSTS[lb] for lb in labels}
-    topo = Topology.build(labels, links, cost_model=CostModel.NODE_FLOW, node_costs=costs)
-    return topo, TrafficSpec.single_flow(len(labels), src=0, dst=1, rate=6)
+    topo = Topology.build(
+        labels, links, cost_model=CostModel.NODE_FLOW, node_costs=costs
+    )
+    traffic = TrafficSpec.single_flow(len(labels), src=0, dst=1, rate=6)
+    return topo, traffic
 
 
 def _tracked(topo: Topology, router: str, dest: str, link: str) -> TrackedProbability:
