@@ -111,11 +111,14 @@ class ExperimentConfig(NamedTuple):
         n = self.topology.n_nodes
         for j, tp in enumerate(self.tracked):
             where = f"run.tracked_probabilities[{j}]"
-            if not 0 <= tp.router < n:
-                v.append(f"{where}: no router {tp.router}")
-            elif tp.link_index not in self.topology.out_link_indices(tp.router):
+            if not (_is_int(tp.router) and 0 <= tp.router < n):
+                v.append(f"{where}: no router {tp.router!r}")
+            elif not (
+                _is_int(tp.link_index)
+                and tp.link_index in self.topology.out_link_indices(tp.router)
+            ):
                 v.append(f"{where}: link is not an outgoing link of the router")
-            if not (0 <= tp.dest < n) or tp.dest == tp.router:
+            if not (_is_int(tp.dest) and 0 <= tp.dest < n) or tp.dest == tp.router:
                 v.append(f"{where}: destination is not routable from the router")
         if v:
             raise ConfigError("; ".join(v))

@@ -40,7 +40,7 @@ A router with one out-link has nothing to choose: its Gibbs policy puts
 probability 1 on slot 0 and its log-policy gradient is exactly zero, so
 its logits never move. Both kernels forward a packet at such a node
 without reading the policy: they skip sampling_weights and the draw,
-use slot 0, and still record the decision (dest, 0), which the
+use slot 0, and still record the decision (row, 0), which the
 learner checks and otherwise ignores. They do still take the one
 uniform that a draw over the one-slot row would take, and discard it:
 the stream of draws, and so every later draw and every output, stays
@@ -165,12 +165,10 @@ class Simulation:
                 self._sources.append((s, rate, cum, deque((s,), history_len)))
 
         # per node, per outgoing slot: (link index, capacity, delay, next node)
+        out = topo.out_links()
         self._hops: list[list[tuple[int, int | None, int, int]]] = [
-            [
-                (i, topo.links[i].capacity, topo.links[i].delay, topo.links[i].dst)
-                for i in topo.out_link_indices(n)
-            ]
-            for n in range(topo.n_nodes)
+            [(i, topo.links[i].capacity, topo.links[i].delay, topo.links[i].dst) for i in o]
+            for o in out
         ]
         # per node: the next node of its only out-link, or None when it has
         # none or several; a packet there skips the policy (module doc)
@@ -180,7 +178,7 @@ class Simulation:
         # each tracked probability as (flat row id, slot), read by probabilities()
         n = topo.n_nodes
         self._tracked = [
-            (tp.router * n + tp.dest, topo.out_link_indices(tp.router).index(tp.link_index))
+            (tp.router * n + tp.dest, out[tp.router].index(tp.link_index))
             for tp in cfg.tracked
         ]
 

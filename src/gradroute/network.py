@@ -90,59 +90,18 @@ class TrafficSpec(NamedTuple):
         return cls(rates=rates, dest_probs=rows)
 
 
-class Topology:
-    """Nodes, links and the cost model, with the out-link and label lookup
-    tables derived from them at construction. Equality, hashing and repr
-    use the four public fields only; every attribute is read-only."""
+class Topology(NamedTuple):
+    """Nodes, links and the cost model. A NamedTuple like every other
+    record, with a hash of its own because node_costs is a dict."""
 
-    __slots__ = ("nodes", "links", "cost_model", "node_costs", "_out", "_label_to_id")
-
-    def __init__(
-        self,
-        nodes: tuple[Node, ...],
-        links: tuple[Link, ...],
-        cost_model: CostModel = CostModel.LINK_DELAY,
-        node_costs: dict[int, NodeCost] | None = None,
-    ) -> None:
-        n = len(nodes)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i, link in enumerate(links):
-            if 0 <= link.src < n and 0 <= link.dst < n:
-                out[link.src].append(i)
-        init = object.__setattr__
-        init(self, "nodes", nodes)
-        init(self, "links", links)
-        init(self, "cost_model", cost_model)
-        init(self, "node_costs", node_costs)
-        init(self, "_out", tuple(tuple(o) for o in out))
-        init(self, "_label_to_id", {nd.label: nd.id for nd in nodes})
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Topology is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Topology is immutable; cannot delete {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.nodes, self.links, self.cost_model, self.node_costs)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+    cost_model: CostModel = CostModel.LINK_DELAY
+    node_costs: dict[int, NodeCost] | None = None
 
     def __hash__(self) -> int:
         costs = tuple(sorted((self.node_costs or {}).items()))  # a dict has no hash
         return hash((self.nodes, self.links, self.cost_model, costs))
-
-    def __repr__(self) -> str:
-        return (
-            f"Topology(nodes={self.nodes!r}, links={self.links!r}, "
-            f"cost_model={self.cost_model!r}, node_costs={self.node_costs!r})"
-        )
-
-    def __reduce__(self):
-        return (Topology, self._key())
 
     @classmethod
     def build(
@@ -166,20 +125,30 @@ class Topology:
         return len(self.nodes)
 
     def node_id(self, label: str) -> int:
-        try:
-            return self._label_to_id[label]
-        except KeyError:
-            raise TopologyError(f"unknown node label {label!r}") from None
+        for nd in self.nodes:
+            if nd.label == label:
+                return nd.id
+        raise TopologyError(f"unknown node label {label!r}")
 
     def label(self, node: int) -> str:
         return self.nodes[node].label
 
+    def out_links(self) -> list[tuple[int, ...]]:
+        """By node, the indices into `links` of its outgoing links, in
+        declaration order: the slot order of its policy rows and traces.
+        One pass over the links; a loop over nodes reads it once."""
+        n = len(self.nodes)
+        out: list[list[int]] = [[] for _ in range(n)]
+        for i, link in enumerate(self.links):
+            if 0 <= link.src < n and 0 <= link.dst < n:
+                out[link.src].append(i)
+        return [tuple(o) for o in out]
+
     def out_link_indices(self, node: int) -> tuple[int, ...]:
-        """Indices into `links` of the outgoing links of `node`, in
-        declaration order: the slot order of its policy rows and traces."""
+        """out_links()[node], for one node."""
         if not 0 <= node < len(self.nodes):
             raise TopologyError(f"unknown node id {node}")
-        return self._out[node]
+        return self.out_links()[node]
 
     def link_label(self, index: int) -> str:
         """Display name of a link: its explicit label, else src+dst labels."""
@@ -198,6 +167,7 @@ def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:
         raise TopologyError(f"unknown node id {src if not 0 <= src < n else dst}")
     if src == dst:
         return 0
+    out = topology.out_links()
     dist = {src: 0}
     heap = [(0, src)]
     while heap:
@@ -206,7 +176,7 @@ def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:
             return d
         if d > dist.get(node, d):
             continue
-        for i in topology.out_link_indices(node):
+        for i in out[node]:
             link = topology.links[i]
             nd = d + link.delay
             if nd < dist.get(link.dst, nd + 1):
@@ -217,9 +187,10 @@ def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:
     )
 
 
-def _node_on_cycle(topology: Topology) -> int | None:
-    """A node on a directed cycle of the topology, or None (depth-first
-    search: a link back to a node on the search path closes a cycle)."""
+def _node_on_cycle(topology: Topology, out: list[tuple[int, ...]]) -> int | None:
+    """A node on a directed cycle of the topology, whose out-link table
+    is `out`, or None (depth-first search: a link back to a node on the
+    search path closes a cycle)."""
     links = topology.links
     state = [0] * topology.n_nodes  # 0 unseen, 1 on the search path, 2 done
     for root in range(topology.n_nodes):
@@ -227,7 +198,7 @@ def _node_on_cycle(topology: Topology) -> int | None:
         while path:
             node = path[-1]
             state[node] = 1
-            for i in topology.out_link_indices(node):
+            for i in out[node]:
                 nxt = links[i].dst
                 if state[nxt] == 1:
                     return nxt
@@ -240,12 +211,12 @@ def _node_on_cycle(topology: Topology) -> int | None:
     return None
 
 
-def _reachable(topology: Topology, src: int) -> set[int]:
+def _reachable(topology: Topology, out: list[tuple[int, ...]], src: int) -> set[int]:
     seen = {src}
     stack = [src]
     while stack:
         node = stack.pop()
-        for i in topology.out_link_indices(node):
+        for i in out[node]:
             dst = topology.links[i].dst
             if dst not in seen:
                 seen.add(dst)
@@ -297,6 +268,7 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     """
     v: list[str] = []
     n = topology.n_nodes
+    out = topology.out_links()
 
     labels = [nd.label for nd in topology.nodes]
     if len(set(labels)) != len(labels):
@@ -326,7 +298,7 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
             else:
                 for field, x in zip(NodeCost._fields, costs[nd.id]):
                     v += _number_rule(f"{where}.{field}", x)
-        on_cycle = _node_on_cycle(topology)
+        on_cycle = _node_on_cycle(topology, out)
         if on_cycle is not None:
             v.append(
                 f"network.links: directed cycle through node {labels[on_cycle]}: "
@@ -344,6 +316,8 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
         row = traffic.dest_probs[s]
         where = f"traffic.destinations.{labels[s]}"
         bad = [m for lb, p in zip(labels, row) for m in _number_rule(f"{where}.{lb}", p)]
+        if len(row) != n:
+            bad.append(f"{where}: must have one weight per node, got {len(row)}")
         v += bad
         if not bad and row[s] != 0.0:
             v.append(f"{where}: puts weight on its own source")
@@ -355,14 +329,14 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
         elif rate > 0 and not bad:
             if not abs(sum(row) - 1.0) <= 1e-12:
                 v.append(f"{where}: does not sum to 1")
-            reach = _reachable(topology, s)
+            reach = _reachable(topology, out, s)
             targets = [y for y in range(n) if row[y] > 0.0]
             for y in targets:
                 if y not in reach:
                     v.append(f"{where}: unreachable destination {labels[y]}")
             # every node a wandering packet can sit at needs a way out
             for m in reach:
-                if not topology.out_link_indices(m) and any(y != m for y in targets):
+                if not out[m] and any(y != m for y in targets):
                     v.append(f"network.links: node {labels[m]} has no outgoing links")
 
     return tuple(dict.fromkeys(v))  # deduped, in order

@@ -44,13 +44,14 @@ def braess_cost_for_flows(topology: Topology, flows: dict[str, int]) -> float:
     through the node before costs are evaluated."""
     if topology.cost_model is not CostModel.NODE_FLOW:
         raise ValueError("path costing requires a node-flow topology")
+    out = topology.out_links()
     paths = []
     for path_labels, count in flows.items():
         if count < 0:
             raise ValueError(f"negative flow on path {path_labels}")
         nodes = [topology.node_id(lb) for lb in path_labels]
         for a, b in zip(nodes, nodes[1:]):
-            if not any(topology.links[i].dst == b for i in topology.out_link_indices(a)):
+            if not any(topology.links[i].dst == b for i in out[a]):
                 raise ValueError(
                     f"path {path_labels} uses missing link "
                     f"{topology.label(a)}->{topology.label(b)}"

@@ -25,7 +25,7 @@ def make_tables(topology: Topology) -> dict[int, list[float]]:
     destination: one row, of zero logits (uniform routing), for every
     other node at each node that has an outgoing link."""
     n = topology.n_nodes
-    widths = [len(topology.out_link_indices(node)) for node in range(n)]
+    widths = map(len, topology.out_links())
     return {r * n + y: [0.0] * w for r, w in enumerate(widths) if w for y in range(n) if y != r}
 
 

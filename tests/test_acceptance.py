@@ -16,11 +16,12 @@ and only when selected:
     pytest -m slow tests/test_acceptance.py -s
 
 Measured at these settings (per seed; CHANGES.md has the detail):
-triangle -8.34, -4.72, -4.08 per tick against -4 ± 0.5, FAIL; braess1
-116, 116, 116 per packet against 88.5 ± 1.75, FAIL; contention p(top)
-0.370, 0.346, 0.398 against 0.25 ± 0.05, FAIL; six_node -8.37, -8.30,
--8.34 per tick against -6 ± 0.6, FAIL; shaping_speedup medians 761 900
-ticks shaped and 1 500 000 (censored) unshaped, x1.97, PASS.
+triangle -7.973, -4.754 per tick, seed 3 load diverged at tick 39 857,
+against -4 ± 0.5, FAIL; braess1 116, 116, 116 per packet against
+88.5 ± 1.75, FAIL; contention p(top) 0.370, 0.346, 0.398 against
+0.25 ± 0.05, FAIL; six_node -8.37, -8.30, -8.34 per tick against
+-6 ± 0.6, FAIL; shaping_speedup medians 761 900 ticks shaped and
+1 500 000 (censored) unshaped, x1.97, PASS.
 """
 import math
 import random

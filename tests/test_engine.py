@@ -448,3 +448,25 @@ class TestRewardDecomposition:
         assert res.dropped == sum(s.dropped for s in stats)
         assert res.cycles_detected == sum(s.cycles_detected for s in stats)
         assert res.final_running_mean == sim.running_mean
+
+
+def test_setup_reads_the_out_link_table_a_fixed_number_of_times(monkeypatch):
+    """Every setup loop over nodes reads one out-link table: building it
+    once per node would make a 60-router ring's setup several times slower."""
+    out_links = Topology.out_links
+    calls = []
+
+    def counted(topology):
+        calls.append(topology)
+        return out_links(topology)
+
+    monkeypatch.setattr(Topology, "out_links", counted)
+    counts = []
+    for n in (20, 60):
+        labels = [f"N{i}" for i in range(n)]
+        links = [(labels[i], labels[(i + k) % n], 1) for i in range(n) for k in (1, -1, 7, -7)]
+        cfg = ExperimentConfig(Topology.build(labels, links), TrafficSpec.uniform(n))
+        calls.clear()
+        Simulation(cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3

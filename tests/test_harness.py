@@ -387,6 +387,38 @@ def test_one_rule_two_entry_points(rule):
     assert str(loaded.value).startswith(f"{key}: ")
 
 
+# rules only a config built in Python can break: a loaded file always
+# builds full destination rows and resolves tracked labels to node ids
+_PYTHON_RULES = {
+    "short_row": (
+        lambda cfg: cfg._replace(
+            traffic=_TRAFFIC._replace(dest_probs=((0.0, 1.0), *_TRAFFIC.dest_probs[1:]))
+        ),
+        "traffic.destinations.A: must have one weight per node, got 2",
+    ),
+    "tracked_router_label": (
+        lambda cfg: cfg._replace(tracked=(TrackedProbability("A", 2, 0),)),
+        "run.tracked_probabilities[0]: no router 'A'",
+    ),
+    "tracked_dest_float": (
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(0, 2.0, 0),)),
+        "run.tracked_probabilities[0]: destination is not routable from the router",
+    ),
+    "tracked_link_float": (
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(0, 2, 0.0),)),
+        "run.tracked_probabilities[0]: link is not an outgoing link of the router",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", _PYTHON_RULES)
+def test_python_built_config_gets_a_keyed_message(rule):
+    edit_cfg, message = _PYTHON_RULES[rule]
+    with pytest.raises(ConfigError) as e:
+        Simulation(edit_cfg(preset("triangle")))
+    assert str(e.value) == message
+
+
 def test_a_weight_of_the_wrong_type_is_only_reported():
     """An own-source weight that is no number is refused for its type
     alone, never compared with 0 as weight on its own source."""

@@ -44,6 +44,18 @@ class TestOutgoingLinks:
         with pytest.raises(TopologyError):
             topo.out_link_indices(17)
 
+    def test_table_holds_every_node(self):
+        topo, _ = braess_network(augmented=True)
+        out = topo.out_links()
+        assert out == [topo.out_link_indices(node) for node in range(topo.n_nodes)]
+        assert sorted(i for o in out for i in o) == list(range(len(topo.links)))
+
+    def test_node_id_of_unknown_label_rejected(self):
+        topo, _ = triangle_network()
+        assert [topo.node_id(lb) for lb in "ABC"] == [0, 1, 2]
+        with pytest.raises(TopologyError, match="'Z'"):
+            topo.node_id("Z")
+
     def test_order_stable_across_calls(self):
         topo, _ = six_node_network()
         for node in range(topo.n_nodes):
