@@ -10,7 +10,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .engine import Packet, Simulation, SimulationError
+from .engine import Packet, Simulation, SimulationError, make_tables
 from .learner import EligibilityTrace, LearnerConfig
 from .network import (
     CostModel,
@@ -23,7 +23,6 @@ from .network import (
     shortest_path_delay,
     validate_topology,
 )
-from .policy import make_tables
 from .presets import preset, PRESET_NAMES
 from .shaping import ShapingConfig, detect_cycle, shaping_reward
 

@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("name", choices=list(_ORACLES))
     p_oracle.add_argument("params", nargs="*")
     p_oracle.add_argument(
-        "--braess0", action="store_true", help="use the network without the shortcut"
+        "--braess0", action="store_true", help="braess-cost only: the network without the shortcut"
     )
 
     p_repro = sub.add_parser("reproduce", help="check the paper's claims")
@@ -183,6 +183,8 @@ def _cmd_oracle(args) -> int:
     if name == "braess-cost":
         topo, _ = braess_network(augmented=not args.braess0)
         print(braess_cost_for_flows(topo, _oracle_flows(name, params)))
+    elif args.braess0:
+        raise _oracle_error(name, "does not take --braess0")
     else:
         oracle, _ = _ORACLES[name]
         print(oracle(*_oracle_numbers(name, params)))

@@ -62,6 +62,7 @@ from .network import (
     Topology,
     TrafficSpec,
     _is_int,
+    _is_node,
     _is_number,
     validate_topology,
 )
@@ -111,14 +112,14 @@ class ExperimentConfig(NamedTuple):
         n = self.topology.n_nodes
         for j, tp in enumerate(self.tracked):
             where = f"run.tracked_probabilities[{j}]"
-            if not (_is_int(tp.router) and 0 <= tp.router < n):
+            if not _is_node(tp.router, n):
                 v.append(f"{where}: no router {tp.router!r}")
             elif not (
                 _is_int(tp.link_index)
                 and tp.link_index in self.topology.out_link_indices(tp.router)
             ):
                 v.append(f"{where}: link is not an outgoing link of the router")
-            if not (_is_int(tp.dest) and 0 <= tp.dest < n) or tp.dest == tp.router:
+            if not _is_node(tp.dest, n) or tp.dest == tp.router:
                 v.append(f"{where}: destination is not routable from the router")
         if v:
             raise ConfigError("; ".join(v))

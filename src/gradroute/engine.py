@@ -9,8 +9,8 @@ Two engine modes share the learner plumbing:
   in (node id, packet id) order, with cycle detection at arrival and
   capacity drops at placement (a link without a capacity counts none);
   a placed packet carries its next node to its arrival tick's bucket,
-  (5) hand the tick's decisions and reward to the learner (one learner
-  tail for both modes), (6) emit per-tick stats.
+  (5) hand the tick's decisions and reward to the learner, (6) emit
+  per-tick stats.
 
 * node-flow traversal (synchronous): each generated packet walks its
   whole source-to-destination path within the tick, one policy sample
@@ -20,18 +20,20 @@ Two engine modes share the learner plumbing:
   walk ends.
 
 A routing decision is recorded as a (row, slot) pair; row is the flat id
-router * N + destination of the logit row. The first packet a router
-routes for a destination in a tick reads the row through
+router * N + destination of the logit row, which only this module lays
+out (make_tables) or decodes (theta). The first packet a router routes
+for a destination in a tick reads the row through
 learner.sampling_weights, which settles it and records its Gibbs weights
-in the trace; later packets reuse them. One tick_update call per tick
-takes every decision of the network and the shared reward. The whole
-network has one learner state and one trace clock: every router gets the
-same reward, so per-router clocks would be N identical copies. A router
-still reads and writes only its own rows, and the clock depends on the
-global reward alone, so sharing it is no communication between routers.
+in the trace; later packets reuse them. Each kernel ends its tick with
+one tick_update call, which takes every decision of the network and the
+shared reward. The whole network has one learner state and one trace
+clock: every router gets the same reward, so per-router clocks would be
+N identical copies. A router still reads and writes only its own rows,
+and the clock depends on the global reward alone, so sharing it is no
+communication between routers.
 
-Every draw bisects a draw table in policy.draw_table's form (running
-sums, the last set to +inf) with one uniform u: a slot is
+Every draw bisects a draw table (running sums of non-negative weights,
+the last set to +inf) with one uniform u: a slot is
 bisect_right(cum, u * total) over the row's weights, a new packet's
 destination bisect_right(cum, u) over its source's destination
 probabilities, cut after the last positive one so that it can be drawn.
@@ -69,6 +71,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
+from math import inf
 from random import Random
 from typing import NamedTuple
 
@@ -80,12 +84,20 @@ from .learner import (
     sampling_weights,
     tick_update,
 )
-from .network import CostModel
-from .policy import draw_table, make_tables, snapshot
+from .network import CostModel, Topology
 from .shaping import detect_cycle, shaping_reward
 
 
 LOAD_FACTOR = 100  # times the loop-free load bound (module doc)
+
+
+def make_tables(topology: Topology) -> dict[int, list[float]]:
+    """Every logit row of the network by flat row id router * N +
+    destination: one row, of zero logits (uniform routing), for every
+    other node at each node that has an outgoing link."""
+    n = topology.n_nodes
+    widths = map(len, topology.out_links())
+    return {r * n + y: [0.0] * w for r, w in enumerate(widths) if w for y in range(n) if y != r}
 
 
 class SimulationError(RuntimeError):
@@ -161,7 +173,8 @@ class Simulation:
             if rate > 0:
                 probs = cfg.traffic.dest_probs[s]
                 last = max(y for y, p in enumerate(probs) if p > 0.0)
-                cum = draw_table(probs[: last + 1])[2]
+                cum = list(accumulate(probs[: last + 1]))
+                cum[-1] = inf
                 self._sources.append((s, rate, cum, deque((s,), history_len)))
 
         # per node, per outgoing slot: (link index, capacity, delay, next node)
@@ -235,9 +248,14 @@ class Simulation:
         return self.reward_sum / self.tick_count if self.tick_count else 0.0
 
     def theta(self) -> dict:
-        """The snapshot of every current logit row, in fresh lists."""
-        rows, trace = self._rows, self._trace
-        return snapshot({y: current_logits(rows, trace, y) for y in rows}, self.topology)
+        """Every current logit row, in a fresh list, by router label and
+        destination label: {router: {destination: [logits]}}."""
+        rows, trace, label = self._rows, self._trace, self.topology.label
+        out: dict = {}
+        for row_id in sorted(rows):
+            router, y = divmod(row_id, self.topology.n_nodes)
+            out.setdefault(label(router), {})[label(y)] = current_logits(rows, trace, row_id)
+        return out
 
     def probabilities(self) -> tuple[float, ...]:
         """The current probability of each of cfg.tracked, in order,

@@ -48,7 +48,7 @@ from .metrics import (
 )
 # not called here: perfbench's tracer patches harness.softmax_row by name,
 # and a traced run raises KeyError if the name is missing
-from .policy import softmax_row  # noqa: F401
+from .learner import softmax_row  # noqa: F401
 
 OUTPUT_DIR_ENV = "GRADROUTE_OUT"
 

@@ -12,14 +12,14 @@ drop) credits that decision.
 
 Every logit row of the network has one flat row id, router * N + dest
 for N nodes, and `rows` maps each id to the row's logit list, as
-policy.make_tables builds them. A routing decision reaches
-the learner as a (row, slot) pair. The router samples from the row's
-weights as sampling_weights() computes and records them for the tick,
-(exps, total, cum): the max-subtracted exponentials of the row's logits,
-their sum and the running sums the engine draws from, as
-policy.draw_table builds them. tick_update() reads them and forms the
-decision's log-policy gradient, e_slot - exps / total. Weights never
-outlive their tick, and a decision on a row without them raises.
+engine.make_tables builds them. A routing decision reaches the learner
+as a (row, slot) pair. The router samples from the row's weights as
+sampling_weights() computes and records them for the tick, (exps, total,
+cum): the max-subtracted exponentials of the row's logits, their sum and
+the running sums the engine draws from, the last set to +inf.
+tick_update() reads them and forms the decision's log-policy gradient,
+e_slot - exps / total. Weights never outlive their tick, and a decision
+on a row without them raises.
 
 A one-column row (a router with one out-link) is the exception. Its
 Gibbs policy is fixed at probability 1, and the log-policy gradient of
@@ -37,7 +37,9 @@ per row that received a gradient, not O(active rows):
   multiplying the one scalar `scale` by beta;
 * `acc` is the running sum of gamma * r * scale over the ticks, so the
   credit a row is owed since tick u is (acc_now - acc_u) * rows[y];
-* `mark[y]` is the value of acc when theta[y] was last brought up to date.
+* `active[y]` is the value of acc when theta[y] was last brought up to
+  date, for each row y that has received a gradient; every other row has
+  a zero trace row and is owed nothing.
 
 The clock (scale, acc) is one for the whole network. Every router is
 credited with the same reward each tick, so a clock per router would run
@@ -59,11 +61,11 @@ changes how it rounds.
 sampling_weights() is the cost of every fresh row a tick reads, so it is
 one kernel of two passes over the row: the first settles each entry (only
 when the row is owed credit) and tracks the max, the second appends each
-exponential and its running sum. It does not call policy.draw_table: on
-the link-delay workloads most decisions read a fresh row, and the call,
-with the list handed to it, would take back more than half of what the
-fusion saves. It makes every float, and every addition in its order, as
-current_logits() and then draw_table would, so outputs are the same.
+exponential and its running sum. It calls no separate draw-table
+builder: on the link-delay workloads most decisions read a fresh row,
+and that call would take back more than half of what the fusion saves.
+It makes every float, and every addition in its order, as
+current_logits() and then a running sum would, so outputs are the same.
 
 When scale falls below RESCALE_BELOW, every row is settled, the scale is
 folded into the rows, and scale, acc and the marks restart from 1, 0 and
@@ -80,10 +82,14 @@ from __future__ import annotations
 
 import math
 from math import exp, inf
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .network import _number_rule
-from .policy import _PROB_FLOOR
+
+# floors a reported probability (softmax_row, current_probability), so
+# that a logit far below its row's max reads as this, never as 0.0
+_PROB_FLOOR = 1e-300
 
 
 class LearnerConfig(NamedTuple):
@@ -108,21 +114,38 @@ class EligibilityTrace:
     """Discounted gradient accumulator with a row for every logit row of
     `rows`, by row id, stored scaled: the true trace row is scale * rows[y].
 
-    `active` tracks rows that received a gradient; rows outside it are
-    exactly zero, so rescaling and settling may skip them. `acc` and
-    `mark` hold the reward credit not yet applied to theta (module doc).
-    `weights` holds the sampling weights recorded this tick, by row.
+    `active` maps each row that received a gradient to its mark; rows
+    outside it are exactly zero, so rescaling and settling may skip them.
+    `acc` and the marks hold the credit not yet applied to theta (module
+    doc). `weights` holds the sampling weights recorded this tick, by row.
     """
 
-    __slots__ = ("rows", "active", "scale", "acc", "mark", "weights")
+    __slots__ = ("rows", "active", "scale", "acc", "weights")
 
     def __init__(self, rows: dict[int, list[float]]):
         self.rows: dict[int, list[float]] = {y: [0.0] * len(row) for y, row in rows.items()}
-        self.active: set[int] = set()
+        self.active: dict[int, float] = {}
         self.scale = 1.0
         self.acc = 0.0
-        self.mark: dict[int, float] = {}
         self.weights: dict[int, tuple[list[float], float, list[float]]] = {}
+
+
+def softmax_row(logits: list[float]) -> list[float]:
+    """Max-subtracted softmax over one logit row, each probability floored
+    at _PROB_FLOOR (a NaN stays NaN): the reference that
+    current_probability is pinned to. The exponentials are totalled by a
+    plain left-to-right loop, not the builtin sum, which compensates its
+    rounding from CPython 3.12 on: the same row gives the same floats on
+    every supported interpreter."""
+    m = max(logits)
+    exps = [exp(v - m) for v in logits]
+    s = 0.0
+    for e in exps:
+        # operator.add, not +=: the sign of NaN + NaN may change once the
+        # interpreter specialises +=, and this one C addition never does
+        s = add(s, e)
+    # max(p, _PROB_FLOOR) without the call: the floor only where it is larger
+    return [_PROB_FLOOR if _PROB_FLOOR > (p := e / s) else p for e in exps]
 
 
 def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int) -> list[float]:
@@ -130,7 +153,7 @@ def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int
     it is owed applied. Writes neither the row nor its mark."""
     row = rows[y]
     acc = trace.acc
-    d = acc - trace.mark.get(y, acc)
+    d = acc - trace.active.get(y, acc)
     if d == 0.0:
         return row[:]
     return [v + d * z for v, z in zip(row, trace.rows[y])]
@@ -140,13 +163,13 @@ def current_probability(
     rows: dict[int, list[float]], trace: EligibilityTrace, y: int, slot: int
 ) -> float:
     """The current Gibbs probability of `slot` in row `y`: the same float
-    as policy.softmax_row(current_logits(rows, trace, y))[slot], floored
+    as softmax_row(current_logits(rows, trace, y))[slot], floored
     alike, without building the row's other probabilities. It copies the
     row only when the row is owed credit, and writes neither the row nor
     its mark."""
     row = rows[y]
     acc = trace.acc
-    if acc - trace.mark.get(y, acc) != 0.0:
+    if acc - trace.active.get(y, acc) != 0.0:
         row = current_logits(rows, trace, y)
     m = max(row)
     total = 0.0
@@ -162,13 +185,13 @@ def sampling_weights(
     """Settle row `y`, record its Gibbs sampling weights in the trace for
     this tick's tick_update, and return them: (exps, total, cum), the
     max-subtracted exponentials of its logits, their sum and the running
-    sums with the last set to +inf, as policy.draw_table builds them.
-    One kernel, two passes over the row (module doc): the same floats as
-    current_logits() and then draw_table over the exponentials."""
+    sums with the last set to +inf. One kernel, two passes over the row
+    (module doc): the same floats as current_logits() and then a running
+    sum over the exponentials."""
     row = rows[y]
     acc = trace.acc
-    mark = trace.mark
-    d = acc - mark.get(y, acc)
+    active = trace.active
+    d = acc - active.get(y, acc)
     if d != 0.0:
         m = -inf
         for i, z in enumerate(trace.rows[y]):
@@ -176,7 +199,7 @@ def sampling_weights(
             row[i] = v
             if v > m:
                 m = v
-        mark[y] = acc
+        active[y] = acc
     else:
         m = row[0]
         for v in row:
@@ -199,17 +222,17 @@ def _rescale(rows: dict[int, list[float]], trace: EligibilityTrace) -> None:
     """Settle every active row and fold the scale into it, in one pass."""
     s = trace.scale
     acc = trace.acc
-    mark = trace.mark
-    for y in trace.active:
+    active = trace.active
+    for y, mark in active.items():
         zrow = trace.rows[y]
         trow = rows[y]
-        d = acc - mark.get(y, acc)
+        d = acc - mark
         for i, z in enumerate(zrow):
             trow[i] += d * z
             zrow[i] = z * s
+        active[y] = 0.0
     trace.scale = 1.0
     trace.acc = 0.0
-    trace.mark = dict.fromkeys(trace.active, 0.0)
 
 
 def _forget(trace: EligibilityTrace) -> None:
@@ -223,7 +246,6 @@ def _forget(trace: EligibilityTrace) -> None:
     trace.active.clear()
     trace.scale = 1.0
     trace.acc = 0.0
-    trace.mark = {}
 
 
 def tick_update(
@@ -283,7 +305,6 @@ def tick_update(
     if drawn:
         inv = 1.0 / s
         zrows = trace.rows
-        marks = trace.mark
         active = trace.active
         for y, slots in drawn.items():
             exps, total, _ = weights[y]
@@ -291,7 +312,7 @@ def tick_update(
             trow = rows[y]
             # settle the row as it stood before this tick's gradient (this
             # tick's credit included), add the gradient and credit it
-            d = acc - marks.get(y, acc)
+            d = acc - active.get(y, acc)
             if isinstance(slots, int):
                 slot = slots
                 for i, e in enumerate(exps):
@@ -312,8 +333,7 @@ def tick_update(
                     z = zrow[i]
                     zrow[i] = z + gi
                     trow[i] += d * z + c * gi
-            marks[y] = acc
-            active.add(y)
+            active[y] = acc
     weights.clear()  # weights that no decision used are dropped too
     trace.scale = s
     trace.acc = acc

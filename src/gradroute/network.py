@@ -140,7 +140,7 @@ class Topology(NamedTuple):
         n = len(self.nodes)
         out: list[list[int]] = [[] for _ in range(n)]
         for i, link in enumerate(self.links):
-            if 0 <= link.src < n and 0 <= link.dst < n:
+            if _is_node(link.src, n) and _is_node(link.dst, n):
                 out[link.src].append(i)
         return [tuple(o) for o in out]
 
@@ -238,6 +238,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_node(value, n: int) -> bool:
+    """A node id of an n-node network: an integer from 0 to n - 1."""
+    return _is_int(value) and 0 <= value < n
+
+
 def _is_number(value) -> bool:
     """A float, or an integer that a float can hold."""
     return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
@@ -258,13 +263,14 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     """The violations of the network and traffic rules, each as
     `<dotted config key>: <problem>`, deduped, in order; () when valid.
 
-    Detects: duplicate labels, non-dense ids, dangling links, self-loops,
-    a delay or capacity that is not an integer >= 1, a rate that is not an
-    integer from 0 to MAX_RATE, malformed destination distributions, nodes
-    with traffic but no outgoing links, unreachable destinations, missing
-    or misplaced node costs for the active cost model, and a directed cycle
-    in a node-flow network, where a packet walks its whole path in one
-    tick. A value of the wrong type is reported, never compared.
+    Detects: duplicate labels, non-dense ids, a link endpoint that is not
+    a node id, self-loops, a delay or capacity that is not an integer >= 1,
+    a capacity in a node-flow network, a rate that is not an integer from
+    0 to MAX_RATE, malformed destination distributions, nodes with traffic
+    but no outgoing links, unreachable destinations, missing or misplaced
+    node costs for the active cost model, and a directed cycle in a
+    node-flow network, where a packet walks its whole path in one tick. A
+    value of the wrong type is reported, never compared.
     """
     v: list[str] = []
     n = topology.n_nodes
@@ -278,15 +284,17 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
 
     for i, link in enumerate(topology.links):
         where = f"network.links[{i}]"
-        if not (0 <= link.src < n and 0 <= link.dst < n):
-            v.append(f"{where}: dangling link endpoint ({link.src}->{link.dst})")
+        if not (_is_node(link.src, n) and _is_node(link.dst, n)):
+            v.append(f"{where}: dangling link endpoint ({link.src!r}->{link.dst!r})")
             continue
         if link.src == link.dst:
             v.append(f"{where}: self-loop at {labels[link.src]}")
         if not (_is_int(link.delay) and link.delay >= 1):
             v.append(f"{where}.delay: must be an integer >= 1, got {link.delay!r}")
         capacity = link.capacity
-        if capacity is not None and not (_is_int(capacity) and capacity >= 1):
+        if capacity is not None and topology.cost_model is CostModel.NODE_FLOW:
+            v.append(f"{where}.capacity: only a link_delay network has link capacities")
+        elif capacity is not None and not (_is_int(capacity) and capacity >= 1):
             v.append(f"{where}.capacity: must be an integer >= 1 or null, got {capacity!r}")
 
     if topology.cost_model is CostModel.NODE_FLOW:

@@ -9,11 +9,11 @@ these functions holds the true trace z in `rows` (its scale stays 1).
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from random import Random
 from typing import Iterable
 
 from gradroute.learner import EligibilityTrace, LearnerConfig
-from gradroute.policy import draw_table
 
 
 def begin_tick_accumulate(
@@ -50,7 +50,7 @@ def begin_tick_accumulate(
             )
         for i, gi in enumerate(g):
             row[i] += gi
-        trace.active.add(dest)
+        trace.active[dest] = trace.acc
     return trace
 
 
@@ -85,10 +85,14 @@ def dense_tick_update(
 
 def gibbs_weights(logits: list[float]) -> tuple[list[float], float, list[float]]:
     """Sampling weights of a logit row, the record learner.sampling_weights
-    makes: the max-subtracted exponentials, their total and draw table."""
+    makes: the max-subtracted exponentials, their total and draw table
+    (their running sums, the last set to +inf)."""
     m = max(logits)
     exps = [math.exp(v - m) for v in logits]
-    return draw_table(exps)
+    cum = list(accumulate(exps))
+    total = cum[-1]
+    cum[-1] = math.inf
+    return exps, total, cum
 
 
 def decision_gradient(

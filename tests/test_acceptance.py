@@ -37,7 +37,7 @@ from gradroute.oracles import (
     contention_optimal_p,
 )
 from gradroute.learner import EligibilityTrace, LearnerConfig, sampling_weights, tick_update
-from gradroute.policy import softmax_row
+from gradroute.learner import softmax_row
 from gradroute.presets import preset
 
 

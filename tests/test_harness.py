@@ -25,7 +25,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import MAX_RATE, Topology
+from gradroute.network import MAX_RATE, Node, Topology
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -108,6 +108,12 @@ class TestConfigRoundTrip:
         path = tmp_path / "broken.json"
         path.write_text('{"network": ')
         with pytest.raises(ConfigError, match="line"):
+            load_config(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match=r"list\.json: top level must be an object$"):
             load_config(path)
 
     def test_unknown_tracked_link_rejected(self):
@@ -274,8 +280,9 @@ def _drop_links(doc):
 _TRAFFIC = preset("triangle").traffic
 
 
-# one violated rule each, on the triangle preset: (document edit, edit of
-# the preset in Python, the key the message starts with)
+# one violated rule each, on the triangle preset unless a fourth entry
+# names another: (document edit, edit of the preset in Python, the key the
+# message starts with[, preset])
 _RULES = {
     "rate_cap": (
         _set("traffic", "rates", "A", value=MAX_RATE + 1),
@@ -308,6 +315,20 @@ _RULES = {
             traffic=_TRAFFIC._replace(dest_probs=((0.0, 0.5, 0.4), *_TRAFFIC.dest_probs[1:]))
         ),
         "traffic.destinations.A",
+    ),
+    "own_weight": (
+        _set("traffic", "destinations", "A", value={"A": 0.5, "B": 0.5}),
+        lambda cfg: cfg._replace(
+            traffic=_TRAFFIC._replace(dest_probs=((0.5, 0.5, 0.0), *_TRAFFIC.dest_probs[1:]))
+        ),
+        "traffic.destinations.A",
+    ),
+    # a node-flow network has no link capacities: they would be ignored
+    "node_flow_capacity": (
+        _set("network", "links", 0, "capacity", value=1),
+        _links(lambda links: _replace_at(links, 0, capacity=1)),
+        "network.links[0].capacity",
+        "braess1",
     ),
     "unreachable": (
         _drop_links,
@@ -374,22 +395,62 @@ _RULES = {
 def test_one_rule_two_entry_points(rule):
     """A rule refuses a value alike in a loaded document and in a config
     built in Python: one ConfigError, the same message, led by the key."""
-    edit_doc, edit_cfg, key = _RULES[rule]
-    doc = config_to_dict(preset("triangle"))
+    edit_doc, edit_cfg, key, *name = _RULES[rule]
+    cfg = preset(name[0] if name else "triangle")
+    doc = config_to_dict(cfg)
     edit_doc(doc)
     with pytest.raises(ConfigError) as loaded:
         config_from_dict(doc)
     with pytest.raises(ConfigError) as built:
-        Simulation(edit_cfg(preset("triangle")))
+        Simulation(edit_cfg(cfg))
     assert str(built.value).startswith(f"{key}: ")
     if rule != "tracked_router":
         assert str(loaded.value) == str(built.value)
     assert str(loaded.value).startswith(f"{key}: ")
 
 
+_TOPOLOGY = preset("triangle").topology
+
+
+def _endpoint(**fields):
+    """Triangle with link 0 (A->B) given `fields`. It tracks nothing: its
+    tracked probability is of link 0, which a refused link leaves unrouted."""
+    links = tuple(_replace_at(list(_TOPOLOGY.links), 0, **fields))
+    return lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(links=links), tracked=())
+
+
 # rules only a config built in Python can break: a loaded file always
-# builds full destination rows and resolves tracked labels to node ids
+# builds full destination rows, numbers its nodes 0..N-1 by their distinct
+# labels and resolves link endpoints and tracked labels to node ids
 _PYTHON_RULES = {
+    "duplicate_label": (
+        lambda cfg: cfg._replace(
+            topology=_TOPOLOGY._replace(nodes=(*_TOPOLOGY.nodes[:2], Node(2, "A")))
+        ),
+        "network.nodes: labels must be unique",
+    ),
+    "sparse_ids": (
+        lambda cfg: cfg._replace(
+            topology=_TOPOLOGY._replace(nodes=(*_TOPOLOGY.nodes[:2], Node(3, "C")))
+        ),
+        "network.nodes: ids must be dense 0..N-1",
+    ),
+    "short_traffic": (
+        lambda cfg: cfg._replace(traffic=_TRAFFIC._replace(rates=(1, 1))),
+        "traffic: rates and destinations must have one entry per node",
+    ),
+    "link_src_label": (
+        _endpoint(src="A"),
+        "network.links[0]: dangling link endpoint ('A'->1)",
+    ),
+    "link_dst_float": (
+        _endpoint(dst=1.0),
+        "network.links[0]: dangling link endpoint (0->1.0)",
+    ),
+    "link_src_bool": (
+        _endpoint(src=True),
+        "network.links[0]: dangling link endpoint (True->1)",
+    ),
     "short_row": (
         lambda cfg: cfg._replace(
             traffic=_TRAFFIC._replace(dest_probs=((0.0, 1.0), *_TRAFFIC.dest_probs[1:]))
@@ -952,12 +1013,14 @@ class TestCli:
             (["braess-cost", "x"], "needs PATH=COUNT with a whole COUNT >= 0, got 'x'"),
             (["triangle-optimal", "1", "2", "3"], "takes 0 parameter(s), got 3"),
             (["braess-cost", "ACDB=6", "ACDB=0"], "names path ACDB twice"),
+            (["contention-optimal", "21", "--braess0"], "does not take --braess0"),
         ],
         ids=[
             "contention_reward_no_params",
             "braess_cost_malformed",
             "triangle_optimal_extra",
             "braess_cost_repeated_path",
+            "contention_optimal_braess0",
         ],
     )
     def test_oracle_bad_parameters(self, argv, problem, capsys):

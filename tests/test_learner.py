@@ -22,10 +22,10 @@ from gradroute.learner import (
     LearnerConfig,
     current_logits,
     sampling_weights,
+    softmax_row,
     tick_update,
 )
 from gradroute.network import Topology, TrafficSpec
-from gradroute.policy import make_tables, snapshot, softmax_row
 from gradroute.presets import preset
 
 
@@ -53,7 +53,7 @@ class TestTraceAccumulation:
     def test_beta_zero_is_memoryless(self):
         _, trace = fresh(dests=(1, 2))
         trace.rows[2][:] = [4.0, -4.0]
-        trace.active.add(2)
+        trace.active[2] = trace.acc
         cfg = LearnerConfig(beta=0.0, gamma=1.0)
         begin_tick_accumulate(trace, cfg, [(1, [0.25, -0.25])])
         assert trace.rows[1] == [0.25, -0.25]
@@ -62,7 +62,7 @@ class TestTraceAccumulation:
     def test_half_decay_plus_gradient(self):
         _, trace = fresh()
         trace.rows[1][:] = [1.0, -1.0]
-        trace.active.add(1)
+        trace.active[1] = trace.acc
         cfg = LearnerConfig(beta=0.5, gamma=1.0)
         begin_tick_accumulate(trace, cfg, [(1, [0.5, -0.5])])
         assert trace.rows[1] == [1.0, -1.0]
@@ -70,7 +70,7 @@ class TestTraceAccumulation:
     def test_no_decisions_just_decays(self):
         _, trace = fresh()
         trace.rows[1][:] = [2.0, -3.0]
-        trace.active.add(1)
+        trace.active[1] = trace.acc
         cfg = LearnerConfig(beta=0.9, gamma=1.0)
         begin_tick_accumulate(trace, cfg, [])
         assert trace.rows[1] == [2.0 * 0.9, -3.0 * 0.9]
@@ -79,7 +79,7 @@ class TestTraceAccumulation:
         _, trace = fresh()
         start = [1.7, -0.3]
         trace.rows[1][:] = start
-        trace.active.add(1)
+        trace.active[1] = trace.acc
         cfg = LearnerConfig(beta=0.97, gamma=1.0)
         for _ in range(40):
             begin_tick_accumulate(trace, cfg, [])
@@ -105,14 +105,14 @@ class TestApplyReward:
     def test_zero_reward_leaves_theta(self):
         table, trace = fresh()
         trace.rows[1][:] = [1.0, 2.0]
-        trace.active.add(1)
+        trace.active[1] = trace.acc
         apply_reward(table, trace, LearnerConfig(beta=0.5, gamma=0.1), 0.0)
         assert table[1] == [0.0, 0.0]
 
     def test_hand_computed_update(self):
         table, trace = fresh()
         trace.rows[1][:] = [0.5, -0.5]
-        trace.active.add(1)
+        trace.active[1] = trace.acc
         apply_reward(table, trace, LearnerConfig(beta=0.5, gamma=1e-5), -3.0)
         assert table[1] == pytest.approx([-1.5e-5, 1.5e-5], rel=1e-12)
 
@@ -141,7 +141,7 @@ class TestApplyReward:
         z = [0.7, -1.3]
         for tr in (trace_a, trace_b):
             tr.rows[1][:] = z
-            tr.active.add(1)
+            tr.active[1] = tr.acc
         apply_reward(table_a, trace_a, cfg, r1)
         apply_reward(table_a, trace_a, cfg, r2)
         apply_reward(table_b, trace_b, cfg, r1 + r2)
@@ -254,7 +254,7 @@ class TestSamplingWeightsKernel:
     def pair(rng, width, case):
         """The same row twice, in two tables and traces; `case` says what
         the row is owed: "stale" (d != 0), "marked" (d == 0, mark == acc)
-        or "unmarked" (d == 0, never credited)."""
+        or "unmarked" (d == 0, not in active: never credited)."""
         logits = [rng.gauss(0.0, 3.0) for _ in range(width)]
         z = [rng.gauss(0.0, 1.0) for _ in range(width)]
         acc = rng.gauss(0.0, 1.0)
@@ -264,13 +264,12 @@ class TestSamplingWeightsKernel:
             table, trace = fresh(width, dests=(1, 2))
             table[1][:] = logits
             trace.rows[1][:] = z
-            trace.active.add(1)
             trace.acc = acc
-            trace.mark[2] = 0.5  # another row's mark, never touched
+            trace.active[2] = 0.5  # another row's mark, never touched
             if case == "stale":
-                trace.mark[1] = acc - owed
+                trace.active[1] = acc - owed
             elif case == "marked":
-                trace.mark[1] = acc
+                trace.active[1] = acc
             made.append((table, trace))
         return made
 
@@ -280,7 +279,7 @@ class TestSamplingWeightsKernel:
         rng = random.Random(width * 10 + len(case))
         for _ in range(200):
             (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
-            mark_before = dict(trace.mark)
+            mark_before = dict(trace.active)
             ref_before = {y: list(row) for y, row in ref_table.items()}
             weights = sampling_weights(table, trace, 1)
             logits = current_logits(ref_table, ref_trace, 1)
@@ -289,11 +288,11 @@ class TestSamplingWeightsKernel:
             assert trace.weights == {1: weights}
             assert table == {**ref_before, 1: logits}
             # the read wrote nothing
-            assert ref_table == ref_before and ref_trace.mark == mark_before
+            assert ref_table == ref_before and ref_trace.active == mark_before
             if case == "stale":
-                assert trace.mark == {**mark_before, 1: trace.acc}
+                assert trace.active == {**mark_before, 1: trace.acc}
             else:
-                assert trace.mark == mark_before  # nothing owed: untouched
+                assert trace.active == mark_before  # nothing owed: untouched
 
 
 class TestOneColumnTable:
@@ -306,8 +305,7 @@ class TestOneColumnTable:
         return (
             {y: list(row) for y, row in table.items()},
             {y: list(row) for y, row in trace.rows.items()},
-            dict(trace.mark),
-            set(trace.active),
+            dict(trace.active),
             dict(trace.weights),
         )
 
@@ -339,7 +337,7 @@ class TestOneColumnTable:
         for t in range(400):  # past several rescales at beta = 0.9
             sampling_weights(rows, trace, 1)
             tick_update(rows, trace, cfg, [(3, 0), (1, t % 2), (3, 0)], -1.0 - t % 2)
-            assert 3 not in trace.active and 3 not in trace.mark
+            assert 3 not in trace.active
         assert current_logits(rows, trace, 3) == [0.0] and trace.rows[3] == [0.0]
         assert abs(rows[1][0]) > 1.0  # while the two-link row learned
 
@@ -428,7 +426,7 @@ class TestLazyMatchesDenseInSimulation:
         n = cfg.topology.n_nodes
         # the dense oracle's logits, per router: {router: {dest: row}}
         tables = {}
-        for row_id, row in make_tables(cfg.topology).items():
+        for row_id, row in engine.make_tables(cfg.topology).items():
             router, dest = divmod(row_id, n)
             tables.setdefault(router, {})[dest] = row
         calls = []
@@ -462,9 +460,8 @@ class TestLazyMatchesDenseInSimulation:
                     assert max(map(abs, dev)) < 1e-9
                 dense_tick_update(table, traces[router], cfg.learner, grads[router], reward)
 
-        want = snapshot(
-            {r * n + y: row for r, t in tables.items() for y, row in t.items()}, cfg.topology
-        )
+        label = cfg.topology.label
+        want = {label(r): {label(y): row for y, row in t.items()} for r, t in tables.items()}
         for router, rows in res.final_theta.items():
             assert_rows_close(rows, want[router])
         (tp,) = cfg.tracked

@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import sample_slot
+from gradroute.engine import Simulation, make_tables
 from gradroute.learner import (
+    _PROB_FLOOR,
     EligibilityTrace,
     LearnerConfig,
     current_logits,
     current_probability,
     sampling_weights,
+    softmax_row,
     tick_update,
 )
-from gradroute.policy import _PROB_FLOOR, make_tables, snapshot, softmax_row
-from gradroute.presets import braess_network, triangle_network
+from gradroute.presets import braess_network, preset, triangle_network
 
 logit_rows = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
@@ -156,12 +158,12 @@ class TestMakeTables:
             assert probs == pytest.approx([1 / len(probs)] * len(probs))
 
     def test_snapshot_decodes_router_and_destination(self):
-        topo, _ = braess_network(augmented=True)
-        rows = make_tables(topo)
+        sim = Simulation(preset("braess1"))
+        topo = sim.topology
         a, e, b = (topo.node_id(x) for x in "AEB")
-        rows[a * topo.n_nodes + b][:] = [1.0, -1.0]
-        rows[e * topo.n_nodes + b][:] = [2.0, -2.0]
-        snap = snapshot(rows, topo)
+        sim._rows[a * topo.n_nodes + b][:] = [1.0, -1.0]
+        sim._rows[e * topo.n_nodes + b][:] = [2.0, -2.0]
+        snap = sim.theta()
         assert snap["A"]["B"] == [1.0, -1.0] and snap["E"]["B"] == [2.0, -2.0]
         assert "B" not in snap and "A" not in snap["A"]
         assert list(snap) == sorted(snap, key=topo.node_id)
@@ -241,13 +243,13 @@ class TestCurrentProbabilityPin:
         trace = EligibilityTrace(rows)
         if owed:
             trace.rows[y] = data.draw(st.lists(any_logit, min_size=len(row), max_size=len(row)))
-            trace.mark[y] = 0.0
+            trace.active[y] = 0.0
             trace.acc = data.draw(any_logit.filter(lambda d: d != 0.0))
         else:
             trace.acc = data.draw(st.floats(-1e6, 1e6))
             if data.draw(st.booleans()):
-                trace.mark[y] = trace.acc
-        before = (bits(row), bits(trace.rows[y]), dict(trace.mark), bits([trace.acc]))
+                trace.active[y] = trace.acc
+        before = (bits(row), bits(trace.rows[y]), dict(trace.active), bits([trace.acc]))
         try:
             want = softmax_row(current_logits(rows, trace, y))
         except (OverflowError, ValueError) as e:
@@ -258,4 +260,4 @@ class TestCurrentProbabilityPin:
             assert same_float(current_probability(rows, trace, y, slot), p), slot
         # a pure read: the row, its trace row, the marks and acc unchanged
         assert rows[y] is row
-        assert (bits(row), bits(trace.rows[y]), dict(trace.mark), bits([trace.acc])) == before
+        assert (bits(row), bits(trace.rows[y]), dict(trace.active), bits([trace.acc])) == before
