@@ -15,7 +15,8 @@ run-seed<S>.json. `batch` writes files only when given --out; without
 it, a batch refuses a config that names output files.
 `batch` exits 1 if a seed's load diverged, after its table, and
 `reproduce` if a claim fails. An error, such as a `run` whose load
-diverged, prints one line and exits 2.
+diverged or a file that cannot be read or written, prints one line and
+exits 2.
 """
 from __future__ import annotations
 
@@ -217,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (ConfigError, ValueError, FileNotFoundError, SimulationError) as e:
+    except (ConfigError, ValueError, OSError, SimulationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

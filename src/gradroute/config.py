@@ -369,7 +369,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError naming the
     offending key on failure."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

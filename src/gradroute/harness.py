@@ -160,9 +160,11 @@ def run_experiment(
 
     theta = sim.theta()
     if cfg.theta_path:
-        Path(cfg.theta_path).write_text(
-            json.dumps(theta, indent=2) + "\n", encoding="utf-8"
-        )
+        # dump writes the encoder's chunks as they come: the text, several
+        # times the file's size on a large network, is never held whole
+        with open(cfg.theta_path, "w", encoding="utf-8") as fh:
+            json.dump(theta, fh, indent=2)
+            fh.write("\n")
     _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
     return RunResult(
         config=cfg,

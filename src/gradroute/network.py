@@ -263,21 +263,28 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     """The violations of the network and traffic rules, each as
     `<dotted config key>: <problem>`, deduped, in order; () when valid.
 
-    Detects: duplicate labels, non-dense ids, a link endpoint that is not
-    a node id, self-loops, a delay or capacity that is not an integer >= 1,
-    a capacity in a node-flow network, a rate that is not an integer from
-    0 to MAX_RATE, malformed destination distributions, nodes with traffic
-    but no outgoing links, unreachable destinations, missing or misplaced
-    node costs for the active cost model, and a directed cycle in a
-    node-flow network, where a packet walks its whole path in one tick. A
+    Detects: a cost model that is not a CostModel (reported alone, since
+    every other rule depends on it), no nodes or a label that is not a
+    string, duplicate labels, non-dense ids, a link endpoint that is not a
+    node id, self-loops, a delay or capacity that is not an integer >= 1, a
+    capacity in a node-flow network, a rate that is not an integer from 0
+    to MAX_RATE, malformed destination distributions, nodes with traffic
+    but no outgoing links, unreachable destinations, missing, misplaced or
+    mistyped node costs for the active cost model, and a directed cycle in
+    a node-flow network, where a packet walks its whole path in one tick. A
     value of the wrong type is reported, never compared.
     """
+    if not isinstance(topology.cost_model, CostModel):
+        return (f"network.cost_model: must be a CostModel, got {topology.cost_model!r}",)
     v: list[str] = []
     n = topology.n_nodes
     out = topology.out_links()
 
     labels = [nd.label for nd in topology.nodes]
-    if len(set(labels)) != len(labels):
+    # the loader's own rule, so that a run's saved config loads back
+    if not labels or not all(isinstance(lb, str) for lb in labels):
+        v.append("network.nodes: must be a non-empty list of labels")
+    elif len(set(labels)) != len(labels):
         v.append("network.nodes: labels must be unique")
     if [nd.id for nd in topology.nodes] != list(range(n)):
         v.append("network.nodes: ids must be dense 0..N-1")
@@ -303,6 +310,8 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
             where = f"network.node_costs.{nd.label}"
             if nd.id not in costs:
                 v.append(f"{where}: missing node cost")
+            elif not isinstance(costs[nd.id], NodeCost):
+                v.append(f"{where}: must be a NodeCost, got {costs[nd.id]!r}")
             else:
                 for field, x in zip(NodeCost._fields, costs[nd.id]):
                     v += _number_rule(f"{where}.{field}", x)

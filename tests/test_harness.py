@@ -5,6 +5,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from gradroute import claims, engine, harness
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     ConfigError,
+    ExperimentConfig,
     TrackedProbability,
     config_from_dict,
     config_to_dict,
@@ -25,7 +27,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import MAX_RATE, Node, Topology
+from gradroute.network import MAX_RATE, Node, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -108,6 +110,12 @@ class TestConfigRoundTrip:
         path = tmp_path / "broken.json"
         path.write_text('{"network": ')
         with pytest.raises(ConfigError, match="line"):
+            load_config(path)
+
+    def test_text_that_is_not_utf8_is_refused_with_its_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"network": "\xff"}')
+        with pytest.raises(ConfigError, match=r"latin1\.json: not UTF-8 text at byte 13: "):
             load_config(path)
 
     def test_top_level_must_be_an_object(self, tmp_path):
@@ -469,14 +477,33 @@ _PYTHON_RULES = {
         lambda cfg: cfg._replace(tracked=(TrackedProbability(0, 2, 0.0),)),
         "run.tracked_probabilities[0]: link is not an outgoing link of the router",
     ),
+    # the loader takes only string labels, so a run's saved config loads back
+    "label_int": (
+        lambda cfg: cfg._replace(
+            topology=_TOPOLOGY._replace(nodes=(Node(0, 5), *_TOPOLOGY.nodes[1:]))
+        ),
+        "network.nodes: must be a non-empty list of labels",
+    ),
+    "cost_model_str": (
+        lambda cfg: cfg._replace(topology=cfg.topology._replace(cost_model="node_flow")),
+        "network.cost_model: must be a CostModel, got 'node_flow'",
+        "braess1",
+    ),
+    "node_cost_tuple": (
+        lambda cfg: cfg._replace(
+            topology=cfg.topology._replace(node_costs={**cfg.topology.node_costs, 0: (1.0,)})
+        ),
+        "network.node_costs.A: must be a NodeCost, got (1.0,)",
+        "braess1",
+    ),
 }
 
 
 @pytest.mark.parametrize("rule", _PYTHON_RULES)
 def test_python_built_config_gets_a_keyed_message(rule):
-    edit_cfg, message = _PYTHON_RULES[rule]
+    edit_cfg, message, *name = _PYTHON_RULES[rule]
     with pytest.raises(ConfigError) as e:
-        Simulation(edit_cfg(preset("triangle")))
+        Simulation(edit_cfg(preset(name[0] if name else "triangle")))
     assert str(e.value) == message
 
 
@@ -621,6 +648,29 @@ class TestRunExperiment:
         assert set(snap.keys()) == {"A"}  # B has no outgoing links
         assert set(snap["A"].keys()) == {"B"}
         assert len(snap["A"]["B"]) == 2  # ordered slots: top, bottom
+
+    def test_writing_theta_holds_less_than_the_file(self, tmp_path):
+        """theta-seed<S>.json is streamed into its file: on a 60-router ring
+        (3 540 logit rows, a file of about 450 kB) writing it adds less to
+        the run's traced peak than the file's own size. Building the whole
+        text first added about four times the file."""
+        n = 60
+        labels = [f"N{i}" for i in range(n)]
+        links = [(labels[i], labels[(i + k) % n], 1) for i in range(n) for k in (1, -1, 7, -7)]
+        cfg = ExperimentConfig(Topology.build(labels, links), TrafficSpec.uniform(n), steps=20)
+        path = tmp_path / "theta.json"
+
+        def traced_peak(c) -> int:
+            tracemalloc.start()
+            try:
+                run_experiment(c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        without = traced_peak(cfg)
+        written = traced_peak(cfg._replace(theta_path=str(path)))
+        assert written - without < path.stat().st_size
 
     def test_running_mean_column_matches_exact_mean(self):
         cfg = preset("contention").with_overrides(steps=400, sample_every=100)
@@ -1052,6 +1102,21 @@ class TestCli:
         path.write_text("{}")
         assert cli_main(["run", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["run", "."], "Is a directory: '.'"),
+            (["preset", "triangle", "--steps", "10", "--out", "file"], "Not a directory: "),
+        ],
+    )
+    def test_os_error_is_one_error_line(self, argv, problem, tmp_path, monkeypatch, capsys):
+        """A directory given as the config, or --out under a regular file."""
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("")
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and problem in err and err.count("\n") == 1
 
     def test_module_entry_point(self):
         proc = subprocess.run(
