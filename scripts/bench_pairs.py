@@ -2,7 +2,8 @@
 """Compare two checkouts on benchmark workloads in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
-        --workload six_node[,ring60,...] --seeds 201-210 --seconds 20 [--trace 0|1]
+        --workload six_node[,ring60,...] --seeds 201-210 --seconds 20 [--trace 0|1] \\
+        [--json PATH]
 
 Pair i runs `perfbench/run.py --seed S_i` once in each checkout, each in
 its own interpreter, the parent first in even pairs and the change first
@@ -18,7 +19,10 @@ pairs the change won (ties count for neither side) and a verdict:
 `gain` when at least ten pairs ran, the change won at least nine in ten
 of them and its median is better than the parent's by more than the
 parent's IQR; `loss` when the parent did so; `-` otherwise. It also
-reports whether each pair's CSV and theta digests were equal. The exit
+reports whether each pair's CSV and theta digests were equal. With
+--json it also writes what it prints to PATH: per workload, each pair's
+seed, order, digest check and metrics, the count of pairs with equal
+digests and of failed runs, and every metric's summary row. The exit
 code is 1 if any run failed (non-zero exit or `"correct": false`), else
 0.
 
@@ -161,9 +165,11 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_pairs(args, workload: str, seeds: list[int], specs: list[dict]) -> int:
-    """Run and print every pair of one workload; the number of failed runs."""
+def run_pairs(args, workload: str, seeds: list[int], specs: list[dict]) -> dict:
+    """Run and print every pair of one workload; its summary, as --json
+    writes it."""
     pairs = []
+    shown_pairs = []
     failed = 0
     same = 0
     for i, seed in enumerate(seeds):
@@ -182,14 +188,18 @@ def run_pairs(args, workload: str, seeds: list[int], specs: list[dict]) -> int:
                          for k in (s["name"] for s in specs[:2]))
         print(f"pair {i} seed {seed} first={order[0]} digests "
               f"{'equal' if equal else 'DIFFER'} {shown}", flush=True)
+        shown_pairs.append({"seed": seed, "first": order[0], "digests_equal": equal,
+                            "parent": p["metrics"], "change": c["metrics"]})
         if p["ok"] and c["ok"]:
             pairs.append((p["metrics"], c["metrics"]))
 
     print(f"workload {workload} seeds {args.seeds} seconds {args.seconds} "
           f"trace {args.trace}: {len(pairs)} complete pairs, digests equal in "
           f"{same} of {len(seeds)}, {failed} failed runs")
-    print(format_rows(summarize(pairs, specs)), flush=True)
-    return failed
+    rows = summarize(pairs, specs)
+    print(format_rows(rows), flush=True)
+    return {"complete_pairs": len(pairs), "digests_equal": same, "failed_runs": failed,
+            "pairs": shown_pairs, "metrics": rows}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,6 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 201-210 or 5,7,9")
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, help="also write the summary to this file")
     args = ap.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -207,8 +218,12 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--seeds: {e}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     specs = spec["per_layer" if args.trace else "end_to_end"]
-    failed = sum(run_pairs(args, w, seeds, specs) for w in args.workload.split(","))
-    return 1 if failed else 0
+    workloads = {w: run_pairs(args, w, seeds, specs) for w in args.workload.split(",")}
+    if args.json:
+        summary = {"seeds": args.seeds, "seconds": args.seconds, "trace": args.trace,
+                   "workloads": workloads}
+        args.json.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return 1 if any(w["failed_runs"] for w in workloads.values()) else 0
 
 
 if __name__ == "__main__":

@@ -26,12 +26,6 @@ from .harness import RunResult, batch, censored_ticks
 from .presets import BRAESS_PATHS, braess_network, preset, six_node_network, triangle_network
 
 
-def underlying_per_tick(res: RunResult) -> float:
-    """Mean underlying reward of the run's last ma_window sampled rows."""
-    tail = res.rows[-res.config.ma_window :]
-    return statistics.fmean(r.reward_underlying for r in tail)
-
-
 class Endpoint(NamedTuple):
     preset: str
     statistic: str  # what `measure` returns, as the table names it
@@ -107,20 +101,20 @@ BRAESS_GREEDY = oracles.braess_cost_for_flows(
 # braess1, nearer the optimum than the greedy 2/2/2 split
 CLAIMS = {
     "triangle": Endpoint(
-        "triangle", "reward/tick", underlying_per_tick,
+        "triangle", "reward/tick", lambda res: res.final_underlying_ma,
         oracles.expected_optimal_reward(*triangle_network()), 0.5,
     ),
     "contention": Endpoint(
-        "contention", "p(top)", lambda res: res.rows[-1].probs[0],
+        "contention", "p(top)", lambda res: res.final_row.probs[0],
         oracles.contention_optimal_p(preset("contention").shaping.drop_penalty), 0.05,
     ),
     "six_node": Endpoint(
-        "six_node", "reward/tick", underlying_per_tick,
+        "six_node", "reward/tick", lambda res: res.final_underlying_ma,
         oracles.expected_optimal_reward(*six_node_network()), 0.6,
     ),
     "braess1": Endpoint(
         "braess1", "cost/packet",
-        lambda res: -underlying_per_tick(res) / sum(res.config.traffic.rates),
+        lambda res: -res.final_underlying_ma / sum(res.config.traffic.rates),
         BRAESS_OPTIMUM, (BRAESS_GREEDY - BRAESS_OPTIMUM) / 2,
     ),
     "shaping_speedup": Speedup(

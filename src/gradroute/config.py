@@ -109,6 +109,9 @@ class ExperimentConfig(NamedTuple):
                 v.append(f"run.{key}: must be an integer >= 1, got {value!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             v.append(f"run.seed: must be an integer from 0 to 2**64 - 1, got {self.seed!r}")
+        for key, path in (("output.csv", self.csv_path), ("output.theta", self.theta_path)):
+            if not (path is None or isinstance(path, str)):
+                v.append(f"{key}: must be a string or null")
         n = self.topology.n_nodes
         for j, tp in enumerate(self.tracked):
             where = f"run.tracked_probabilities[{j}]"
@@ -119,6 +122,13 @@ class ExperimentConfig(NamedTuple):
                 and tp.link_index in self.topology.out_link_indices(tp.router)
             ):
                 v.append(f"{where}: link is not an outgoing link of the router")
+            else:
+                # a file names the link by its display label: it must name it alone
+                label = self.topology.link_label(tp.link_index)
+                try:
+                    resolve_link(self.topology, tp.router, label, where)
+                except ConfigError as e:
+                    v.append(str(e))
             if not _is_node(tp.dest, n) or tp.dest == tp.router:
                 v.append(f"{where}: destination is not routable from the router")
         if v:
@@ -359,8 +369,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         shaping=ShapingConfig(**shaping),
         **run_scalars,
         tracked=tuple(tracked),
-        csv_path=_optional_str(out.get("csv"), "output.csv"),
-        theta_path=_optional_str(out.get("theta"), "output.theta"),
+        csv_path=out.get("csv"),
+        theta_path=out.get("theta"),
     )
     cfg.validate()
     return cfg
@@ -388,4 +398,7 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
+    """Write cfg as config_text does, after validating it: a config built
+    in Python that breaks a rule gets its keyed ConfigError, and no file."""
+    cfg.validate()
     Path(path).write_text(config_text(cfg), encoding="utf-8")

@@ -1,7 +1,9 @@
 """Run orchestration: metrics sampling, CSV/theta output, multi-seed batches.
 
 run_experiment drives one simulation, sampling a MetricsRow every
-cfg.sample_every ticks (and at the final tick). batch is the one loop
+cfg.sample_every ticks (and at the final tick). It writes each row to
+the CSV as it is sampled and keeps only the last one and the mean of the
+last ma_window sampled underlying rewards (RunResult). batch is the one loop
 over seeds: it records a seed whose load diverges, runs the rest and
 aggregates those, with the ticks-to-threshold statistic that compares
 convergence speed with and without reward shaping: the first sampled
@@ -32,6 +34,7 @@ import json
 import math
 import os
 import statistics
+from collections import deque
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -58,13 +61,17 @@ def default_output_dir() -> Path:
 
 
 class RunResult(NamedTuple):
-    """One run: its config (with the output paths it wrote), the sampled
-    rows, the final logits, the engine's counters at the last tick and
-    why the run stopped ("steps" or "threshold", as in the manifest)."""
+    """One run: its config (with the output paths it wrote), its last
+    sampled row (the CSV's last row), the mean underlying reward of its
+    last ma_window sampled rows (math.fsum over their count, fewer rows
+    while the window fills), the final logits, the engine's counters at
+    the last tick and why the run stopped ("steps" or "threshold", as in
+    the manifest). The other sampled rows are only in the CSV."""
 
     config: ExperimentConfig
     steps_run: int
-    rows: list[MetricsRow]
+    final_row: MetricsRow
+    final_underlying_ma: float
     final_theta: dict
     final_running_mean: float
     generated: int
@@ -85,8 +92,8 @@ def run_experiment(
     """Execute one run. Given an out_dir, the run saves
     config-seed<S>.json there first, then writes metrics-seed<S>.csv and
     theta-seed<S>.json, whatever paths cfg names; without one, it saves no
-    config, writes to cfg's paths, if any, and otherwise keeps its rows in
-    memory only.
+    config and writes to cfg's paths, if any. Either way it keeps only the
+    final row and the window mean of the underlying reward (RunResult).
 
     underlying_threshold arms the ticks-to-threshold detector and must be
     finite; with stop_at_threshold the run ends at the first sampled tick
@@ -102,9 +109,11 @@ def run_experiment(
     if out_dir is not None:
         cfg = _resolve_paths(cfg, out_dir)
         save_config(cfg, Path(cfg.csv_path).with_name(f"config-seed{cfg.seed}.json"))
-    rows: list[MetricsRow] = []
     ticks_to_threshold: int | None = None
     window = cfg.ma_window
+    # the last ma_window sampled underlying rewards: their mean is the
+    # result's, and their count tells the detector when the window is full
+    under: deque[float] = deque(maxlen=window)
     # the underlying-reward average is kept only while a threshold waits
     armed = underlying_threshold is not None
     push_underlying = SampledMovingAverage(window).push
@@ -119,7 +128,7 @@ def run_experiment(
         step = sim.step
         probabilities = sim.probabilities
         push = SampledMovingAverage(window).push
-        keep = rows.append
+        keep = under.append
         steps = cfg.steps
         sample_every = cfg.sample_every
         for t in range(1, steps + 1):
@@ -139,12 +148,12 @@ def run_experiment(
                 sim.dropped_total,
                 sim.cycles_total,
             )
-            keep(row)
+            keep(underlying)
             if write:
                 write(format_row(row) + "\n")
             if armed:
                 u_ma = push_underlying(underlying)
-                if len(rows) >= window and u_ma >= underlying_threshold:
+                if len(under) >= window and u_ma >= underlying_threshold:
                     ticks_to_threshold = t
                     armed = False
                     if stop_at_threshold:
@@ -169,7 +178,8 @@ def run_experiment(
     return RunResult(
         config=cfg,
         steps_run=sim.tick_count,
-        rows=rows,
+        final_row=row,
+        final_underlying_ma=math.fsum(under) / len(under),
         final_theta=theta,
         final_running_mean=sim.running_mean,
         generated=sim.generated_total,
@@ -228,7 +238,7 @@ def summary_line(res: RunResult) -> str:
         f"dropped={res.dropped}",
         f"cycles={res.cycles_detected}",
     ]
-    for name, p in zip(probability_column_names(res.config), res.rows[-1].probs):
+    for name, p in zip(probability_column_names(res.config), res.final_row.probs):
         parts.append(f"{name}={p:.4f}")
     return "  ".join(parts)
 

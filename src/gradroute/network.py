@@ -266,13 +266,15 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     Detects: a cost model that is not a CostModel (reported alone, since
     every other rule depends on it), no nodes or a label that is not a
     string, duplicate labels, non-dense ids, a link endpoint that is not a
-    node id, self-loops, a delay or capacity that is not an integer >= 1, a
-    capacity in a node-flow network, a rate that is not an integer from 0
-    to MAX_RATE, malformed destination distributions, nodes with traffic
-    but no outgoing links, unreachable destinations, missing, misplaced or
-    mistyped node costs for the active cost model, and a directed cycle in
-    a node-flow network, where a packet walks its whole path in one tick. A
-    value of the wrong type is reported, never compared.
+    node id, a link label that is not a string or None, self-loops, a
+    delay or capacity that is not an integer >= 1, a capacity in a
+    node-flow network, a rate that is not an integer from 0 to MAX_RATE,
+    malformed destination distributions, nodes with traffic but no
+    outgoing links, unreachable destinations, node costs that are not a
+    dict or are keyed by no node id, missing, misplaced or mistyped node
+    costs for the active cost model, and a directed cycle in a node-flow network, where a packet
+    walks its whole path in one tick. A value of the wrong type is
+    reported, never compared.
     """
     if not isinstance(topology.cost_model, CostModel):
         return (f"network.cost_model: must be a CostModel, got {topology.cost_model!r}",)
@@ -291,6 +293,9 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
 
     for i, link in enumerate(topology.links):
         where = f"network.links[{i}]"
+        # the loader's own rule, so that a run's saved config loads back
+        if not (link.label is None or isinstance(link.label, str)):
+            v.append(f"{where}.label: must be a string or null")
         if not (_is_node(link.src, n) and _is_node(link.dst, n)):
             v.append(f"{where}: dangling link endpoint ({link.src!r}->{link.dst!r})")
             continue
@@ -304,25 +309,32 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
         elif capacity is not None and not (_is_int(capacity) and capacity >= 1):
             v.append(f"{where}.capacity: must be an integer >= 1 or null, got {capacity!r}")
 
-    if topology.cost_model is CostModel.NODE_FLOW:
-        costs = topology.node_costs or {}
-        for nd in topology.nodes:
-            where = f"network.node_costs.{nd.label}"
-            if nd.id not in costs:
+    costs = topology.node_costs
+    if not (costs is None or isinstance(costs, dict)):
+        v.append(f"network.node_costs: must be a dict of NodeCost by node id, got {costs!r}")
+    elif topology.cost_model is CostModel.NODE_FLOW:
+        for k in costs or {}:
+            if not _is_node(k, n):
+                v.append(f"network.node_costs: {k!r} is not a node id")
+        # by position, as the saver labels them: an id may be no integer
+        for i, label in enumerate(labels):
+            where = f"network.node_costs.{label}"
+            if i not in (costs or {}):
                 v.append(f"{where}: missing node cost")
-            elif not isinstance(costs[nd.id], NodeCost):
-                v.append(f"{where}: must be a NodeCost, got {costs[nd.id]!r}")
+            elif not isinstance(costs[i], NodeCost):
+                v.append(f"{where}: must be a NodeCost, got {costs[i]!r}")
             else:
-                for field, x in zip(NodeCost._fields, costs[nd.id]):
+                for field, x in zip(NodeCost._fields, costs[i]):
                     v += _number_rule(f"{where}.{field}", x)
+    elif costs:
+        v.append("network.node_costs: only a node_flow network has node costs")
+    if topology.cost_model is CostModel.NODE_FLOW:
         on_cycle = _node_on_cycle(topology, out)
         if on_cycle is not None:
             v.append(
                 f"network.links: directed cycle through node {labels[on_cycle]}: "
                 "a node-flow network must be acyclic"
             )
-    elif topology.node_costs:
-        v.append("network.node_costs: only a node_flow network has node costs")
 
     if len(traffic.rates) != n or len(traffic.dest_probs) != n:
         v.append("traffic: rates and destinations must have one entry per node")

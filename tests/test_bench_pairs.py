@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: its seed parsing, run parsing and pair summary,
 on fixed numbers (no benchmark is run)."""
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -162,3 +163,45 @@ def test_one_table_per_workload(monkeypatch, tmp_path, capsys):
     assert [line.split()[1] for line in summaries] == ["six_node", "ring60"]
     assert all("digests equal in 2 of 2" in line for line in summaries)
     assert out.count("ticks_per_s ") == 2
+
+
+def test_json_holds_what_is_printed(monkeypatch, tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}],'
+        ' "per_layer": []}'
+    )
+
+    def run_side(checkout, workload, seed, seconds, trace):
+        value = 22.0 if checkout.name == "change" else 23.0 + seed / 100
+        # seed 3's theta differs between the sides
+        theta = "t" if checkout.name == "parent" or seed != 3 else "u"
+        return {"ok": True, "metrics": {"peak_rss_mb": value},
+                "digests": {seed: ("c", theta)}, "output": ""}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workload", "braess1_fine", "--seeds", "1-10", "--seconds", "2",
+        "--json", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert (doc["seeds"], doc["seconds"], doc["trace"]) == ("1-10", 2.0, 0)
+    (name,) = doc["workloads"]
+    w = doc["workloads"][name]
+    assert name == "braess1_fine"
+    assert (w["complete_pairs"], w["digests_equal"], w["failed_runs"]) == (10, 9, 0)
+    assert [p["seed"] for p in w["pairs"]] == list(range(1, 11))
+    assert [p["first"] for p in w["pairs"][:2]] == ["parent", "change"]
+    assert w["pairs"][2]["digests_equal"] is False
+    assert w["pairs"][0]["parent"] == {"peak_rss_mb": 23.01}
+    (row,) = w["metrics"]
+    pairs = [(p["parent"], p["change"]) for p in w["pairs"]]
+    assert row == bench_pairs.summarize(pairs, [{"name": "peak_rss_mb", "unit": "MB",
+                                                 "better": "lower"}])[0]
+    assert (row["wins"], row["verdict"]) == (10, "gain")
+    assert row["parent_median"] == 23.055 and row["change_median"] == 22.0
+    assert "digests equal in 9 of 10" in capsys.readouterr().out

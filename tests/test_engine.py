@@ -6,7 +6,13 @@ from random import Random
 import pytest
 
 from gradroute import engine
-from gradroute.config import ConfigError, ExperimentConfig, load_config, save_config
+from gradroute.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_text,
+    load_config,
+    save_config,
+)
 from gradroute.cli import main as cli_main
 from gradroute.engine import LOAD_FACTOR, LoadDiverged, Simulation
 from gradroute.harness import run_experiment
@@ -153,7 +159,11 @@ class TestNodeFlowArithmetic:
         with pytest.raises(ConfigError, match="directed cycle through node E"):
             Simulation(cfg)
         path = tmp_path / "loop.json"
-        save_config(cfg, path)
+        with pytest.raises(ConfigError, match="directed cycle through node E"):
+            save_config(cfg, path)
+        assert not path.exists()
+        # the text save_config would have written is refused on load too
+        path.write_text(config_text(cfg), encoding="utf-8")
         with pytest.raises(ConfigError, match="directed cycle through node E"):
             load_config(path)
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gradroute
@@ -27,7 +28,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import MAX_RATE, Node, Topology, TrafficSpec
+from gradroute.network import MAX_RATE, Node, NodeCost, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -389,6 +390,22 @@ _RULES = {
         ),
         "traffic.destinations.A.A",
     ),
+    "link_label": (
+        _set("network", "links", 0, "label", value=5),
+        _links(lambda links: _replace_at(links, 0, label=5)),
+        "network.links[0].label",
+    ),
+    # a second link A->B: the tracked link's display label names both
+    "tracked_link_twin": (
+        _set("network", "links", 4, "to", value="B"),
+        _links(lambda links: _replace_at(links, 4, dst=1)),
+        "run.tracked_probabilities[0]",
+    ),
+    "output_csv": (
+        _set("output", "csv", value=5),
+        lambda cfg: cfg._replace(csv_path=5),
+        "output.csv",
+    ),
     # a file names a router by its label, so it cannot name router 9: it
     # names a label no node has, refused under the same key
     "tracked_router": (
@@ -496,15 +513,49 @@ _PYTHON_RULES = {
         "network.node_costs.A: must be a NodeCost, got (1.0,)",
         "braess1",
     ),
+    # the saver labels node costs by node: 99 has no label, and -1 would
+    # be saved as the last node's
+    "node_cost_key": (
+        lambda cfg: cfg._replace(
+            topology=cfg.topology._replace(
+                node_costs={**cfg.topology.node_costs, 99: NodeCost(1.0, 1.0)}
+            )
+        ),
+        "network.node_costs: 99 is not a node id",
+        "braess1",
+    ),
+    # a false value other than None would save no node costs
+    "node_costs_float": (
+        lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(node_costs=0.0)),
+        "network.node_costs: must be a dict of NodeCost by node id, got 0.0",
+    ),
+    # node costs are looked up by position, not by an id that may not hash
+    "node_id_list": (
+        lambda cfg: cfg._replace(
+            topology=cfg.topology._replace(
+                nodes=(Node([], "A"), *cfg.topology.nodes[1:])
+            )
+        ),
+        "network.nodes: ids must be dense 0..N-1",
+        "braess1",
+    ),
 }
 
 
 @pytest.mark.parametrize("rule", _PYTHON_RULES)
-def test_python_built_config_gets_a_keyed_message(rule):
+def test_python_built_config_gets_a_keyed_message(rule, tmp_path):
+    """Both a run and a save refuse the config with the same keyed message;
+    the save writes no file."""
     edit_cfg, message, *name = _PYTHON_RULES[rule]
+    cfg = edit_cfg(preset(name[0] if name else "triangle"))
     with pytest.raises(ConfigError) as e:
-        Simulation(edit_cfg(preset(name[0] if name else "triangle")))
+        Simulation(cfg)
     assert str(e.value) == message
+    path = tmp_path / "config.json"
+    with pytest.raises(ConfigError) as e:
+        save_config(cfg, path)
+    assert str(e.value) == message
+    assert not path.exists()
 
 
 def test_a_weight_of_the_wrong_type_is_only_reported():
@@ -549,6 +600,40 @@ _ODD_VALUES = st.one_of(
 )
 
 
+def _leaves(node, prefix=()):
+    """Every path to a leaf of a config built in Python: field names into
+    records, indices into tuples, keys into dicts."""
+    if hasattr(node, "_fields"):
+        items = zip(node._fields, node)
+    elif isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, tuple):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for k, v in items:
+        yield from _leaves(v, prefix + (k,))
+
+
+def _put(node, path, value):
+    """`node` with the leaf at `path` replaced by `value`, records rebuilt."""
+    if not path:
+        return value
+    k, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return {**node, k: _put(node[k], rest, value)}
+    if hasattr(node, "_fields"):
+        return node._replace(**{k: _put(getattr(node, k), rest, value)})
+    return (*node[:k], _put(node[k], rest, value), *node[k + 1 :])
+
+
+def _messages(err: ConfigError) -> list[str]:
+    """A ConfigError's messages: it joins them with "; ", and each starts
+    with its section."""
+    return re.split(r"; (?=(?:config|network|traffic|learner|shaping|run|output)\b)", str(err))
+
+
 class TestConfigFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PRESET_NAMES), st.data())
@@ -582,13 +667,38 @@ class TestConfigFuzz:
         # an accepted config holds no NaN: it survives a round trip equal
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(PRESET_NAMES), st.data())
+    def test_a_config_that_runs_is_a_config_that_reloads(self, tmp_path, name, data):
+        """A preset with up to three leaves set in Python (a field, an
+        entry of a tuple or a node cost) either builds a Simulation and
+        comes back equal from save_config then load_config, or is refused
+        with a ConfigError whose every message starts with a dotted key."""
+        cfg = preset(name)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_leaves(cfg))))
+            cfg = _put(cfg, path, data.draw(_ODD_VALUES))
+        try:
+            Simulation(cfg)
+        except ConfigError as e:
+            for message in _messages(e):
+                assert _KEYED.match(message), message
+            return
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
 
 class TestRunExperiment:
-    def test_row_count_is_ceil_steps_over_interval(self):
+    def test_row_count_is_ceil_steps_over_interval(self, tmp_path):
         for steps, expected in ((100, 1), (250, 3), (50, 1), (1000, 10)):
             cfg = preset("contention").with_overrides(steps=steps)
-            res = run_experiment(cfg)
-            assert len(res.rows) == expected, steps
+            res = run_experiment(cfg, tmp_path / str(steps))
+            _, rows = read_csv(res.config.csv_path)
+            assert len(rows) == expected, steps
 
     @pytest.mark.parametrize(
         "name, overrides",
@@ -672,16 +782,73 @@ class TestRunExperiment:
         written = traced_peak(cfg._replace(theta_path=str(path)))
         assert written - without < path.stat().st_size
 
-    def test_running_mean_column_matches_exact_mean(self):
-        cfg = preset("contention").with_overrides(steps=400, sample_every=100)
-        res = run_experiment(cfg)
-        # recompute from an independent engine pass
-        from gradroute.engine import Simulation
+    def test_a_result_holds_no_sampled_rows(self):
+        """A run keeps its last row and its window mean, not its rows: a
+        braess1 result with 4 000 sampled rows holds under 16 kB more than
+        one with 1 000 (tracemalloc). Keeping every row held about 376
+        bytes a row, 1.1 MB here."""
 
+        def held(steps) -> int:
+            cfg = preset("braess1").with_overrides(steps=steps, sample_every=1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = run_experiment(cfg)  # noqa: F841, held while measured
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(100)  # caches filled by a first run are not the result's
+        assert held(4_000) - held(1_000) < 16_000
+
+    @staticmethod
+    def _check_final_fields(res) -> int:
+        """final_row is the CSV's last row, and final_underlying_ma the
+        exact mean of its last ma_window underlying rewards; the CSV's row
+        count."""
+        header, rows = read_csv(res.config.csv_path)
+        last = res.final_row
+        assert rows[-1] == [*last[:6], *last.probs, *last[7:]]
+        under = [r[header.index("reward_underlying")] for r in rows]
+        tail = under[-res.config.ma_window :]
+        assert res.final_underlying_ma == math.fsum(tail) / len(tail)
+        return len(rows)
+
+    def test_final_row_and_window_mean_match_the_csv(self, tmp_path):
+        # unshaped six_node seed 3: 60 sampled rows, whose windowed mean
+        # peaks after the first window fills
+        window = 20
+        cfg = preset("six_node").with_overrides(
+            steps=6_000, seed=3, cycle_penalty=0.0, ma_window=window
+        )
+        longer = run_experiment(cfg, tmp_path / "longer")
+        assert self._check_final_fields(longer) == 60
+        shorter = run_experiment(cfg.with_overrides(ma_window=100), tmp_path / "shorter")
+        assert self._check_final_fields(shorter) == 60
+        # stop at the best full-window mean: after the window fills, before the end
+        header, rows = read_csv(longer.config.csv_path)
+        under = [r[header.index("reward_underlying")] for r in rows]
+        ends = range(window, len(under) + 1)
+        best = max(math.fsum(under[i - window : i]) / window for i in ends)
+        stopped = run_experiment(
+            cfg, tmp_path / "stopped", underlying_threshold=best, stop_at_threshold=True
+        )
+        assert stopped.stop_reason == "threshold"
+        assert window < self._check_final_fields(stopped) < 60
+
+    def test_running_mean_column_matches_exact_mean(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=400, sample_every=100)
+        res = run_experiment(cfg, tmp_path)
+        header, rows = read_csv(res.config.csv_path)
+        # recompute from an independent engine pass
         sim = Simulation(cfg)
         totals = [sim.step().reward.total for _ in range(cfg.steps)]
-        for row in res.rows:
-            assert row.running_mean == sum(totals[: row.tick]) / row.tick
+        tick, mean = header.index("tick"), header.index("running_mean")
+        assert len(rows) == 4
+        for row in rows:
+            t = int(row[tick])
+            assert row[mean] == sum(totals[:t]) / t
 
     def test_unreached_threshold_changes_no_output(self, tmp_path):
         cfg = preset("braess1").with_overrides(steps=600, sample_every=1, ma_window=50)
@@ -693,16 +860,18 @@ class TestRunExperiment:
             assert (tmp_path / "armed" / name).read_bytes() == (
                 tmp_path / "plain" / name
             ).read_bytes()
-        assert armed.rows == plain.rows
+        assert armed.final_row == plain.final_row
+        assert armed.final_underlying_ma == plain.final_underlying_ma
 
-    def test_no_crossing_before_the_window_fills(self):
+    def test_no_crossing_before_the_window_fills(self, tmp_path):
         # unshaped six_node seed 3: some early samples score far better than
         # the mean of the first full window
         window = 30
         cfg = preset("six_node").with_overrides(
             steps=window * 100, seed=3, cycle_penalty=0.0, ma_window=window
         )
-        under = [r.reward_underlying for r in run_experiment(cfg).rows]
+        header, rows = read_csv(run_experiment(cfg, tmp_path).config.csv_path)
+        under = [r[header.index("reward_underlying")] for r in rows]
         assert len(under) == window
         threshold = max(under)
         best_sample = under.index(threshold) + 1

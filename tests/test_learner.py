@@ -467,7 +467,7 @@ class TestLazyMatchesDenseInSimulation:
         (tp,) = cfg.tracked
         slot = cfg.topology.out_link_indices(tp.router).index(tp.link_index)
         p = softmax_row(tables[tp.router][tp.dest])[slot]
-        assert res.rows[-1].probs[0] == pytest.approx(p, rel=1e-9)
+        assert res.final_row.probs[0] == pytest.approx(p, rel=1e-9)
         # the run learned something, so the comparison is not of zeros
         learned = [v for rows in want.values() for row in rows.values() for v in row]
         assert max(map(abs, learned)) > 1e-3

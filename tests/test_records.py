@@ -7,6 +7,7 @@ import pytest
 from gradroute.config import TrackedProbability
 from gradroute.harness import BatchResult, RunResult
 from gradroute.learner import LearnerConfig
+from gradroute.metrics import MetricsRow
 from gradroute.network import (
     CostModel,
     Link,
@@ -21,7 +22,8 @@ from gradroute.shaping import ShapingConfig
 
 def _records():
     cfg = preset("contention")
-    run = RunResult(cfg, 0, [], {}, 0.0, 0, 0, 0, 0, None, "steps")
+    row = MetricsRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, (), 0, 0, 0)
+    run = RunResult(cfg, 1, row, 0.0, {}, 0.0, 0, 0, 0, 0, None, "steps")
     return [
         Node(0, "A"),
         Link(0, 1),
