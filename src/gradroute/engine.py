@@ -20,13 +20,13 @@ Two engine modes share the learner plumbing:
   walk ends.
 
 A routing decision is recorded as a (row, slot) pair; row is the flat id
-router * N + destination of the logit row, which only this module lays
-out (make_tables) or decodes (theta). The first packet a router routes
-for a destination in a tick reads the row through
-learner.sampling_weights, which settles it and records its Gibbs weights
-in the trace; later packets reuse them. Each kernel ends its tick with
-one tick_update call, which takes every decision of the network and the
-shared reward. The whole network has one learner state and one trace
+router * N + destination of the logit row, its index in the row table,
+which only this module lays out (make_tables) or decodes
+(theta_by_router). The first packet a router routes for a destination in
+a tick reads the row through learner.sampling_weights, which settles it
+and records its Gibbs weights in the trace; later packets reuse them.
+Each kernel ends its tick with one tick_update call, which takes every
+decision of the network and the shared reward. The whole network has one learner state and one trace
 clock: every router gets the same reward, so per-router clocks would be
 N identical copies. A router still reads and writes only its own rows,
 and the clock depends on the global reward alone, so sharing it is no
@@ -74,11 +74,12 @@ from collections import deque
 from itertools import accumulate
 from math import inf
 from random import Random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .config import ExperimentConfig
 from .learner import (
     EligibilityTrace,
+    Rows,
     current_logits,
     current_probability,
     sampling_weights,
@@ -91,13 +92,20 @@ from .shaping import detect_cycle, shaping_reward
 LOAD_FACTOR = 100  # times the loop-free load bound (module doc)
 
 
-def make_tables(topology: Topology) -> dict[int, list[float]]:
-    """Every logit row of the network by flat row id router * N +
-    destination: one row, of zero logits (uniform routing), for every
-    other node at each node that has an outgoing link."""
+def make_tables(topology: Topology) -> Rows:
+    """Every logit row of the network in one list of N * N entries, indexed
+    by flat row id router * N + destination: a row of zero logits (uniform
+    routing) for every other node at each node that has an outgoing link,
+    and None on the diagonal and at a node with none."""
     n = topology.n_nodes
-    widths = map(len, topology.out_links())
-    return {r * n + y: [0.0] * w for r, w in enumerate(widths) if w for y in range(n) if y != r}
+    rows: Rows = [None] * (n * n)
+    for r, links in enumerate(topology.out_links()):
+        if links:
+            w = len(links)
+            for y in range(n):
+                if y != r:
+                    rows[r * n + y] = [0.0] * w
+    return rows
 
 
 class SimulationError(RuntimeError):
@@ -250,12 +258,23 @@ class Simulation:
     def theta(self) -> dict:
         """Every current logit row, in a fresh list, by router label and
         destination label: {router: {destination: [logits]}}."""
+        return dict(self.theta_by_router())
+
+    def theta_by_router(self) -> Iterator[tuple[str, dict[str, list[float]]]]:
+        """(router label, {destination label: current logits}) for each
+        router with a logit row, in row-id order: theta one router at a
+        time, each row in a fresh list."""
         rows, trace, label = self._rows, self._trace, self.topology.label
-        out: dict = {}
-        for row_id in sorted(rows):
-            router, y = divmod(row_id, self.topology.n_nodes)
-            out.setdefault(label(router), {})[label(y)] = current_logits(rows, trace, row_id)
-        return out
+        n = self.topology.n_nodes
+        for router in range(n):
+            base = router * n
+            dests = {
+                label(y): current_logits(rows, trace, base + y)
+                for y in range(n)
+                if rows[base + y] is not None
+            }
+            if dests:
+                yield label(router), dests
 
     def probabilities(self) -> tuple[float, ...]:
         """The current probability of each of cfg.tracked, in order,

@@ -3,13 +3,15 @@
 run_experiment drives one simulation, sampling a MetricsRow every
 cfg.sample_every ticks (and at the final tick). It writes each row to
 the CSV as it is sampled and keeps only the last one and the mean of the
-last ma_window sampled underlying rewards (RunResult). batch is the one loop
-over seeds: it records a seed whose load diverges, runs the rest and
-aggregates those, with the ticks-to-threshold statistic that compares
-convergence speed with and without reward shaping: the first sampled
-tick at which the mean of the *underlying* reward over the last
-ma_window samples, once the window is full, reaches a threshold, else
-cfg.steps (censored_ticks).
+last ma_window sampled underlying rewards (RunResult). It keeps no
+logits: the final logits go only to the theta file, written one router
+at a time (write_theta), and a run without a theta path builds none.
+batch is the one loop over seeds: it records a seed whose load diverges,
+runs the rest and aggregates those, with the ticks-to-threshold
+statistic that compares convergence speed with and without reward
+shaping: the first sampled tick at which the mean of the *underlying*
+reward over the last ma_window samples, once the window is full, reaches
+a threshold, else cfg.steps (censored_ticks).
 
 A run given an output directory saves its config there first, as
 config-seed<S>.json (the config with the output paths the run writes, as
@@ -37,7 +39,7 @@ import statistics
 from collections import deque
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, config_text, save_config
@@ -64,15 +66,15 @@ class RunResult(NamedTuple):
     """One run: its config (with the output paths it wrote), its last
     sampled row (the CSV's last row), the mean underlying reward of its
     last ma_window sampled rows (math.fsum over their count, fewer rows
-    while the window fills), the final logits, the engine's counters at
-    the last tick and why the run stopped ("steps" or "threshold", as in
-    the manifest). The other sampled rows are only in the CSV."""
+    while the window fills), the engine's counters at the last tick and
+    why the run stopped ("steps" or "threshold", as in the manifest). The
+    other sampled rows are only in the CSV, and the final logits only in
+    the theta file."""
 
     config: ExperimentConfig
     steps_run: int
     final_row: MetricsRow
     final_underlying_ma: float
-    final_theta: dict
     final_running_mean: float
     generated: int
     delivered: int
@@ -167,20 +169,15 @@ def run_experiment(
         if csv_fh:
             csv_fh.close()
 
-    theta = sim.theta()
     if cfg.theta_path:
-        # dump writes the encoder's chunks as they come: the text, several
-        # times the file's size on a large network, is never held whole
         with open(cfg.theta_path, "w", encoding="utf-8") as fh:
-            json.dump(theta, fh, indent=2)
-            fh.write("\n")
+            write_theta(fh, sim.theta_by_router())
     _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
     return RunResult(
         config=cfg,
         steps_run=sim.tick_count,
         final_row=row,
         final_underlying_ma=math.fsum(under) / len(under),
-        final_theta=theta,
         final_running_mean=sim.running_mean,
         generated=sim.generated_total,
         delivered=sim.delivered_total,
@@ -189,6 +186,33 @@ def run_experiment(
         ticks_to_threshold=ticks_to_threshold,
         stop_reason=stop_reason,
     )
+
+
+# the values of one logit row as json.dump(..., indent=2) lays them out
+# three levels deep, between the row's brackets. Without indent, json
+# encodes in C: each float, NaN and infinity included, is the same text as
+# the indenting encoder makes, and no call leaves the reference cycles that
+# each call of the indenting one does.
+_row_values = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def write_theta(fh: TextIO, routers: Iterable[tuple[str, dict[str, list[float]]]]) -> None:
+    """Write theta, given router by router as Simulation.theta_by_router
+    yields it (no router without a row, no row without a logit), as the
+    bytes of json.dump(dict(routers), fh, indent=2) and a newline, holding
+    one router's logits at a time. Labels are encoded as json encodes a
+    key, each row's values by _row_values."""
+    sep = "{"
+    for router, dests in routers:
+        fh.write(f"{sep}\n  {json.dumps(router)}: {{")
+        row_sep = ""
+        for dest, logits in dests.items():
+            values = _row_values(logits)[1:-1]
+            fh.write(f"{row_sep}\n    {json.dumps(dest)}: [\n      {values}\n    ]")
+            row_sep = ","
+        fh.write("\n  }")
+        sep = ","
+    fh.write("{}\n" if sep == "{" else "\n}\n")
 
 
 def _check_threshold(underlying_threshold: float | None, stop_at_threshold: bool) -> None:

@@ -11,15 +11,18 @@ penalty incurred in the same tick as the decision that caused it (e.g. a
 drop) credits that decision.
 
 Every logit row of the network has one flat row id, router * N + dest
-for N nodes, and `rows` maps each id to the row's logit list, as
-engine.make_tables builds them. A routing decision reaches the learner
-as a (row, slot) pair. The router samples from the row's weights as
-sampling_weights() computes and records them for the tick, (exps, total,
-cum): the max-subtracted exponentials of the row's logits, their sum and
-the running sums the engine draws from, the last set to +inf.
-tick_update() reads them and forms the decision's log-policy gradient,
-e_slot - exps / total. Weights never outlive their tick, and a decision
-on a row without them raises.
+for N nodes, and `rows` is a list of N * N entries indexed by that id:
+the row's logit list, or None where there is no row (the diagonal, and
+every id of a router without an out-link), as engine.make_tables builds
+it. The trace's rows have the same layout; its marks (`active`) stay a
+dict, kept only for the rows that received a gradient. A routing
+decision reaches the learner as a (row, slot) pair. The router samples
+from the row's weights as sampling_weights() computes and records them
+for the tick, (exps, total, cum): the max-subtracted exponentials of the
+row's logits, their sum and the running sums the engine draws from, the
+last set to +inf. tick_update() reads them and forms the decision's
+log-policy gradient, e_slot - exps / total. Weights never outlive their
+tick, and a decision on a row without them raises.
 
 A one-column row (a router with one out-link) is the exception. Its
 Gibbs policy is fixed at probability 1, and the log-policy gradient of
@@ -106,13 +109,17 @@ class LearnerConfig(NamedTuple):
         ]
 
 
+# a table of rows by flat row id, None where there is no row (module doc)
+Rows = list[list[float] | None]
+
 # rescale the trace once its decay scale falls below this (see module doc)
 RESCALE_BELOW = 1e-3
 
 
 class EligibilityTrace:
     """Discounted gradient accumulator with a row for every logit row of
-    `rows`, by row id, stored scaled: the true trace row is scale * rows[y].
+    `rows`, in the same list layout (None where `rows` has no row), stored
+    scaled: the true trace row is scale * rows[y].
 
     `active` maps each row that received a gradient to its mark; rows
     outside it are exactly zero, so rescaling and settling may skip them.
@@ -122,8 +129,8 @@ class EligibilityTrace:
 
     __slots__ = ("rows", "active", "scale", "acc", "weights")
 
-    def __init__(self, rows: dict[int, list[float]]):
-        self.rows: dict[int, list[float]] = {y: [0.0] * len(row) for y, row in rows.items()}
+    def __init__(self, rows: Rows):
+        self.rows: Rows = [None if row is None else [0.0] * len(row) for row in rows]
         self.active: dict[int, float] = {}
         self.scale = 1.0
         self.acc = 0.0
@@ -148,7 +155,7 @@ def softmax_row(logits: list[float]) -> list[float]:
     return [_PROB_FLOOR if _PROB_FLOOR > (p := e / s) else p for e in exps]
 
 
-def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int) -> list[float]:
+def current_logits(rows: Rows, trace: EligibilityTrace, y: int) -> list[float]:
     """The current logits of row `y` in a new list: the row with the credit
     it is owed applied. Writes neither the row nor its mark."""
     row = rows[y]
@@ -159,9 +166,7 @@ def current_logits(rows: dict[int, list[float]], trace: EligibilityTrace, y: int
     return [v + d * z for v, z in zip(row, trace.rows[y])]
 
 
-def current_probability(
-    rows: dict[int, list[float]], trace: EligibilityTrace, y: int, slot: int
-) -> float:
+def current_probability(rows: Rows, trace: EligibilityTrace, y: int, slot: int) -> float:
     """The current Gibbs probability of `slot` in row `y`: the same float
     as softmax_row(current_logits(rows, trace, y))[slot], floored
     alike, without building the row's other probabilities. It copies the
@@ -180,7 +185,7 @@ def current_probability(
 
 
 def sampling_weights(
-    rows: dict[int, list[float]], trace: EligibilityTrace, y: int
+    rows: Rows, trace: EligibilityTrace, y: int
 ) -> tuple[list[float], float, list[float]]:
     """Settle row `y`, record its Gibbs sampling weights in the trace for
     this tick's tick_update, and return them: (exps, total, cum), the
@@ -218,7 +223,7 @@ def sampling_weights(
     return weights
 
 
-def _rescale(rows: dict[int, list[float]], trace: EligibilityTrace) -> None:
+def _rescale(rows: Rows, trace: EligibilityTrace) -> None:
     """Settle every active row and fold the scale into it, in one pass."""
     s = trace.scale
     acc = trace.acc
@@ -249,7 +254,7 @@ def _forget(trace: EligibilityTrace) -> None:
 
 
 def tick_update(
-    rows: dict[int, list[float]],
+    rows: Rows,
     trace: EligibilityTrace,
     cfg: LearnerConfig,
     decisions: Iterable[tuple[int, int]],
@@ -260,7 +265,8 @@ def tick_update(
     decisions is a sequence of (row, slot) pairs, one per routing decision
     any router made in the tick: the row sampled from and the slot drawn,
     from the weights sampling_weights recorded for the row this tick, or
-    slot 0 of a one-column row, which records none (module doc). Only the
+    slot 0 of a one-column row, which records none (module doc); a row id
+    that is negative, past the table's end or a hole names no row. Only the
     decided rows are touched: each is settled, gets the sum of its
     gradients and is credited with this tick's reward in one pass; every
     other row is owed its credit through trace.acc until the learner next
@@ -278,7 +284,7 @@ def tick_update(
     for y, slot in decisions:
         w = weights.get(y)
         if w is None:
-            row = rows.get(y)
+            row = rows[y] if 0 <= y < len(rows) else None
             if row is None:
                 raise ValueError(f"decision row {y}: no such row")
             if len(row) != 1:

@@ -100,7 +100,12 @@ class Topology(NamedTuple):
     node_costs: dict[int, NodeCost] | None = None
 
     def __hash__(self) -> int:
-        costs = tuple(sorted((self.node_costs or {}).items()))  # a dict has no hash
+        # a dict has no hash: its items as a frozenset, which neither sorts
+        # its keys nor asks for them to be of one type; any other value,
+        # valid or not, as it is, so that hashing never needs a valid config
+        costs = self.node_costs
+        if isinstance(costs, dict):
+            costs = frozenset(costs.items())
         return hash((self.nodes, self.links, self.cost_model, costs))
 
     @classmethod

@@ -5,6 +5,9 @@ Every tick the dense rule decays every active trace row by beta, adds the
 tick's decision gradients and credits every active row with the tick's
 reward: O(active rows) per router per tick. An EligibilityTrace used with
 these functions holds the true trace z in `rows` (its scale stays 1).
+Tables here are in the learner's layout, a list indexed by row id with
+None where there is no row; for one router alone, that id is the
+destination.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from itertools import accumulate
 from random import Random
 from typing import Iterable
 
-from gradroute.learner import EligibilityTrace, LearnerConfig
+from gradroute.learner import EligibilityTrace, LearnerConfig, Rows
 
 
 def begin_tick_accumulate(
@@ -40,10 +43,9 @@ def begin_tick_accumulate(
             for i in range(len(row)):
                 row[i] *= beta
     for dest, g in grads:
-        try:
-            row = trace.rows[dest]
-        except KeyError:
-            raise ValueError(f"gradient for unknown destination row {dest}") from None
+        row = trace.rows[dest] if 0 <= dest < len(trace.rows) else None
+        if row is None:
+            raise ValueError(f"gradient for unknown destination row {dest}")
         if len(g) != len(row):
             raise ValueError(
                 f"gradient length {len(g)} does not match row width {len(row)}"
@@ -55,8 +57,8 @@ def begin_tick_accumulate(
 
 
 def apply_reward(
-    table: dict[int, list[float]], trace: EligibilityTrace, cfg: LearnerConfig, reward: float
-) -> dict[int, list[float]]:
+    table: Rows, trace: EligibilityTrace, cfg: LearnerConfig, reward: float
+) -> Rows:
     """theta <- theta + gamma * reward * z, element-wise, on one router's
     logit rows by destination. Mutates `table`."""
     if not math.isfinite(reward):
@@ -72,7 +74,7 @@ def apply_reward(
 
 
 def dense_tick_update(
-    table: dict[int, list[float]],
+    table: Rows,
     trace: EligibilityTrace,
     cfg: LearnerConfig,
     grads: Iterable[tuple[int, list[float]]],
@@ -120,6 +122,20 @@ def sample_slot(probs: list[float], rng: Random) -> int:
     return last
 
 
-def true_trace(trace: EligibilityTrace) -> dict[int, list[float]]:
+def true_trace(trace: EligibilityTrace) -> Rows:
     """The trace a lazily updated EligibilityTrace stands for: scale * rows."""
-    return {y: [trace.scale * v for v in row] for y, row in trace.rows.items()}
+    return [None if row is None else [trace.scale * v for v in row] for row in trace.rows]
+
+
+def table_of(rows: dict[int, list[float]]) -> Rows:
+    """A table in the learner's layout holding `rows` at their ids: a list
+    up to the largest id, None at every other id."""
+    table: Rows = [None] * (max(rows) + 1)
+    for y, row in rows.items():
+        table[y] = row
+    return table
+
+
+def copy_rows(table: Rows) -> Rows:
+    """Every row of `table` in a fresh list, the holes kept."""
+    return [None if row is None else list(row) for row in table]

@@ -73,7 +73,7 @@ def test_criterion_2_gradient_correctness():
     for _ in range(1000):
         n = rng.randint(1, 8)
         row = [rng.uniform(-8.0, 8.0) for _ in range(n)]
-        rows = {1: list(row)}
+        rows = [None, list(row)]  # the learner's layout: row id 1, a hole at 0
         trace = EligibilityTrace(rows)
         slot = rng.randrange(n)
         sampling_weights(rows, trace, 1)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import re
@@ -32,6 +33,19 @@ from gradroute.network import MAX_RATE, Node, NodeCost, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
+
+
+def ring60(**overrides) -> ExperimentConfig:
+    """A 60-router ring with chords (links i->i+-1, i->i+-7) under uniform
+    traffic: 3 540 logit rows of four logits each."""
+    n = 60
+    labels = [f"N{i}" for i in range(n)]
+    links = [(labels[i], labels[(i + k) % n], 1) for i in range(n) for k in (1, -1, 7, -7)]
+    cfg = ExperimentConfig(Topology.build(labels, links), TrafficSpec.uniform(n), steps=20)
+    return cfg._replace(**overrides)
+
+
+ESCAPED_LABELS = ["Zürich", "東京", 'q"uote', "back\\slash", "new\nline"]
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
@@ -728,12 +742,14 @@ class TestRunExperiment:
             assert fa.read() == fb.read()
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_observing_a_run_does_not_steer_it(self, name):
+    def test_observing_a_run_does_not_steer_it(self, name, tmp_path):
         # reading the tracked rows at every sample must leave the run where
         # a bare step() loop ends, float for float, however often and
         # whichever rows it reads: the preset's, every row with a choice,
-        # or none
+        # or none. The run's theta file holds its final logits, and repr
+        # round-trips every float, so the loaded file equals them exactly
         cfg = preset(name).with_overrides(steps=3_000, seed=3)
+        path = tmp_path / "theta.json"
         sim = Simulation(cfg)
         for _ in range(cfg.steps):
             sim.step()
@@ -748,8 +764,11 @@ class TestRunExperiment:
         )
         for sample_every in (1, 7):
             for tracked in (cfg.tracked, every_row, ()):
-                watched = cfg._replace(sample_every=sample_every, tracked=tracked)
-                assert run_experiment(watched).final_theta == bare, (sample_every, tracked)
+                watched = cfg._replace(
+                    sample_every=sample_every, tracked=tracked, theta_path=str(path)
+                )
+                run_experiment(watched)
+                assert json.loads(path.read_text()) == bare, (sample_every, tracked)
 
     def test_theta_snapshot_format(self, tmp_path):
         cfg = preset("contention").with_overrides(steps=500)
@@ -759,16 +778,26 @@ class TestRunExperiment:
         assert set(snap["A"].keys()) == {"B"}
         assert len(snap["A"]["B"]) == 2  # ordered slots: top, bottom
 
-    def test_writing_theta_holds_less_than_the_file(self, tmp_path):
-        """theta-seed<S>.json is streamed into its file: on a 60-router ring
-        (3 540 logit rows, a file of about 450 kB) writing it adds less to
-        the run's traced peak than the file's own size. Building the whole
-        text first added about four times the file."""
-        n = 60
-        labels = [f"N{i}" for i in range(n)]
-        links = [(labels[i], labels[(i + k) % n], 1) for i in range(n) for k in (1, -1, 7, -7)]
-        cfg = ExperimentConfig(Topology.build(labels, links), TrafficSpec.uniform(n), steps=20)
+    def test_writing_theta_holds_less_than_the_file(self, tmp_path, monkeypatch):
+        """theta-seed<S>.json is written router by router: on a 60-router
+        ring (3 540 logit rows, a file of about 450 kB) writing it adds
+        under a tenth of the file's size to the run's traced peak, and the
+        write itself, from the first row read to the last byte, peaks under
+        a tenth of it above what the run held before (about 16 kB).
+        Building the whole text first added about four times the file, and
+        dumping a whole theta copy about one and a half times it."""
+        cfg = ring60()
         path = tmp_path / "theta.json"
+        write_peaks = []
+        real = harness.write_theta
+
+        def measured(fh, routers):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            real(fh, routers)
+            write_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        monkeypatch.setattr(harness, "write_theta", measured)
 
         def traced_peak(c) -> int:
             tracemalloc.start()
@@ -780,7 +809,99 @@ class TestRunExperiment:
 
         without = traced_peak(cfg)
         written = traced_peak(cfg._replace(theta_path=str(path)))
-        assert written - without < path.stat().st_size
+        tenth = path.stat().st_size / 10
+        assert written - without < tenth
+        (write_peak,) = write_peaks
+        assert write_peak < tenth
+
+    def test_simulation_holds_under_296_bytes_a_logit_row(self):
+        """The logit and trace rows are two dense lists by row id: a ring60
+        Simulation holds about 248 bytes per logit row (tracemalloc), all
+        of its state included. Two dicts by row id held about 344 bytes
+        per row; the bound sits about 48 bytes from each."""
+        cfg = ring60()
+        Simulation(cfg)  # caches filled by a first build are not the state's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sum(row is not None for row in sim._rows)
+        assert rows == 60 * 59
+        assert held / rows < 296
+
+    def test_a_result_holds_no_theta(self):
+        """A returned RunResult keeps no logits: on ring60 it holds under
+        16 kB (tracemalloc). Keeping a copy of theta held about 0.7 MB."""
+        cfg = ring60()
+
+        def held() -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = run_experiment(cfg)  # noqa: F841, held while measured
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held()  # caches filled by a first run are not the result's
+        assert held() < 16_000
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *(preset(name).with_overrides(steps=1_500, seed=5) for name in PRESET_NAMES),
+            # labels json escapes: non-ASCII, a quote, a backslash, a newline
+            ExperimentConfig(
+                Topology.build(
+                    ESCAPED_LABELS,
+                    [(a, b, 1) for a in ESCAPED_LABELS for b in ESCAPED_LABELS if a != b],
+                ),
+                TrafficSpec.uniform(len(ESCAPED_LABELS)),
+                steps=500,
+            ),
+            # a ring whose routers but A have one out-link
+            ExperimentConfig(
+                Topology.build(
+                    list("ABCD"),
+                    [("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("D", "A", 1), ("A", "C", 2)],
+                ),
+                TrafficSpec.uniform(4),
+                steps=500,
+            ),
+        ],
+        ids=[*PRESET_NAMES, "escaped_labels", "one_link_routers"],
+    )
+    def test_theta_file_is_json_dump_of_theta(self, cfg, tmp_path):
+        """The file written router by router is, byte for byte, what dumping
+        the whole theta with json.dump(theta, fh, indent=2) wrote."""
+        path = tmp_path / "theta.json"
+        run_experiment(cfg._replace(theta_path=str(path)))
+        sim = Simulation(cfg)
+        for _ in range(cfg.steps):
+            sim.step()
+        theta = sim.theta()
+        assert any(v != 0.0 for dests in theta.values() for row in dests.values() for v in row)
+        assert path.read_bytes() == (json.dumps(theta, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            {},
+            {"A": {"B": [0.0]}},
+            {"A": {"B": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]}, "C": {"A": [1.5, -2.0]}},
+        ],
+        ids=["empty", "one_row", "non_finite"],
+    )
+    def test_write_theta_is_json_dump(self, theta):
+        fh = io.StringIO()
+        harness.write_theta(fh, theta.items())
+        assert fh.getvalue() == json.dumps(theta, indent=2) + "\n"
 
     def test_a_result_holds_no_sampled_rows(self):
         """A run keeps its last row and its window mean, not its rows: a

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from dense_oracle import (
     apply_reward,
     begin_tick_accumulate,
+    copy_rows,
     decision_gradient,
     dense_tick_update,
     gibbs_weights,
     sample_slot,
+    table_of,
     true_trace,
 )
 from gradroute import engine
@@ -30,8 +33,9 @@ from gradroute.presets import preset
 
 
 def fresh(n_links=2, dests=(1,)):
-    """One router's zero logit rows by destination, and a trace over them."""
-    table = {y: [0.0] * n_links for y in dests}
+    """One router's zero logit rows by destination (None at every other
+    id), and a trace over them."""
+    table = table_of({y: [0.0] * n_links for y in dests})
     return table, EligibilityTrace(table)
 
 
@@ -189,13 +193,18 @@ class TestTickUpdate:
             dense_tick_update(table_d, trace_d, cfg, grads, r)
             rescales += trace_l.scale > scale_before
             if t % 2_500 == 0:
-                current = {y: current_logits(table_l, trace_l, y) for y in table_l}
+                current = {y: current_logits(table_l, trace_l, y) for y in dests}
+                dense = {y: table_d[y] for y in dests}
+                lazy_z = true_trace(trace_l)
                 if beta == 0.0:
-                    assert current == table_d
-                    assert true_trace(trace_l) == trace_d.rows
+                    assert current == dense
+                    assert lazy_z == trace_d.rows
                 else:
-                    assert_rows_close(current, table_d)
-                    assert_rows_close(true_trace(trace_l), trace_d.rows)
+                    assert_rows_close(current, dense)
+                    assert lazy_z[0] is None and trace_d.rows[0] is None
+                    assert_rows_close(
+                        {y: lazy_z[y] for y in dests}, {y: trace_d.rows[y] for y in dests}
+                    )
         if beta > 0.0:
             assert rescales >= 20
 
@@ -228,16 +237,26 @@ class TestTickUpdate:
 
     @pytest.mark.parametrize(
         "decision, message",
-        [((9, 0), "row 9: no such row"), ((1, 2), "slot 2"), ((1, -1), "slot -1")],
-        ids=["unknown_row", "slot_past_end", "negative_slot"],
+        [
+            ((9, 0), "row 9: no such row"),
+            ((0, 0), "row 0: no such row"),
+            ((-1, 0), "row -1: no such row"),
+            ((1, 2), "slot 2"),
+            ((1, -1), "slot -1"),
+        ],
+        ids=["unknown_row", "hole_row", "negative_row", "slot_past_end", "negative_slot"],
     )
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_unknown_row_or_slot_rejected(self, beta, decision, message):
-        # sampling_weights cannot record weights for a row the table lacks
+        # sampling_weights cannot record weights for a row the table lacks:
+        # past its end, or at a hole (fresh() leaves id 0 one)
         table, trace = fresh()
         cfg = LearnerConfig(beta=beta, gamma=1.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexError):
             sampling_weights(table, trace, 9)
+        with pytest.raises(TypeError):
+            sampling_weights(table, trace, 0)
+        assert trace.weights == {}
         sampling_weights(table, trace, 1)
         with pytest.raises(ValueError, match=message):
             tick_update(table, trace, cfg, [decision], -1.0)
@@ -280,13 +299,13 @@ class TestSamplingWeightsKernel:
         for _ in range(200):
             (table, trace), (ref_table, ref_trace) = self.pair(rng, width, case)
             mark_before = dict(trace.active)
-            ref_before = {y: list(row) for y, row in ref_table.items()}
+            ref_before = copy_rows(ref_table)
             weights = sampling_weights(table, trace, 1)
             logits = current_logits(ref_table, ref_trace, 1)
             assert weights == gibbs_weights(logits)
             assert weights[2][-1] == math.inf
             assert trace.weights == {1: weights}
-            assert table == {**ref_before, 1: logits}
+            assert table == [ref_before[0], logits, ref_before[2]]
             # the read wrote nothing
             assert ref_table == ref_before and ref_trace.active == mark_before
             if case == "stale":
@@ -303,8 +322,8 @@ class TestOneColumnTable:
     def rows_state(table, trace):
         """Everything of the table and trace but the network's clock."""
         return (
-            {y: list(row) for y, row in table.items()},
-            {y: list(row) for y, row in trace.rows.items()},
+            copy_rows(table),
+            copy_rows(trace.rows),
             dict(trace.active),
             dict(trace.weights),
         )
@@ -325,13 +344,13 @@ class TestOneColumnTable:
         assert trace.acc != 0.0
         assert self.rows_state(table, trace) == before
         assert [current_logits(table, trace, y) for y in (1, 2)] == [[0.0], [0.0]]
-        assert table == {1: [0.0], 2: [0.0]}
+        assert table == [None, [0.0], [0.0]]
 
     @pytest.mark.parametrize("beta", [0.0, 0.9])
     def test_stays_zero_beside_a_learning_row(self, beta):
         # one network: row 1 of a two-link router and row 3 of a one-link
         # router, under one clock and one call per tick
-        rows = {1: [0.0, 0.0], 3: [0.0]}
+        rows = table_of({1: [0.0, 0.0], 3: [0.0]})
         trace = EligibilityTrace(rows)
         cfg = LearnerConfig(beta=beta, gamma=0.1)
         for t in range(400):  # past several rescales at beta = 0.9
@@ -343,8 +362,14 @@ class TestOneColumnTable:
 
     @pytest.mark.parametrize(
         "decision, message",
-        [((9, 0), "row 9: no such row"), ((1, 1), "row 1: slot 1"), ((1, -1), "row 1: slot -1")],
-        ids=["unknown_row", "slot_past_end", "negative_slot"],
+        [
+            ((9, 0), "row 9: no such row"),
+            ((0, 0), "row 0: no such row"),
+            ((-3, 0), "row -3: no such row"),
+            ((1, 1), "row 1: slot 1"),
+            ((1, -1), "row 1: slot -1"),
+        ],
+        ids=["unknown_row", "hole_row", "negative_row", "slot_past_end", "negative_slot"],
     )
     def test_bad_decision_rejected(self, decision, message):
         table, trace = fresh(1, dests=(1, 2))
@@ -422,13 +447,16 @@ class TestLazyMatchesDenseInSimulation:
         ],
         ids=["six_node", "ring12", "braess1"],
     )
-    def test_theta_and_tracked_probability(self, cfg, monkeypatch):
+    def test_theta_and_tracked_probability(self, cfg, monkeypatch, tmp_path):
         n = cfg.topology.n_nodes
-        # the dense oracle's logits, per router: {router: {dest: row}}
+        # the dense oracle's logits, per router with a row: its slice of the
+        # network's table, indexed by destination
+        rows = engine.make_tables(cfg.topology)
         tables = {}
-        for row_id, row in engine.make_tables(cfg.topology).items():
-            router, dest = divmod(row_id, n)
-            tables.setdefault(router, {})[dest] = row
+        for router in range(n):
+            table = rows[router * n : (router + 1) * n]
+            if any(row is not None for row in table):
+                tables[router] = table
         calls = []
         real = engine.tick_update
 
@@ -445,7 +473,8 @@ class TestLazyMatchesDenseInSimulation:
             real(rows, trace, learner_cfg, decisions, reward)
 
         monkeypatch.setattr(engine, "tick_update", recording)
-        res = run_experiment(cfg)
+        theta_path = tmp_path / "theta.json"
+        res = run_experiment(cfg._replace(theta_path=str(theta_path)))
         assert len(calls) == cfg.steps  # one call per tick, for every router
 
         traces = {r: EligibilityTrace(t) for r, t in tables.items()}
@@ -461,9 +490,15 @@ class TestLazyMatchesDenseInSimulation:
                 dense_tick_update(table, traces[router], cfg.learner, grads[router], reward)
 
         label = cfg.topology.label
-        want = {label(r): {label(y): row for y, row in t.items()} for r, t in tables.items()}
-        for router, rows in res.final_theta.items():
-            assert_rows_close(rows, want[router])
+        want = {
+            label(r): {label(y): row for y, row in enumerate(t) if row is not None}
+            for r, t in tables.items()
+        }
+        theta = json.loads(theta_path.read_text())  # repr round-trips every float
+        assert list(theta) == list(want)
+        for router, dests in theta.items():
+            assert list(dests) == list(want[router])
+            assert_rows_close(dests, want[router])
         (tp,) = cfg.tracked
         slot = cfg.topology.out_link_indices(tp.router).index(tp.link_index)
         p = softmax_row(tables[tp.router][tp.dest])[slot]

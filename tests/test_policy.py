@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import sample_slot
+from dense_oracle import sample_slot, table_of
 from gradroute.engine import Simulation, make_tables
 from gradroute.learner import (
     _PROB_FLOOR,
@@ -95,22 +95,22 @@ class TestSampling:
 
 class TestLogPolicyGradient:
     def test_uniform_case(self):
-        assert applied_gradient({1: [0.0, 0.0]}, 1, 0) == [0.5, -0.5]
+        assert applied_gradient(table_of({1: [0.0, 0.0]}), 1, 0) == [0.5, -0.5]
 
     def test_quarter_case(self):
-        g = applied_gradient({1: [math.log(3), 0.0]}, 1, 1)
+        g = applied_gradient(table_of({1: [math.log(3), 0.0]}), 1, 1)
         assert g[0] == pytest.approx(-0.75, abs=1e-12)
         assert g[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_slot(self):
         with pytest.raises(ValueError):
-            applied_gradient({1: [0.0, 0.0]}, 1, 2)
+            applied_gradient(table_of({1: [0.0, 0.0]}), 1, 2)
 
     @settings(max_examples=300)
     @given(logit_rows, st.randoms(use_true_random=False))
     def test_components_sum_to_zero(self, row, rng):
         slot = rng.randrange(len(row))
-        g = applied_gradient({1: list(row)}, 1, slot)
+        g = applied_gradient(table_of({1: list(row)}), 1, slot)
         assert sum(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference(self):
@@ -120,7 +120,7 @@ class TestLogPolicyGradient:
             n = rng.randint(1, 8)
             row = [rng.uniform(-5, 5) for _ in range(n)]
             slot = rng.randrange(n)
-            analytic = applied_gradient({1: list(row)}, 1, slot)
+            analytic = applied_gradient(table_of({1: list(row)}), 1, slot)
             for j in range(n):
                 up = list(row)
                 up[j] += h
@@ -145,15 +145,20 @@ class TestMakeTables:
     def test_sink_gets_no_table_and_self_rows_are_absent(self):
         topo, _ = braess_network(augmented=True)
         n = topo.n_nodes
-        routers = {row_id // n for row_id in make_tables(topo)}
+        rows = make_tables(topo)
+        assert len(rows) == n * n  # one entry per flat row id, holes included
+        ids = [row_id for row_id, row in enumerate(rows) if row is not None]
+        routers = {row_id // n for row_id in ids}
         assert topo.node_id("B") not in routers
-        assert not any(row_id // n == row_id % n for row_id in make_tables(topo))
+        assert not any(row_id // n == row_id % n for row_id in ids)
         # every other node has a row at every router with an out-link
-        assert len(make_tables(topo)) == len(routers) * (n - 1)
+        assert len(ids) == len(routers) * (n - 1)
 
     def test_initial_tables_are_uniform(self):
         topo, _ = triangle_network()
-        for row in make_tables(topo).values():
+        rows = [row for row in make_tables(topo) if row is not None]
+        assert rows
+        for row in rows:
             probs = softmax_row(row)
             assert probs == pytest.approx([1 / len(probs)] * len(probs))
 
@@ -239,7 +244,7 @@ class TestCurrentProbabilityPin:
     @pytest.mark.parametrize("owed", [False, True])
     def test_each_slot_as_softmax_of_current_logits(self, owed, row, data):
         y = 3
-        rows = {y: row}
+        rows = table_of({y: row})
         trace = EligibilityTrace(rows)
         if owed:
             trace.rows[y] = data.draw(st.lists(any_logit, min_size=len(row), max_size=len(row)))

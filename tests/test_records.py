@@ -23,7 +23,7 @@ from gradroute.shaping import ShapingConfig
 def _records():
     cfg = preset("contention")
     row = MetricsRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, (), 0, 0, 0)
-    run = RunResult(cfg, 1, row, 0.0, {}, 0.0, 0, 0, 0, 0, None, "steps")
+    run = RunResult(cfg, 1, row, 0.0, 0.0, 0, 0, 0, 0, None, "steps")
     return [
         Node(0, "A"),
         Link(0, 1),
@@ -97,3 +97,19 @@ def test_preset_topology_and_config_hash(name):
     assert twin == topo and hash(twin) == hash(topo)
     assert hash(cfg) == hash(preset(name))
     assert hash(cfg._replace(topology=twin)) == hash(cfg)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [0.5, {0: NodeCost(1.0, 0.0), "x": NodeCost(2.0, 1.0)}],
+    ids=["not_a_dict", "mixed_key_types"],
+)
+def test_malformed_node_costs_still_hash(costs):
+    # hashing needs no valid config: validation names the key, not hash()
+    cfg = preset("triangle")
+    bad = cfg._replace(topology=cfg.topology._replace(node_costs=costs))
+    twin_costs = dict(reversed(list(costs.items()))) if isinstance(costs, dict) else costs
+    twin = cfg._replace(topology=cfg.topology._replace(node_costs=twin_costs))
+    assert twin == bad and hash(twin) == hash(bad)
+    assert hash(twin.topology) == hash(bad.topology)
+    assert len({bad, twin, cfg}) == 2
