@@ -23,8 +23,10 @@ A config file is one JSON document with top-level keys
     }
 
 Links are referenced by their display label (explicit label, else the
-concatenated endpoint labels). Presets serialize to this format and load
-back equal.
+concatenated endpoint labels). node_costs is read into a tuple by node
+id, None for a node it does not name; an empty object reads as no costs,
+and the saver writes the costs in node-id order. Presets serialize to
+this format and load back equal.
 
 config_from_dict only decodes: it checks the document's shape, unknown
 and required keys and node and link labels, and reads a number key's
@@ -185,7 +187,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if t.node_costs is not None:
         network["node_costs"] = {
             t.label(n): {"base": c.base, "per_flow": c.per_flow}
-            for n, c in sorted(t.node_costs.items())
+            for n, c in enumerate(t.node_costs)
         }
     traffic = {
         "rates": {
@@ -306,23 +308,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             )
         )
 
-    node_costs = None
-    if "node_costs" in net:
-        node_costs = {}
-        for lb, cd in _object(net["node_costs"], "network.node_costs").items():
-            where = f"network.node_costs.{lb}"
-            nd = node(lb, where)  # an unknown node is named before its keys
-            _object(cd, where, NodeCost._fields)
-            node_costs[nd] = NodeCost(
-                base=_number(_require(cd, "base", where)),
-                per_flow=_number(_require(cd, "per_flow", where)),
-            )
+    costs: dict[int, NodeCost] = {}
+    for lb, cd in _object(net.get("node_costs", {}), "network.node_costs").items():
+        where = f"network.node_costs.{lb}"
+        nd = node(lb, where)  # an unknown node is named before its keys
+        _object(cd, where, NodeCost._fields)
+        costs[nd] = NodeCost(
+            base=_number(_require(cd, "base", where)),
+            per_flow=_number(_require(cd, "per_flow", where)),
+        )
 
     topology = Topology(
         nodes=tuple(Node(i, lb) for i, lb in enumerate(labels)),
         links=tuple(links),
         cost_model=cost_model,
-        node_costs=node_costs,
+        # by node id, None for a node the file names no cost for; {} as none
+        node_costs=tuple(costs.get(i) for i in range(len(labels))) if costs else None,
     )
 
     tr = _object(_require(doc, "traffic", "config"), "traffic", ("rates", "destinations"))

@@ -51,8 +51,8 @@ what it is when every hop samples.
 Both modes update the learner lazily (see gradroute.learner): a tick
 touches only the trace rows that received a gradient, and every other
 logit row is owed its share of the reward until the learner next
-settles it. Outside code reads logits through `theta()` and tracked
-probabilities through `probabilities()`, never through the rows
+settles it. Outside code reads logits through `theta_by_router()` and
+tracked probabilities through `probabilities()`, never through the rows
 directly. Both apply the owed credit through learner.current_logits or
 learner.current_probability and write nothing, so a run ends in the
 same state however often, and whichever rows, it is read.
@@ -134,17 +134,9 @@ class Packet:
         self.node = source
 
 
-class TickReward(NamedTuple):
-    """One tick's reward: underlying + shaping = total. Immutable."""
-
-    underlying: float
-    shaping: float
-    total: float
-
-
 class TickStats(NamedTuple):
-    """What one tick did, with its counts for that tick alone. Immutable;
-    the engine builds one per tick, positionally, in field order."""
+    """What one tick did, for that tick alone: its counts and its reward,
+    underlying + shaping = total. Immutable; built positionally, in field order."""
 
     tick: int
     generated: int
@@ -152,7 +144,9 @@ class TickStats(NamedTuple):
     dropped: int
     cycles_detected: int
     in_flight: int
-    reward: TickReward
+    underlying: float
+    shaping: float
+    total: float
 
 
 class Simulation:
@@ -217,11 +211,6 @@ class Simulation:
         self._max_in_flight = LOAD_FACTOR * sum(cfg.traffic.rates) * topo.n_nodes * longest
 
         if topo.cost_model is CostModel.NODE_FLOW:
-            # per node: (base, per_flow) of its affine cost (network.NodeCost)
-            costs = topo.node_costs
-            self._node_costs = [
-                (costs[n].base, costs[n].per_flow) for n in range(topo.n_nodes)
-            ]
             self._step = self._step_node_flow
         else:
             self._step = self._step_link_delay
@@ -230,7 +219,7 @@ class Simulation:
 
     def step(self) -> TickStats:
         stats = self._step()
-        self.reward_sum += stats.reward.total
+        self.reward_sum += stats.total
         self.generated_total += stats.generated
         self.delivered_total += stats.delivered
         self.dropped_total += stats.dropped
@@ -254,11 +243,6 @@ class Simulation:
     def running_mean(self) -> float:
         """Mean total reward per tick so far (0.0 before the first tick)."""
         return self.reward_sum / self.tick_count if self.tick_count else 0.0
-
-    def theta(self) -> dict:
-        """Every current logit row, in a fresh list, by router label and
-        destination label: {router: {destination: [logits]}}."""
-        return dict(self.theta_by_router())
 
     def theta_by_router(self) -> Iterator[tuple[str, dict[str, list[float]]]]:
         """(router label, {destination label: current logits}) for each
@@ -360,10 +344,12 @@ class Simulation:
 
         # (5) the learner update: one shared reward for every router
         shaping = shaping_reward(cycles, dropped, self.cfg.shaping)
-        reward = TickReward(underlying, shaping, underlying + shaping)
-        tick_update(rows, trace, self.cfg.learner, decisions, reward.total)
+        total = underlying + shaping
+        tick_update(rows, trace, self.cfg.learner, decisions, total)
 
-        return TickStats(t, generated, delivered, dropped, cycles, in_flight, reward)
+        return TickStats(
+            t, generated, delivered, dropped, cycles, in_flight, underlying, shaping, total
+        )
 
     # -- node-flow mode -----------------------------------------------------
 
@@ -412,16 +398,13 @@ class Simulation:
                     visit(node)
                     flows[node] += 1
 
-        # each visit pays its node's cost at the tick's flow, summed in
-        # visit order
-        costs = [
-            base + per_flow * flow for (base, per_flow), flow in zip(self._node_costs, flows)
-        ]
+        # each visit pays its node's cost at the tick's flow (NodeCost.cost,
+        # inlined), summed in visit order
+        costs = [c.base + c.per_flow * flow for c, flow in zip(self.topology.node_costs, flows)]
         total_cost = 0.0
         for node in visits:
             total_cost += costs[node]
         underlying = -total_cost
-        reward = TickReward(underlying, 0.0, underlying)
-        tick_update(rows, trace, self.cfg.learner, decisions, reward.total)
+        tick_update(rows, trace, self.cfg.learner, decisions, underlying)
 
-        return TickStats(t, generated, generated, 0, 0, 0, reward)
+        return TickStats(t, generated, generated, 0, 0, 0, underlying, 0.0, underlying)

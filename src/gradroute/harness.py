@@ -64,24 +64,27 @@ def default_output_dir() -> Path:
 
 class RunResult(NamedTuple):
     """One run: its config (with the output paths it wrote), its last
-    sampled row (the CSV's last row), the mean underlying reward of its
-    last ma_window sampled rows (math.fsum over their count, fewer rows
-    while the window fills), the engine's counters at the last tick and
-    why the run stopped ("steps" or "threshold", as in the manifest). The
-    other sampled rows are only in the CSV, and the final logits only in
-    the theta file."""
+    sampled row (the CSV's last row, taken at the run's last tick, with
+    its running mean and cumulative counters), the mean underlying reward
+    of its last ma_window sampled rows (math.fsum over their count, fewer
+    rows while the window fills), the tick it reached the threshold, if
+    any, and why it stopped ("steps" or "threshold", as in the manifest).
+    The other sampled rows are only in the CSV, the generated count only
+    in the manifest, and the final logits only in the theta file."""
 
     config: ExperimentConfig
-    steps_run: int
     final_row: MetricsRow
     final_underlying_ma: float
-    final_running_mean: float
-    generated: int
-    delivered: int
-    dropped: int
-    cycles_detected: int
     ticks_to_threshold: int | None
     stop_reason: str
+
+    @property
+    def steps_run(self) -> int:
+        return self.final_row.tick
+
+    @property
+    def final_running_mean(self) -> float:
+        return self.final_row.running_mean
 
 
 def run_experiment(
@@ -137,13 +140,13 @@ def run_experiment(
             stats = step()
             if t % sample_every and t != steps:
                 continue
-            underlying, shaping, total = stats.reward
+            underlying = stats.underlying
             row = MetricsRow(
                 t,
-                total,
+                stats.total,
                 underlying,
-                shaping,
-                push(total),
+                stats.shaping,
+                push(stats.total),
                 sim.running_mean,
                 probabilities(),
                 sim.delivered_total,
@@ -173,19 +176,7 @@ def run_experiment(
         with open(cfg.theta_path, "w", encoding="utf-8") as fh:
             write_theta(fh, sim.theta_by_router())
     _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
-    return RunResult(
-        config=cfg,
-        steps_run=sim.tick_count,
-        final_row=row,
-        final_underlying_ma=math.fsum(under) / len(under),
-        final_running_mean=sim.running_mean,
-        generated=sim.generated_total,
-        delivered=sim.delivered_total,
-        dropped=sim.dropped_total,
-        cycles_detected=sim.cycles_total,
-        ticks_to_threshold=ticks_to_threshold,
-        stop_reason=stop_reason,
-    )
+    return RunResult(cfg, row, math.fsum(under) / len(under), ticks_to_threshold, stop_reason)
 
 
 # the values of one logit row as json.dump(..., indent=2) lays them out
@@ -255,14 +246,15 @@ def _write_manifest(
 
 
 def summary_line(res: RunResult) -> str:
+    row = res.final_row
     parts = [
-        f"ticks={res.steps_run}",
-        f"running_mean={res.final_running_mean:.4f}",
-        f"delivered={res.delivered}",
-        f"dropped={res.dropped}",
-        f"cycles={res.cycles_detected}",
+        f"ticks={row.tick}",
+        f"running_mean={row.running_mean:.4f}",
+        f"delivered={row.delivered}",
+        f"dropped={row.dropped}",
+        f"cycles={row.cycles}",
     ]
-    for name, p in zip(probability_column_names(res.config), res.final_row.probs):
+    for name, p in zip(probability_column_names(res.config), row.probs):
         parts.append(f"{name}={p:.4f}")
     return "  ".join(parts)
 

@@ -22,7 +22,9 @@ for the tick, (exps, total, cum): the max-subtracted exponentials of the
 row's logits, their sum and the running sums the engine draws from, the
 last set to +inf. tick_update() reads them and forms the decision's
 log-policy gradient, e_slot - exps / total. Weights never outlive their
-tick, and a decision on a row without them raises.
+tick, and a decision on a row without them raises. A negative id names
+no row: sampling_weights and the readers refuse it, where the list would
+read a row from its end.
 
 A one-column row (a router with one out-link) is the exception. Its
 Gibbs policy is fixed at probability 1, and the log-policy gradient of
@@ -158,6 +160,8 @@ def softmax_row(logits: list[float]) -> list[float]:
 def current_logits(rows: Rows, trace: EligibilityTrace, y: int) -> list[float]:
     """The current logits of row `y` in a new list: the row with the credit
     it is owed applied. Writes neither the row nor its mark."""
+    if y < 0:
+        raise ValueError(f"row {y}: no such row")
     row = rows[y]
     acc = trace.acc
     d = acc - trace.active.get(y, acc)
@@ -172,6 +176,8 @@ def current_probability(rows: Rows, trace: EligibilityTrace, y: int, slot: int) 
     alike, without building the row's other probabilities. It copies the
     row only when the row is owed credit, and writes neither the row nor
     its mark."""
+    if y < 0:
+        raise ValueError(f"row {y}: no such row")
     row = rows[y]
     acc = trace.acc
     if acc - trace.active.get(y, acc) != 0.0:
@@ -193,6 +199,8 @@ def sampling_weights(
     sums with the last set to +inf. One kernel, two passes over the row
     (module doc): the same floats as current_logits() and then a running
     sum over the exponentials."""
+    if y < 0:
+        raise ValueError(f"row {y}: no such row")
     row = rows[y]
     acc = trace.acc
     active = trace.active

@@ -91,22 +91,13 @@ class TrafficSpec(NamedTuple):
 
 
 class Topology(NamedTuple):
-    """Nodes, links and the cost model. A NamedTuple like every other
-    record, with a hash of its own because node_costs is a dict."""
+    """Nodes, links, the cost model and, in a node-flow network, each
+    node's cost, by node id like TrafficSpec.rates."""
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     cost_model: CostModel = CostModel.LINK_DELAY
-    node_costs: dict[int, NodeCost] | None = None
-
-    def __hash__(self) -> int:
-        # a dict has no hash: its items as a frozenset, which neither sorts
-        # its keys nor asks for them to be of one type; any other value,
-        # valid or not, as it is, so that hashing never needs a valid config
-        costs = self.node_costs
-        if isinstance(costs, dict):
-            costs = frozenset(costs.items())
-        return hash((self.nodes, self.links, self.cost_model, costs))
+    node_costs: tuple[NodeCost, ...] | None = None
 
     @classmethod
     def build(
@@ -116,13 +107,12 @@ class Topology(NamedTuple):
         cost_model: CostModel = CostModel.LINK_DELAY,
         node_costs: dict[str, NodeCost] | None = None,
     ) -> "Topology":
-        """Construct from labels and (src_label, dst_label, delay[, capacity[, label]]) tuples."""
+        """Construct from labels, (src_label, dst_label, delay[, capacity[,
+        label]]) tuples and node costs by label."""
         nodes = tuple(Node(i, lb) for i, lb in enumerate(labels))
         ids = {lb: i for i, lb in enumerate(labels)}
         built = tuple(Link(ids[spec[0]], ids[spec[1]], *spec[2:]) for spec in links)
-        costs = (
-            {ids[lb]: c for lb, c in node_costs.items()} if node_costs is not None else None
-        )
+        costs = None if node_costs is None else tuple(node_costs.get(lb) for lb in labels)
         return cls(nodes=nodes, links=built, cost_model=cost_model, node_costs=costs)
 
     @property
@@ -276,10 +266,10 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     node-flow network, a rate that is not an integer from 0 to MAX_RATE,
     malformed destination distributions, nodes with traffic but no
     outgoing links, unreachable destinations, node costs that are not a
-    dict or are keyed by no node id, missing, misplaced or mistyped node
-    costs for the active cost model, and a directed cycle in a node-flow network, where a packet
-    walks its whole path in one tick. A value of the wrong type is
-    reported, never compared.
+    tuple of one entry per node, missing, misplaced or mistyped node costs
+    for the active cost model, and a directed cycle in a node-flow
+    network, where a packet walks its whole path in one tick. A value of
+    the wrong type is reported, never compared.
     """
     if not isinstance(topology.cost_model, CostModel):
         return (f"network.cost_model: must be a CostModel, got {topology.cost_model!r}",)
@@ -315,23 +305,19 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
             v.append(f"{where}.capacity: must be an integer >= 1 or null, got {capacity!r}")
 
     costs = topology.node_costs
-    if not (costs is None or isinstance(costs, dict)):
-        v.append(f"network.node_costs: must be a dict of NodeCost by node id, got {costs!r}")
+    if not (costs is None or isinstance(costs, tuple) and len(costs) == n):
+        v.append(f"network.node_costs: must be one NodeCost per node, got {costs!r}")
     elif topology.cost_model is CostModel.NODE_FLOW:
-        for k in costs or {}:
-            if not _is_node(k, n):
-                v.append(f"network.node_costs: {k!r} is not a node id")
-        # by position, as the saver labels them: an id may be no integer
-        for i, label in enumerate(labels):
+        for label, cost in zip(labels, costs or (None,) * n):
             where = f"network.node_costs.{label}"
-            if i not in (costs or {}):
+            if cost is None:
                 v.append(f"{where}: missing node cost")
-            elif not isinstance(costs[i], NodeCost):
-                v.append(f"{where}: must be a NodeCost, got {costs[i]!r}")
+            elif not isinstance(cost, NodeCost):
+                v.append(f"{where}: must be a NodeCost, got {cost!r}")
             else:
-                for field, x in zip(NodeCost._fields, costs[i]):
+                for field, x in zip(NodeCost._fields, cost):
                     v += _number_rule(f"{where}.{field}", x)
-    elif costs:
+    elif costs is not None:
         v.append("network.node_costs: only a node_flow network has node costs")
     if topology.cost_model is CostModel.NODE_FLOW:
         on_cycle = _node_on_cycle(topology, out)

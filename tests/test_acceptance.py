@@ -129,7 +129,7 @@ def test_criterion_8_conservation_and_reward_decomposition():
             deliv += s.delivered
             drop += s.dropped
             assert gen == deliv + drop + s.in_flight, name
-            assert s.reward.total == s.reward.underlying + s.reward.shaping, name
+            assert s.total == s.underlying + s.shaping, name
     print("\nPASS criterion 8: per-tick conservation and exact reward "
           "decomposition on all four presets (also asserted inside the engine "
           "on every tick of every run in this module)")

@@ -74,18 +74,18 @@ class TestContentionArithmetic:
         sim, stats = self.run_forced([30.0, -30.0])
         # steady state from tick 2: one delivery (trip 1) and one drop per tick
         for s in stats[1:]:
-            assert s.reward.underlying == -1.0
-            assert s.reward.shaping == -21.0
-            assert s.reward.total == -22.0
+            assert s.underlying == -1.0
+            assert s.shaping == -21.0
+            assert s.total == -22.0
             assert s.delivered == 1 and s.dropped == 1
-        assert stats[0].reward.total == -21.0  # first tick: drop but no arrival yet
+        assert stats[0].total == -21.0  # first tick: drop but no arrival yet
 
     def test_always_bottom_settles_at_minus_12(self):
         sim, stats = self.run_forced([-30.0, 30.0])
         for s in stats[:6]:  # nothing arrives during the first transit
-            assert s.reward.total == 0.0 and s.dropped == 0
+            assert s.total == 0.0 and s.dropped == 0
         for s in stats[6:]:
-            assert s.reward.total == -12.0
+            assert s.total == -12.0
             assert s.delivered == 2 and s.dropped == 0
 
     def test_uniform_policy_long_run_average_matches_enumeration(self):
@@ -110,13 +110,13 @@ class TestContentionArithmetic:
         top = Simulation(cfg)
         force_row(top, "A", "B", [30.0, -30.0])
         for s in [top.step() for _ in range(20)][1:]:
-            assert s.dropped == 0 and s.delivered == 2 and s.reward.total == -2.0
+            assert s.dropped == 0 and s.delivered == 2 and s.total == -2.0
         bottom = Simulation(cfg)
         force_row(bottom, "A", "B", [-30.0, 30.0])
         stats = [bottom.step() for _ in range(20)]
         assert all(s.dropped == 2 - 1 for s in stats)
         for s in stats[6:]:
-            assert s.delivered == 1 and s.reward.total == -6.0 - 21.0
+            assert s.delivered == 1 and s.total == -6.0 - 21.0
 
 
 class TestNodeFlowArithmetic:
@@ -126,7 +126,7 @@ class TestNodeFlowArithmetic:
         force_row(sim, "A", "B", [40.0, -40.0])
         stats = [sim.step() for _ in range(10)]
         for s in stats:
-            assert s.reward.total == pytest.approx(-116.0 * 6)
+            assert s.total == pytest.approx(-116.0 * 6)
             assert s.delivered == 6 and s.in_flight == 0
 
     def test_right_with_shortcut_disabled_costs_116(self):
@@ -135,7 +135,7 @@ class TestNodeFlowArithmetic:
         force_row(sim, "A", "B", [-40.0, 40.0])
         force_row(sim, "E", "B", [40.0, -40.0])
         for _ in range(5):
-            assert sim.step().reward.total == pytest.approx(-116.0 * 6)
+            assert sim.step().total == pytest.approx(-116.0 * 6)
 
     def test_uniform_policy_matches_binomial_enumeration(self):
         from gradroute.oracles import braess_expected_cost
@@ -180,7 +180,7 @@ class TestConservationAndDeterminism:
             deliv += s.delivered
             drop += s.dropped
             assert gen == deliv + drop + s.in_flight
-            assert s.reward.total == s.reward.underlying + s.reward.shaping
+            assert s.total == s.underlying + s.shaping
 
     @pytest.mark.parametrize("name", ["triangle", "contention", "six_node", "braess1"])
     def test_same_seed_same_stats(self, name):
@@ -191,7 +191,7 @@ class TestConservationAndDeterminism:
         stats_a = [run_a.step() for _ in range(300)]
         stats_b = [run_b.step() for _ in range(300)]
         assert stats_a == stats_b
-        assert run_a.theta() == run_b.theta()
+        assert dict(run_a.theta_by_router()) == dict(run_b.theta_by_router())
 
     def test_different_seeds_differ(self):
         cfg = preset("triangle").with_overrides(steps=200)
@@ -204,7 +204,7 @@ class TestConservationAndDeterminism:
         assert sim.tick_count == 0
         assert sim.generated_total == 0
         assert all(
-            v == 0.0 for dests in sim.theta().values() for row in dests.values() for v in row
+            v == 0.0 for _, dests in sim.theta_by_router() for row in dests.values() for v in row
         )
 
 
@@ -213,12 +213,12 @@ class TestTheta:
         cfg = preset("six_node").with_overrides(steps=200)
         sim = Simulation(cfg)
         advance(sim, cfg.steps)
-        theta = sim.theta()
+        theta = dict(sim.theta_by_router())
         before = copy.deepcopy(theta)
         for dests in theta.values():
             for row in dests.values():
                 row[0] += 1.0  # the run does not see it
-        assert sim.theta() == before
+        assert dict(sim.theta_by_router()) == before
 
 
 class CountingRandom(Random):
@@ -336,7 +336,7 @@ class TestRunningAverage:
 
     def test_three_values(self):
         sim = self.forced_contention([30.0, -30.0])
-        totals = [sim.step().reward.total for _ in range(3)]
+        totals = [sim.step().total for _ in range(3)]
         assert totals == [-21.0, -22.0, -22.0]
         assert sim.running_mean == (totals[0] + totals[1] + totals[2]) / 3
 
@@ -445,7 +445,7 @@ class TestRewardDecomposition:
         saw_cycle = False
         for _ in range(cfg.steps):
             s = sim.step()
-            assert s.reward.shaping == pytest.approx(-100.0 * s.cycles_detected)
+            assert s.shaping == pytest.approx(-100.0 * s.cycles_detected)
             saw_cycle = saw_cycle or s.cycles_detected > 0
         assert saw_cycle  # uniform routing on a complete graph revisits quickly
 
@@ -454,12 +454,13 @@ class TestRewardDecomposition:
         res = run_experiment(cfg)
         sim = Simulation(cfg)
         stats = [sim.step() for _ in range(cfg.steps)]
-        assert res.steps_run == 500
-        assert res.generated == sum(s.generated for s in stats) == 1000
-        assert res.delivered == sum(s.delivered for s in stats)
-        assert res.dropped == sum(s.dropped for s in stats)
-        assert res.cycles_detected == sum(s.cycles_detected for s in stats)
-        assert res.final_running_mean == sim.running_mean
+        row = res.final_row
+        assert res.steps_run == row.tick == 500
+        assert sim.generated_total == sum(s.generated for s in stats) == 1000
+        assert row.delivered == sum(s.delivered for s in stats)
+        assert row.dropped == sum(s.dropped for s in stats)
+        assert row.cycles == sum(s.cycles_detected for s in stats)
+        assert res.final_running_mean == row.running_mean == sim.running_mean
 
 
 def test_setup_reads_the_out_link_table_a_fixed_number_of_times(monkeypatch):

@@ -29,7 +29,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import MAX_RATE, Node, NodeCost, Topology, TrafficSpec
+from gradroute.network import MAX_RATE, Node, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -108,6 +108,30 @@ class TestConfigRoundTrip:
         cfg = preset(name)
         doc = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(doc) == cfg
+
+    @pytest.mark.parametrize("name", ["triangle", "braess1"])
+    def test_empty_node_costs_read_as_none(self, name):
+        # a link-delay file loads as if the key were absent, and saves
+        # without it; a node-flow file is refused for each node's missing cost
+        doc = config_to_dict(preset(name))
+        doc["network"]["node_costs"] = {}
+        if name == "triangle":
+            cfg = config_from_dict(doc)
+            assert cfg == preset(name) and cfg.topology.node_costs is None
+            assert "node_costs" not in config_to_dict(cfg)["network"]
+        else:
+            with pytest.raises(ConfigError) as e:
+                config_from_dict(doc)
+            assert str(e.value).startswith("network.node_costs.A: missing node cost; ")
+
+    def test_node_costs_read_by_node_id(self):
+        doc = config_to_dict(preset("braess1"))
+        costs = doc["network"]["node_costs"]
+        doc["network"]["node_costs"] = dict(reversed(list(costs.items())))
+        cfg = config_from_dict(doc)
+        assert cfg == preset("braess1")
+        saved = config_to_dict(cfg)["network"]["node_costs"]
+        assert list(saved.items()) == list(costs.items())  # in node-id order
 
     def test_beta_one_rejected(self, tmp_path):
         doc = config_to_dict(preset("triangle"))
@@ -449,6 +473,7 @@ def test_one_rule_two_entry_points(rule):
 
 
 _TOPOLOGY = preset("triangle").topology
+_BRAESS_COSTS = preset("braess1").topology.node_costs
 
 
 def _endpoint(**fields):
@@ -522,26 +547,33 @@ _PYTHON_RULES = {
     ),
     "node_cost_tuple": (
         lambda cfg: cfg._replace(
-            topology=cfg.topology._replace(node_costs={**cfg.topology.node_costs, 0: (1.0,)})
+            topology=cfg.topology._replace(node_costs=((1.0,), *cfg.topology.node_costs[1:]))
         ),
         "network.node_costs.A: must be a NodeCost, got (1.0,)",
         "braess1",
     ),
-    # the saver labels node costs by node: 99 has no label, and -1 would
-    # be saved as the last node's
+    # the saver labels node costs by position: a tuple one entry short
+    # would save no cost for the last node
     "node_cost_key": (
         lambda cfg: cfg._replace(
-            topology=cfg.topology._replace(
-                node_costs={**cfg.topology.node_costs, 99: NodeCost(1.0, 1.0)}
-            )
+            topology=cfg.topology._replace(node_costs=cfg.topology.node_costs[:-1])
         ),
-        "network.node_costs: 99 is not a node id",
+        f"network.node_costs: must be one NodeCost per node, got {_BRAESS_COSTS[:-1]!r}",
+        "braess1",
+    ),
+    # node costs are a tuple by node id, not a dict by it
+    "node_costs_dict": (
+        lambda cfg: cfg._replace(
+            topology=cfg.topology._replace(node_costs=dict(enumerate(cfg.topology.node_costs)))
+        ),
+        "network.node_costs: must be one NodeCost per node, "
+        f"got {dict(enumerate(_BRAESS_COSTS))!r}",
         "braess1",
     ),
     # a false value other than None would save no node costs
     "node_costs_float": (
         lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(node_costs=0.0)),
-        "network.node_costs: must be a dict of NodeCost by node id, got 0.0",
+        "network.node_costs: must be one NodeCost per node, got 0.0",
     ),
     # node costs are looked up by position, not by an id that may not hash
     "node_id_list": (
@@ -753,7 +785,7 @@ class TestRunExperiment:
         sim = Simulation(cfg)
         for _ in range(cfg.steps):
             sim.step()
-        bare = sim.theta()
+        bare = dict(sim.theta_by_router())
         topo = cfg.topology
         every_row = tuple(
             TrackedProbability(r, y, links[0])
@@ -885,7 +917,7 @@ class TestRunExperiment:
         sim = Simulation(cfg)
         for _ in range(cfg.steps):
             sim.step()
-        theta = sim.theta()
+        theta = dict(sim.theta_by_router())
         assert any(v != 0.0 for dests in theta.values() for row in dests.values() for v in row)
         assert path.read_bytes() == (json.dumps(theta, indent=2) + "\n").encode("utf-8")
 
@@ -964,7 +996,7 @@ class TestRunExperiment:
         header, rows = read_csv(res.config.csv_path)
         # recompute from an independent engine pass
         sim = Simulation(cfg)
-        totals = [sim.step().reward.total for _ in range(cfg.steps)]
+        totals = [sim.step().total for _ in range(cfg.steps)]
         tick, mean = header.index("tick"), header.index("running_mean")
         assert len(rows) == 4
         for row in rows:
@@ -1026,12 +1058,14 @@ class TestRunManifest:
         assert m["stop_reason"] == res.stop_reason == "steps"
         assert m["error"] is None
         assert m["wall_s"] > 0.0 and m["ticks_per_s"] == 300 / m["wall_s"]
+        row = res.final_row
+        generated = sum(cfg.traffic.rates) * 300
         assert m["counters"] == {
-            "generated": res.generated,
-            "delivered": res.delivered,
-            "dropped": res.dropped,
-            "cycles_detected": res.cycles_detected,
-            "in_flight": res.generated - res.delivered - res.dropped,
+            "generated": generated,
+            "delivered": row.delivered,
+            "dropped": row.dropped,
+            "cycles_detected": row.cycles,
+            "in_flight": generated - row.delivered - row.dropped,
         }
 
     def test_threshold(self, tmp_path):
@@ -1354,6 +1388,9 @@ class TestCli:
             (["triangle-optimal", "1", "2", "3"], "takes 0 parameter(s), got 3"),
             (["braess-cost", "ACDB=6", "ACDB=0"], "names path ACDB twice"),
             (["contention-optimal", "21", "--braess0"], "does not take --braess0"),
+            (["contention-optimal", "x"], "needs finite numbers, got 'x'"),
+            (["contention-optimal", "nan"], "needs finite numbers, got 'nan'"),
+            (["braess-cost"], "takes at least one parameter, got 0"),
         ],
         ids=[
             "contention_reward_no_params",
@@ -1361,6 +1398,9 @@ class TestCli:
             "triangle_optimal_extra",
             "braess_cost_repeated_path",
             "contention_optimal_braess0",
+            "contention_optimal_not_a_number",
+            "contention_optimal_nan",
+            "braess_cost_no_params",
         ],
     )
     def test_oracle_bad_parameters(self, argv, problem, capsys):
@@ -1368,6 +1408,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"oracle {argv[0]} {problem}" in err
         assert f"usage: gradroute oracle {argv[0]}" in err
+
+    @pytest.mark.parametrize("env", [None, "elsewhere/out"], ids=["unset", "set"])
+    def test_default_output_dir(self, env, monkeypatch):
+        if env is None:
+            monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(harness.OUTPUT_DIR_ENV, env)
+        assert harness.default_output_dir() == Path(env or "runs")
 
     @pytest.mark.parametrize("flags", [["--steps", "0"], ["--gamma", "-1"]])
     def test_invalid_preset_override_writes_nothing(self, flags, tmp_path, capsys):

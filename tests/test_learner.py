@@ -24,6 +24,7 @@ from gradroute.learner import (
     EligibilityTrace,
     LearnerConfig,
     current_logits,
+    current_probability,
     sampling_weights,
     softmax_row,
     tick_update,
@@ -261,6 +262,28 @@ class TestTickUpdate:
         with pytest.raises(ValueError, match=message):
             tick_update(table, trace, cfg, [decision], -1.0)
         assert table[1] == [0.0, 0.0]  # rejected before any update
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            sampling_weights,
+            current_logits,
+            lambda rows, trace, y: current_probability(rows, trace, y, 0),
+        ],
+        ids=["sampling_weights", "current_logits", "current_probability"],
+    )
+    @pytest.mark.parametrize("y", [-2], ids=["negative_row"])
+    def test_reader_refuses_a_negative_row(self, read, y):
+        # the triangle's table has 9 entries: -2 would read row 7 from its end
+        rows = engine.make_tables(preset("triangle").topology)
+        trace = EligibilityTrace(rows)
+        before = copy_rows(rows)
+        with pytest.raises(ValueError, match=f"row {y}: no such row"):
+            read(rows, trace, y)
+        assert trace.weights == {} and trace.active == {}
+        with pytest.raises(ValueError, match=f"decision row {y}: no such row"):
+            tick_update(rows, trace, LearnerConfig(gamma=1.0), [(y, 0)], 1.0)
+        assert rows == before and trace.active == {}
 
 
 class TestSamplingWeightsKernel:

@@ -90,6 +90,12 @@ class TestShortestPathDelay:
         with pytest.raises(TopologyError):
             shortest_path_delay(topo, 0, 1)
 
+    @pytest.mark.parametrize("src, dst, bad", [(0, 3, 3), (-1, 0, -1)])
+    def test_unknown_node_id_rejected(self, src, dst, bad):
+        topo, _ = triangle_network()
+        with pytest.raises(TopologyError, match=f"unknown node id {bad}$"):
+            shortest_path_delay(topo, src, dst)
+
 
 @st.composite
 def random_topologies(draw):
@@ -145,13 +151,13 @@ class TestValidation:
 
     def test_missing_node_cost(self):
         topo, traffic = braess_network()
-        costs = dict(topo.node_costs)
-        costs.pop(topo.node_id("G"))
+        costs = list(topo.node_costs)
+        costs[topo.node_id("G")] = None
         broken = Topology(
             nodes=topo.nodes,
             links=topo.links,
             cost_model=CostModel.NODE_FLOW,
-            node_costs=costs,
+            node_costs=tuple(costs),
         )
         violations = validate_topology(broken, traffic)
         assert "network.node_costs.G: missing node cost" in violations

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -71,6 +72,41 @@ class TestBraess:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             braess_cost_for_flows(self.b0, {"AEGDB": 1})  # G only exists when augmented
+
+    @pytest.mark.parametrize(
+        "topology, flows, message",
+        [
+            ("triangle", {"AB": 1}, "path costing requires a node-flow topology"),
+            ("braess1", {"ACDB": 3, "AEFB": -1}, "negative flow on path AEFB"),
+            ("braess1", {"ACB": 1}, "path ACB uses missing link C->B"),
+        ],
+        ids=["link_delay", "negative_flow", "missing_link"],
+    )
+    def test_bad_flows_rejected(self, topology, flows, message):
+        topo = triangle_network()[0] if topology == "triangle" else self.b1
+        with pytest.raises(ValueError, match=message):
+            braess_cost_for_flows(topo, flows)
+
+    def test_no_packets_cost_nothing(self):
+        assert braess_cost_for_flows(self.b1, {"ACDB": 0, "AEGDB": 0}) == 0.0
+
+    @pytest.mark.parametrize(
+        "p_left, p_ef, name", [(1.5, 0.5, "p_left"), (0.5, -0.1, "p_ef")]
+    )
+    def test_expected_cost_out_of_range_p_rejected(self, p_left, p_ef, name):
+        with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):
+            braess_expected_cost(p_left, p_ef)
+
+    @pytest.mark.parametrize("p_ef", [0.0, 1.0])
+    def test_expected_cost_with_a_sure_choice_at_E(self, p_ef):
+        # every packet that reaches E takes one path onward: only L varies
+        onward = "AEFB" if p_ef == 1.0 else "AEGDB"
+        expected = sum(
+            comb(6, l) * 0.3**l * 0.7 ** (6 - l)
+            * braess_cost_for_flows(self.b1, {"ACDB": l, onward: 6 - l})
+            for l in range(7)
+        )
+        assert braess_expected_cost(0.3, p_ef) == pytest.approx(expected, rel=1e-12)
 
     def test_expected_cost_reference_point(self):
         # closed form at (0.5, 1.0): 50 + 11 * E[L^2 + (6-L)^2] / 6 with E[L^2] = 10.5

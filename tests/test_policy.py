@@ -168,7 +168,7 @@ class TestMakeTables:
         a, e, b = (topo.node_id(x) for x in "AEB")
         sim._rows[a * topo.n_nodes + b][:] = [1.0, -1.0]
         sim._rows[e * topo.n_nodes + b][:] = [2.0, -2.0]
-        snap = sim.theta()
+        snap = dict(sim.theta_by_router())
         assert snap["A"]["B"] == [1.0, -1.0] and snap["E"]["B"] == [2.0, -2.0]
         assert "B" not in snap and "A" not in snap["A"]
         assert list(snap) == sorted(snap, key=topo.node_id)

@@ -23,7 +23,7 @@ from gradroute.shaping import ShapingConfig
 def _records():
     cfg = preset("contention")
     row = MetricsRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, (), 0, 0, 0)
-    run = RunResult(cfg, 1, row, 0.0, 0.0, 0, 0, 0, 0, None, "steps")
+    run = RunResult(cfg, row, 0.0, None, "steps")
     return [
         Node(0, "A"),
         Link(0, 1),
@@ -53,9 +53,12 @@ def test_records_are_immutable(record):
 def test_configs_differing_in_one_field_are_unequal():
     cfg = preset("braess1")
     topo = cfg.topology
-    assert Topology(topo.nodes, topo.links, topo.cost_model, dict(topo.node_costs)) == topo
+    copied = tuple(NodeCost(*c) for c in topo.node_costs)
+    assert Topology(topo.nodes, topo.links, topo.cost_model, copied) == topo
     links = (topo.links[0]._replace(delay=2),) + topo.links[1:]
-    costs = {**topo.node_costs, topo.node_id("C"): NodeCost(51.0, 1.0)}
+    costs = list(topo.node_costs)
+    costs[topo.node_id("C")] = NodeCost(51.0, 1.0)
+    costs = tuple(costs)
     variants = {
         "link delay": Topology(topo.nodes, links, topo.cost_model, topo.node_costs),
         "cost_model": Topology(topo.nodes, topo.links, CostModel.LINK_DELAY, topo.node_costs),
@@ -91,8 +94,8 @@ def test_preset_topology_and_config_hash(name):
     cfg = preset(name)
     topo = cfg.topology
     costs = topo.node_costs
-    # the same node costs, inserted in the opposite order
-    twin_costs = None if costs is None else dict(reversed(list(costs.items())))
+    # the same node costs, in new records
+    twin_costs = None if costs is None else tuple(NodeCost(*c) for c in costs)
     twin = Topology(topo.nodes, topo.links, topo.cost_model, twin_costs)
     assert twin == topo and hash(twin) == hash(topo)
     assert hash(cfg) == hash(preset(name))
@@ -101,14 +104,14 @@ def test_preset_topology_and_config_hash(name):
 
 @pytest.mark.parametrize(
     "costs",
-    [0.5, {0: NodeCost(1.0, 0.0), "x": NodeCost(2.0, 1.0)}],
-    ids=["not_a_dict", "mixed_key_types"],
+    [0.5, (NodeCost(1.0, 0.0), "x")],
+    ids=["not_a_dict", "mistyped_entry"],
 )
 def test_malformed_node_costs_still_hash(costs):
     # hashing needs no valid config: validation names the key, not hash()
     cfg = preset("triangle")
     bad = cfg._replace(topology=cfg.topology._replace(node_costs=costs))
-    twin_costs = dict(reversed(list(costs.items()))) if isinstance(costs, dict) else costs
+    twin_costs = tuple(list(costs)) if isinstance(costs, tuple) else costs
     twin = cfg._replace(topology=cfg.topology._replace(node_costs=twin_costs))
     assert twin == bad and hash(twin) == hash(bad)
     assert hash(twin.topology) == hash(bad.topology)
