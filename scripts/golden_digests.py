@@ -64,7 +64,7 @@ def forced_hops_config() -> ExperimentConfig:
         learner=LearnerConfig(beta=0.9, gamma=1e-4),
         shaping=ShapingConfig(cycle_penalty=-5.0, history_length=2, drop_penalty=3.0),
         seed=5,
-        tracked=(TrackedProbability(0, 3, topo.out_link_indices(0)[0]),),
+        tracked=(TrackedProbability(3, topo.out_link_indices(0)[0]),),
     )
 
 
@@ -79,7 +79,7 @@ def golden_config(name: str) -> ExperimentConfig:
         cfg = preset("six_node")
         topo = cfg.topology
         a = topo.node_id("A")
-        tracked = TrackedProbability(a, topo.node_id("B"), topo.out_link_indices(a)[0])
+        tracked = TrackedProbability(topo.node_id("B"), topo.out_link_indices(a)[0])
         return cfg._replace(seed=3, tracked=(tracked,))
     return preset(name)
 

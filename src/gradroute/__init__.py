@@ -10,12 +10,11 @@ from .config import (
     load_config,
     save_config,
 )
-from .engine import Packet, Simulation, SimulationError, make_tables
-from .learner import EligibilityTrace, LearnerConfig
+from .engine import Simulation, SimulationError
+from .learner import LearnerConfig
 from .network import (
     CostModel,
     Link,
-    Node,
     NodeCost,
     Topology,
     TopologyError,
@@ -24,18 +23,15 @@ from .network import (
     validate_topology,
 )
 from .presets import preset, PRESET_NAMES
-from .shaping import ShapingConfig, detect_cycle, shaping_reward
+from .shaping import ShapingConfig
 
 __all__ = [
     "ConfigError",
     "CostModel",
-    "EligibilityTrace",
     "ExperimentConfig",
     "LearnerConfig",
     "Link",
-    "Node",
     "NodeCost",
-    "Packet",
     "PRESET_NAMES",
     "ShapingConfig",
     "Simulation",
@@ -44,12 +40,9 @@ __all__ = [
     "TopologyError",
     "TrackedProbability",
     "TrafficSpec",
-    "detect_cycle",
     "load_config",
-    "make_tables",
     "preset",
     "save_config",
-    "shaping_reward",
     "shortest_path_delay",
     "validate_topology",
 ]

@@ -59,7 +59,6 @@ from .learner import LearnerConfig
 from .network import (
     CostModel,
     Link,
-    Node,
     NodeCost,
     Topology,
     TrafficSpec,
@@ -76,10 +75,10 @@ class ConfigError(ValueError):
 
 
 class TrackedProbability(NamedTuple):
-    """One policy probability to log: router's chance of picking the link
-    at `link_index` for packets destined `dest`."""
+    """One policy probability to log: the chance that the link at
+    `link_index` is picked by its source, the router, for packets
+    destined `dest`."""
 
-    router: int
     dest: int
     link_index: int
 
@@ -114,24 +113,23 @@ class ExperimentConfig(NamedTuple):
         for key, path in (("output.csv", self.csv_path), ("output.theta", self.theta_path)):
             if not (path is None or isinstance(path, str)):
                 v.append(f"{key}: must be a string or null")
-        n = self.topology.n_nodes
+        n, links = self.topology.n_nodes, self.topology.links
         for j, tp in enumerate(self.tracked):
             where = f"run.tracked_probabilities[{j}]"
-            if not _is_node(tp.router, n):
-                v.append(f"{where}: no router {tp.router!r}")
-            elif not (
-                _is_int(tp.link_index)
-                and tp.link_index in self.topology.out_link_indices(tp.router)
-            ):
-                v.append(f"{where}: link is not an outgoing link of the router")
+            link = links[tp.link_index] if _is_node(tp.link_index, len(links)) else None
+            # its router is its link's source; a link with a dangling end has none
+            ends = link and _is_node(link.src, n) and _is_node(link.dst, n)
+            router = link.src if ends else None
+            if router is None:
+                v.append(f"{where}: no link {tp.link_index!r}")
             else:
                 # a file names the link by its display label: it must name it alone
                 label = self.topology.link_label(tp.link_index)
                 try:
-                    resolve_link(self.topology, tp.router, label, where)
+                    resolve_link(self.topology, router, label, where)
                 except ConfigError as e:
                     v.append(str(e))
-            if not _is_node(tp.dest, n) or tp.dest == tp.router:
+            if not _is_node(tp.dest, n) or tp.dest == router:
                 v.append(f"{where}: destination is not routable from the router")
         if v:
             raise ConfigError("; ".join(v))
@@ -172,7 +170,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     t = cfg.topology
     network: dict = {
         "cost_model": t.cost_model.value,
-        "nodes": [nd.label for nd in t.nodes],
+        "nodes": list(t.nodes),
         "links": [
             {
                 "from": t.label(l.src),
@@ -210,7 +208,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             **{k: getattr(cfg, k) for k in _RUN_DEFAULTS},
             "tracked_probabilities": [
                 {
-                    "router": t.label(tp.router),
+                    "router": t.label(t.links[tp.link_index].src),
                     "dest": t.label(tp.dest),
                     "link": t.link_label(tp.link_index),
                 }
@@ -319,7 +317,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
 
     topology = Topology(
-        nodes=tuple(Node(i, lb) for i, lb in enumerate(labels)),
+        nodes=tuple(labels),
         links=tuple(links),
         cost_model=cost_model,
         # by node id, None for a node the file names no cost for; {} as none
@@ -360,7 +358,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         router = node(_require(td, "router", where), where)
         dest = node(_require(td, "dest", where), where)
         link_index = resolve_link(topology, router, _require(td, "link", where), where)
-        tracked.append(TrackedProbability(router, dest, link_index))
+        tracked.append(TrackedProbability(dest, link_index))
 
     out = _object(doc.get("output", {}), "output", ("csv", "theta"))
     cfg = ExperimentConfig(

@@ -191,10 +191,9 @@ class Simulation:
             h[0][3] if len(h) == 1 else None for h in self._hops
         ]
         # each tracked probability as (flat row id, slot), read by probabilities()
-        n = topo.n_nodes
+        n, links = topo.n_nodes, topo.links
         self._tracked = [
-            (tp.router * n + tp.dest, out[tp.router].index(tp.link_index))
-            for tp in cfg.tracked
+            (links[i].src * n + dest, out[links[i].src].index(i)) for dest, i in cfg.tracked
         ]
 
         self._next_packet_id = 0

@@ -25,9 +25,10 @@ beside it: the SHA-256 of the config text save_config writes, the
 version, seed, steps and steps_run, the wall time and ticks/s, the final
 counters and the stop reason: "steps", "threshold" (stopped at the
 threshold), "load_diverged" or "error" (any other SimulationError or
-ValueError, such as a non-finite reward). A run stopped by an exception
-closes its CSV and writes the manifest, with steps_run the tick that
-failed and `error` the message, before raising it again.
+ValueError, such as a non-finite reward or a reward window whose sum
+overflows a float). A run stopped by an exception closes its CSV and
+writes the manifest, with steps_run the tick that failed and `error`
+the message, before raising it again.
 """
 from __future__ import annotations
 
@@ -319,12 +320,14 @@ def batch(
 
     Each seed writes its four files to out_dir, its config first
     (run_experiment). Without an out_dir, a config that names output files
-    is refused, since every seed would write to them."""
+    is refused, since every seed would write to them. A seed named twice,
+    or that the config's rules refuse, is refused before any seed runs."""
     if not seeds:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ValueError(f"seed {seed} is given twice; a batch runs each seed once")
+        cfg._replace(seed=seed).validate()
     if out_dir is None:
         for key, path in (("output.csv", cfg.csv_path), ("output.theta", cfg.theta_path)):
             if path:

@@ -63,8 +63,9 @@ class SampledMovingAverage:
 
     One difference from fsum: fsum raises OverflowError when a partial
     sum leaves the float range even if the whole sum does not; this
-    raises OverflowError only when the rounded sum does not fit a float.
-    Non-finite values raise ValueError.
+    raises ValueError, naming the moving average, only when the rounded
+    sum does not fit a float, as it does for a non-finite value, so a
+    run stops on either as on any other bad reward.
     """
 
     def __init__(self, window: int):
@@ -85,15 +86,17 @@ class SampledMovingAverage:
         if len(units) > self.window:
             total -= units.popleft()
         self.total = total
-        return total / _UNIT / len(units)
+        try:
+            return total / _UNIT / len(units)
+        except OverflowError:
+            raise ValueError("moving average: the window's sum overflows a float") from None
 
 
 def probability_column_names(cfg: ExperimentConfig) -> list[str]:
     topo = cfg.topology
     return [
-        f"p[{topo.label(tp.router)}->{topo.link_label(tp.link_index)}"
-        f"|dest={topo.label(tp.dest)}]"
-        for tp in cfg.tracked
+        f"p[{topo.label(topo.links[i].src)}->{topo.link_label(i)}|dest={topo.label(dest)}]"
+        for dest, i in cfg.tracked
     ]
 
 

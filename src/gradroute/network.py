@@ -28,11 +28,6 @@ class CostModel(Enum):
     NODE_FLOW = "node_flow"
 
 
-class Node(NamedTuple):
-    id: int
-    label: str
-
-
 class Link(NamedTuple):
     """Directed link.
 
@@ -91,10 +86,11 @@ class TrafficSpec(NamedTuple):
 
 
 class Topology(NamedTuple):
-    """Nodes, links, the cost model and, in a node-flow network, each
-    node's cost, by node id like TrafficSpec.rates."""
+    """Node labels, links, the cost model and, in a node-flow network,
+    each node's cost. A node's id is its position in `nodes`, and
+    node_costs is by node id, like TrafficSpec.rates."""
 
-    nodes: tuple[Node, ...]
+    nodes: tuple[str, ...]
     links: tuple[Link, ...]
     cost_model: CostModel = CostModel.LINK_DELAY
     node_costs: tuple[NodeCost, ...] | None = None
@@ -109,24 +105,22 @@ class Topology(NamedTuple):
     ) -> "Topology":
         """Construct from labels, (src_label, dst_label, delay[, capacity[,
         label]]) tuples and node costs by label."""
-        nodes = tuple(Node(i, lb) for i, lb in enumerate(labels))
         ids = {lb: i for i, lb in enumerate(labels)}
         built = tuple(Link(ids[spec[0]], ids[spec[1]], *spec[2:]) for spec in links)
         costs = None if node_costs is None else tuple(node_costs.get(lb) for lb in labels)
-        return cls(nodes=nodes, links=built, cost_model=cost_model, node_costs=costs)
+        return cls(nodes=tuple(labels), links=built, cost_model=cost_model, node_costs=costs)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     def node_id(self, label: str) -> int:
-        for nd in self.nodes:
-            if nd.label == label:
-                return nd.id
-        raise TopologyError(f"unknown node label {label!r}")
+        if label not in self.nodes:
+            raise TopologyError(f"unknown node label {label!r}")
+        return self.nodes.index(label)
 
     def label(self, node: int) -> str:
-        return self.nodes[node].label
+        return self.nodes[node]
 
     def out_links(self) -> list[tuple[int, ...]]:
         """By node, the indices into `links` of its outgoing links, in
@@ -150,7 +144,7 @@ class Topology(NamedTuple):
         link = self.links[index]
         if link.label:
             return link.label
-        return f"{self.nodes[link.src].label}{self.nodes[link.dst].label}"
+        return f"{self.nodes[link.src]}{self.nodes[link.dst]}"
 
 
 def shortest_path_delay(topology: Topology, src: int, dst: int) -> int:
@@ -260,14 +254,14 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
 
     Detects: a cost model that is not a CostModel (reported alone, since
     every other rule depends on it), no nodes or a label that is not a
-    string, duplicate labels, non-dense ids, a link endpoint that is not a
-    node id, a link label that is not a string or None, self-loops, a
-    delay or capacity that is not an integer >= 1, a capacity in a
-    node-flow network, a rate that is not an integer from 0 to MAX_RATE,
-    malformed destination distributions, nodes with traffic but no
-    outgoing links, unreachable destinations, node costs that are not a
-    tuple of one entry per node, missing, misplaced or mistyped node costs
-    for the active cost model, and a directed cycle in a node-flow
+    string (a node's id is its position), duplicate labels, a link
+    endpoint that is not a node id, a link label that is not a string or
+    None, self-loops, a delay or capacity that is not an integer >= 1, a
+    capacity in a node-flow network, a rate that is not an integer from 0
+    to MAX_RATE, malformed destination distributions, nodes with traffic
+    but no outgoing links, unreachable destinations, node costs that are
+    not a tuple of one entry per node, missing, misplaced or mistyped node
+    costs for the active cost model, and a directed cycle in a node-flow
     network, where a packet walks its whole path in one tick. A value of
     the wrong type is reported, never compared.
     """
@@ -277,14 +271,12 @@ def validate_topology(topology: Topology, traffic: TrafficSpec) -> tuple[str, ..
     n = topology.n_nodes
     out = topology.out_links()
 
-    labels = [nd.label for nd in topology.nodes]
+    labels = topology.nodes
     # the loader's own rule, so that a run's saved config loads back
     if not labels or not all(isinstance(lb, str) for lb in labels):
         v.append("network.nodes: must be a non-empty list of labels")
     elif len(set(labels)) != len(labels):
         v.append("network.nodes: labels must be unique")
-    if [nd.id for nd in topology.nodes] != list(range(n)):
-        v.append("network.nodes: ids must be dense 0..N-1")
 
     for i, link in enumerate(topology.links):
         where = f"network.links[{i}]"

@@ -100,8 +100,8 @@ def braess_network(augmented: bool = True) -> tuple[Topology, TrafficSpec]:
 
 
 def _tracked(topo: Topology, router: str, dest: str, link: str) -> TrackedProbability:
-    r = topo.node_id(router)
-    return TrackedProbability(r, topo.node_id(dest), resolve_link(topo, r, link, "tracked"))
+    link_index = resolve_link(topo, topo.node_id(router), link, "tracked")
+    return TrackedProbability(topo.node_id(dest), link_index)
 
 
 def preset(name: str) -> ExperimentConfig:

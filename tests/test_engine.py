@@ -390,6 +390,26 @@ class TestTripTimes:
         # reward equals the shortest-path optimum from the second tick on
         assert sim.running_mean == pytest.approx(-6.0, abs=0.1)
 
+    @pytest.mark.parametrize("name", ["triangle", "six_node"])
+    def test_in_flight_ticks_are_trip_ticks(self, name):
+        """Little's law, exactly: with no capacities nothing drops, so a
+        packet is in flight at the end of each tick from its birth to the
+        tick before it arrives. Summed over a run, in_flight is the trip
+        times of the delivered packets, which is -underlying, plus T - birth
+        + 1 for each packet still on a link at the last tick T."""
+        cfg = preset(name).with_overrides(steps=3_000)
+        assert all(link.capacity is None for link in cfg.topology.links)
+        sim = Simulation(cfg)
+        stats = [sim.step() for _ in range(cfg.steps)]
+        trips = advance_logging_trips(Simulation(cfg), cfg.steps)
+        on_links = sum(
+            cfg.steps - p.birth_tick + 1 for bucket in sim._arrivals.values() for p in bucket
+        )
+        assert on_links > 0
+        ticks = sum(s.in_flight for s in stats)
+        assert ticks == sum(trip for _, _, trip in trips) + on_links
+        assert ticks == -sum(s.underlying for s in stats) + on_links
+
 
 def livelock_config():
     """A -> E along a chain A-B-C-D-E whose routers B, C and D each have

@@ -29,7 +29,7 @@ from gradroute.config import (
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
 from gradroute.harness import batch, censored_ticks, run_experiment
 from gradroute.metrics import column_names
-from gradroute.network import MAX_RATE, Node, Topology, TrafficSpec
+from gradroute.network import MAX_RATE, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
@@ -444,11 +444,12 @@ _RULES = {
         lambda cfg: cfg._replace(csv_path=5),
         "output.csv",
     ),
-    # a file names a router by its label, so it cannot name router 9: it
-    # names a label no node has, refused under the same key
+    # a file names a router by its label and a config built in Python
+    # names only the link, whose source is its router: a label no node has
+    # and a link index past the end are refused under the same key
     "tracked_router": (
         _set("run", "tracked_probabilities", 0, "router", value="Z"),
-        lambda cfg: cfg._replace(tracked=(TrackedProbability(9, 2, 0),)),
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(2, 9),)),
         "run.tracked_probabilities[0]",
     ),
 }
@@ -484,20 +485,12 @@ def _endpoint(**fields):
 
 
 # rules only a config built in Python can break: a loaded file always
-# builds full destination rows, numbers its nodes 0..N-1 by their distinct
-# labels and resolves link endpoints and tracked labels to node ids
+# builds full destination rows and distinct string labels, resolves link
+# endpoints to node ids and each tracked link to an out-link of its router
 _PYTHON_RULES = {
     "duplicate_label": (
-        lambda cfg: cfg._replace(
-            topology=_TOPOLOGY._replace(nodes=(*_TOPOLOGY.nodes[:2], Node(2, "A")))
-        ),
+        lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(nodes=("A", "B", "A"))),
         "network.nodes: labels must be unique",
-    ),
-    "sparse_ids": (
-        lambda cfg: cfg._replace(
-            topology=_TOPOLOGY._replace(nodes=(*_TOPOLOGY.nodes[:2], Node(3, "C")))
-        ),
-        "network.nodes: ids must be dense 0..N-1",
     ),
     "short_traffic": (
         lambda cfg: cfg._replace(traffic=_TRAFFIC._replace(rates=(1, 1))),
@@ -521,23 +514,28 @@ _PYTHON_RULES = {
         ),
         "traffic.destinations.A: must have one weight per node, got 2",
     ),
-    "tracked_router_label": (
-        lambda cfg: cfg._replace(tracked=(TrackedProbability("A", 2, 0),)),
-        "run.tracked_probabilities[0]: no router 'A'",
-    ),
     "tracked_dest_float": (
-        lambda cfg: cfg._replace(tracked=(TrackedProbability(0, 2.0, 0),)),
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(2.0, 0),)),
         "run.tracked_probabilities[0]: destination is not routable from the router",
     ),
+    # a tracked probability's router is its link's source: a link index
+    # that names no router's out-link names no router
+    "tracked_link_past_end": (
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(2, 6),)),
+        "run.tracked_probabilities[0]: no link 6",
+    ),
     "tracked_link_float": (
-        lambda cfg: cfg._replace(tracked=(TrackedProbability(0, 2, 0.0),)),
-        "run.tracked_probabilities[0]: link is not an outgoing link of the router",
+        lambda cfg: cfg._replace(tracked=(TrackedProbability(2, 0.0),)),
+        "run.tracked_probabilities[0]: no link 0.0",
+    ),
+    "tracked_link_dangling": (
+        lambda cfg: _endpoint(src=9)(cfg)._replace(tracked=cfg.tracked),
+        "network.links[0]: dangling link endpoint (9->1); "
+        "run.tracked_probabilities[0]: no link 0",
     ),
     # the loader takes only string labels, so a run's saved config loads back
     "label_int": (
-        lambda cfg: cfg._replace(
-            topology=_TOPOLOGY._replace(nodes=(Node(0, 5), *_TOPOLOGY.nodes[1:]))
-        ),
+        lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(nodes=(5, "B", "C"))),
         "network.nodes: must be a non-empty list of labels",
     ),
     "cost_model_str": (
@@ -574,16 +572,6 @@ _PYTHON_RULES = {
     "node_costs_float": (
         lambda cfg: cfg._replace(topology=_TOPOLOGY._replace(node_costs=0.0)),
         "network.node_costs: must be one NodeCost per node, got 0.0",
-    ),
-    # node costs are looked up by position, not by an id that may not hash
-    "node_id_list": (
-        lambda cfg: cfg._replace(
-            topology=cfg.topology._replace(
-                nodes=(Node([], "A"), *cfg.topology.nodes[1:])
-            )
-        ),
-        "network.nodes: ids must be dense 0..N-1",
-        "braess1",
     ),
 }
 
@@ -788,7 +776,7 @@ class TestRunExperiment:
         bare = dict(sim.theta_by_router())
         topo = cfg.topology
         every_row = tuple(
-            TrackedProbability(r, y, links[0])
+            TrackedProbability(y, links[0])
             for r in range(topo.n_nodes)
             if len(links := topo.out_link_indices(r)) > 1
             for y in range(topo.n_nodes)
@@ -1131,6 +1119,28 @@ class TestRunManifest:
             run_experiment(cfg, tmp_path)
         self.assert_error_at(tmp_path, cfg, stop, 41)
 
+    def test_overflowing_reward_window(self, tmp_path, capsys):
+        """A config every validator accepts, whose sampled rewards overflow
+        the reward moving average's window sum: the CLI stops the run as on
+        a non-finite reward, with its manifest, no theta and one line."""
+        doc = config_to_dict(preset("braess1"))
+        doc["network"]["node_costs"]["C"]["base"] = 1e307
+        doc["learner"]["gamma"] = 1e-320
+        doc["run"]["sample_every"] = 1
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = load_config(path)
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        message = "moving average: the window's sum overflows a float"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        run_dir = tmp_path / "out" / f"over-seed{cfg.seed}"
+        m = self.manifest(run_dir, cfg.seed)
+        assert (m["stop_reason"], m["error"]) == ("error", message)
+        header, rows = read_csv(run_dir / f"metrics-seed{cfg.seed}.csv")
+        assert header == column_names(cfg)
+        assert [row[0] for row in rows] == list(range(1, m["steps_run"]))
+        assert not (run_dir / f"theta-seed{cfg.seed}.json").exists()
+
     def test_no_csv_no_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_experiment(preset("contention").with_overrides(steps=100))
@@ -1262,6 +1272,13 @@ class TestBatch:
         assert [row.split()[0] for row in rows[1:4]] == ["1", "2", "3"]
         assert rows[2] == "2     load diverged at tick 7: 99 packets in flight"
         assert rows[-1].startswith("aggregate: ")
+
+    def test_bad_seed_refused_before_any_seed_runs(self, tmp_path):
+        cfg = preset("contention").with_overrides(steps=100)
+        with pytest.raises(ConfigError) as e:
+            batch(cfg, [1, -3], out_dir=tmp_path / "batch")
+        assert str(e.value) == "run.seed: must be an integer from 0 to 2**64 - 1, got -3"
+        assert not any(tmp_path.iterdir())
 
     def test_repeated_seed_rejected(self):
         with pytest.raises(ValueError, match="seed 2 is given twice"):

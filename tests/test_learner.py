@@ -444,7 +444,7 @@ def ring_config():
         learner=LearnerConfig(beta=0.99, gamma=1e-4),
         steps=1_500,
         sample_every=50,
-        tracked=(TrackedProbability(0, n // 2, topo.out_link_indices(0)[2]),),
+        tracked=(TrackedProbability(n // 2, topo.out_link_indices(0)[2]),),
     )
 
 
@@ -461,7 +461,7 @@ class TestLazyMatchesDenseInSimulation:
         [
             preset("six_node").with_overrides(
                 steps=1_500,
-                tracked=(TrackedProbability(0, 3, 1),),
+                tracked=(TrackedProbability(3, 1),),
             ),
             ring_config(),
             preset("braess1").with_overrides(
@@ -523,8 +523,9 @@ class TestLazyMatchesDenseInSimulation:
             assert list(dests) == list(want[router])
             assert_rows_close(dests, want[router])
         (tp,) = cfg.tracked
-        slot = cfg.topology.out_link_indices(tp.router).index(tp.link_index)
-        p = softmax_row(tables[tp.router][tp.dest])[slot]
+        router = cfg.topology.links[tp.link_index].src
+        slot = cfg.topology.out_link_indices(router).index(tp.link_index)
+        p = softmax_row(tables[router][tp.dest])[slot]
         assert res.final_row.probs[0] == pytest.approx(p, rel=1e-9)
         # the run learned something, so the comparison is not of zeros
         learned = [v for rows in want.values() for row in rows.values() for v in row]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from gradroute.network import (
     CostModel,
     Link,
-    Node,
     NodeCost,
     Topology,
     TopologyError,
@@ -107,7 +106,7 @@ def random_topologies(draw):
     links = tuple(
         Link(s, d, delay=draw(st.integers(min_value=1, max_value=9))) for s, d in chosen
     )
-    nodes = tuple(Node(i, f"N{i}") for i in range(n))
+    nodes = tuple(f"N{i}" for i in range(n))
     return Topology(nodes=nodes, links=links)
 
 
@@ -173,7 +172,7 @@ class TestValidation:
 
     def test_dangling_link_and_bad_delay(self):
         topo = Topology(
-            nodes=(Node(0, "A"), Node(1, "B")),
+            nodes=("A", "B"),
             links=(Link(0, 5, 1), Link(0, 1, 0)),
         )
         violations = validate_topology(topo, TrafficSpec.single_flow(2, 0, 1, 1))

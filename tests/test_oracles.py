@@ -156,7 +156,7 @@ class TestOptimalReward:
         topo, traffic = triangle_network()
         base = expected_optimal_reward(topo, traffic)
         relabeled = type(topo)(
-            nodes=tuple(type(n)(n.id, lb) for n, lb in zip(topo.nodes, "CBA")),
+            nodes=tuple(reversed(topo.nodes)),
             links=topo.links,
         )
         assert expected_optimal_reward(relabeled, traffic) == base

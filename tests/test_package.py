@@ -8,14 +8,11 @@ import gradroute
 PUBLIC = [
     "ConfigError",
     "CostModel",
-    "EligibilityTrace",
     "ExperimentConfig",
     "LearnerConfig",
     "Link",
-    "Node",
     "NodeCost",
     "PRESET_NAMES",
-    "Packet",
     "ShapingConfig",
     "Simulation",
     "SimulationError",
@@ -23,12 +20,9 @@ PUBLIC = [
     "TopologyError",
     "TrackedProbability",
     "TrafficSpec",
-    "detect_cycle",
     "load_config",
-    "make_tables",
     "preset",
     "save_config",
-    "shaping_reward",
     "shortest_path_delay",
     "validate_topology",
 ]

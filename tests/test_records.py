@@ -11,7 +11,6 @@ from gradroute.metrics import MetricsRow
 from gradroute.network import (
     CostModel,
     Link,
-    Node,
     NodeCost,
     Topology,
     TrafficSpec,
@@ -25,13 +24,12 @@ def _records():
     row = MetricsRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, (), 0, 0, 0)
     run = RunResult(cfg, row, 0.0, None, "steps")
     return [
-        Node(0, "A"),
         Link(0, 1),
         NodeCost(1.0, 2.0),
         TrafficSpec.uniform(3),
         LearnerConfig(),
         ShapingConfig(),
-        TrackedProbability(0, 1, 0),
+        TrackedProbability(1, 0),
         cfg,
         run,
         BatchResult({cfg.seed: run}, 0.0, None),
@@ -74,7 +72,7 @@ def test_topology_hash_and_repr():
     plain = Topology.build(["A", "B"], [("A", "B", 1)])
     assert hash(plain) == hash(Topology.build(["A", "B"], [("A", "B", 1)]))
     assert repr(plain) == (
-        "Topology(nodes=(Node(id=0, label='A'), Node(id=1, label='B')), "
+        "Topology(nodes=('A', 'B'), "
         "links=(Link(src=0, dst=1, delay=1, capacity=None, label=None),), "
         "cost_model=<CostModel.LINK_DELAY: 'link_delay'>, node_costs=None)"
     )
