@@ -6,12 +6,13 @@ faster with a shaped reward (shaping_speedup, on six_node). A claim runs
 each of its arms at each of its seeds and measures every run. An
 Endpoint passes when the seeds' mean lies within `tolerance` of its
 oracle target. A Speedup times each run to `threshold`, where the run
-stops (harness.censored_ticks counts a miss at `steps`), with and
-without the cycle penalty, and passes when the unshaped median is the
-longer; its summary adds the one-sided p-value of an exact rank-sum test
-over the seeds (rank_sum_p). Each arm runs as one harness.batch, so a
-seed that trips the engine's load guard fails its claim, the other seeds
-still run, and given an output directory each seed writes its files there.
+stops, so its steps_run is its ticks to the threshold, or `steps` for a
+miss, with and without the cycle penalty, and passes when the unshaped
+median is the longer; its summary adds the one-sided p-value of an exact
+rank-sum test over the seeds (rank_sum_p). Each arm runs as one
+harness.batch, so a seed that trips the engine's load guard fails its
+claim, the other seeds still run, and given an output directory each
+seed writes its files there.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import oracles
-from .harness import RunResult, batch, censored_ticks
+from .harness import RunResult, batch
 from .presets import BRAESS_PATHS, braess_network, preset, six_node_network, triangle_network
 
 
@@ -63,7 +64,7 @@ class Speedup(NamedTuple):
             for arm, penalty in zip(("shaped", "unshaped"), self.penalties)
         }
 
-    measure = staticmethod(censored_ticks)
+    measure = staticmethod(lambda res: res.steps_run)
 
     def verdict(self, shaped: list[int], unshaped: list[int]) -> tuple[str, str, bool]:
         a, b = (statistics.median(v) if v else float("nan") for v in (shaped, unshaped))
@@ -131,11 +132,7 @@ def check(name: str, out: Path | None) -> tuple[str, str, str, bool]:
     cells = []
     for arm, cfg in claim.arms().items():
         result = batch(
-            cfg,
-            list(claim.seeds),
-            underlying_threshold=claim.threshold,
-            stop_at_threshold=claim.threshold is not None,
-            out_dir=out and out / arm,
+            cfg, list(claim.seeds), underlying_threshold=claim.threshold, out_dir=out and out / arm
         )
         values.append([claim.measure(r) for r in result.finished.values()])
         for seed, cell in result.cells(lambda r: f"{claim.measure(r):.7g}").items():

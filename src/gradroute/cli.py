@@ -2,7 +2,7 @@
 
     gradroute run <config.json> [--out DIR]
     gradroute preset <name> [--steps N] [--seed S] [--beta B] [--gamma G] [--out DIR]
-    gradroute batch <config.json> --seeds 1,2,3 [--threshold X] [--stop-at-threshold] [--out DIR]
+    gradroute batch <config.json> --seeds 1,2,3 [--threshold X] [--out DIR]
     gradroute oracle <name> [params...]
     gradroute reproduce [claim ...] [--out DIR]
 
@@ -13,6 +13,9 @@ config-seed<S>.json (saved before the run starts), metrics-seed<S>.csv,
 theta-seed<S>.json (not for a run that fails) and its manifest
 run-seed<S>.json. `batch` writes files only when given --out; without
 it, a batch refuses a config that names output files.
+`batch --threshold X` ends each seed's run at the first sampled tick at
+which the underlying reward's moving average, over a full window,
+reaches X, and its table gives that tick per seed and their median.
 `batch` exits 1 if a seed's load diverged, after its table, and
 `reproduce` if a claim fails. An error, such as a `run` whose load
 diverged or a file that cannot be read or written, prints one line and
@@ -71,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=None,
-        help="record first tick at which the windowed underlying reward reaches this value",
+        help="end each run at the first tick at which the windowed underlying reward "
+        "reaches this value",
     )
-    p_batch.add_argument("--stop-at-threshold", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="evaluate an analytic baseline")
     p_oracle.add_argument("name", choices=list(_ORACLES))
@@ -124,13 +127,7 @@ def _cmd_batch(args) -> int:
             f"--seeds takes comma-separated integers, got {args.seeds!r}"
         ) from None
     out = _out_dir(args.out, Path(args.config).stem + "-batch") if args.out else None
-    result = batch(
-        cfg,
-        seeds,
-        underlying_threshold=args.threshold,
-        stop_at_threshold=args.stop_at_threshold,
-        out_dir=out,
-    )
+    result = batch(cfg, seeds, underlying_threshold=args.threshold, out_dir=out)
     print(result.table())
     return 0 if len(result.finished) == len(seeds) else 1
 

@@ -52,6 +52,7 @@ value of it.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -104,10 +105,14 @@ class ExperimentConfig(NamedTuple):
             *self.learner.validate(),
             *self.shaping.validate(),
         ]
-        for key in ("steps", "sample_every", "ma_window"):
+        for key in ("steps", "sample_every"):
             value = getattr(self, key)
             if not (_is_int(value) and value >= 1):
                 v.append(f"run.{key}: must be an integer >= 1, got {value!r}")
+        # the run's reward windows are deques, whose maxlen is at most sys.maxsize
+        w = self.ma_window
+        if not (_is_int(w) and 1 <= w <= sys.maxsize):
+            v.append(f"run.ma_window: must be an integer from 1 to {sys.maxsize}, got {w!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             v.append(f"run.seed: must be an integer from 0 to 2**64 - 1, got {self.seed!r}")
         for key, path in (("output.csv", self.csv_path), ("output.theta", self.theta_path)):

@@ -284,7 +284,7 @@ class Simulation:
                 underlying -= t - packet.birth_tick
                 delivered += 1
             else:
-                if detect_cycle(packet, node):
+                if detect_cycle(packet.history, node):
                     cycles += 1
                 to_route.append((node, packet.id, packet))
 

@@ -9,9 +9,10 @@ at a time (write_theta), and a run without a theta path builds none.
 batch is the one loop over seeds: it records a seed whose load diverges,
 runs the rest and aggregates those, with the ticks-to-threshold
 statistic that compares convergence speed with and without reward
-shaping: the first sampled tick at which the mean of the *underlying*
-reward over the last ma_window samples, once the window is full, reaches
-a threshold, else cfg.steps (censored_ticks).
+shaping. A threshold ends its run at the first sampled tick at which the
+mean of the *underlying* reward over the last ma_window samples, once the
+window is full, reaches it, so a run's steps_run is its ticks to the
+threshold, or cfg.steps if it never got there.
 
 A run given an output directory saves its config there first, as
 config-seed<S>.json (the config with the output paths the run writes, as
@@ -68,20 +69,25 @@ class RunResult(NamedTuple):
     sampled row (the CSV's last row, taken at the run's last tick, with
     its running mean and cumulative counters), the mean underlying reward
     of its last ma_window sampled rows (math.fsum over their count, fewer
-    rows while the window fills), the tick it reached the threshold, if
-    any, and why it stopped ("steps" or "threshold", as in the manifest).
-    The other sampled rows are only in the CSV, the generated count only
-    in the manifest, and the final logits only in the theta file."""
+    rows while the window fills) and why it stopped ("steps" or
+    "threshold", as in the manifest). The other sampled rows are only in
+    the CSV, the generated count only in the manifest, and the final
+    logits only in the theta file."""
 
     config: ExperimentConfig
     final_row: MetricsRow
     final_underlying_ma: float
-    ticks_to_threshold: int | None
     stop_reason: str
 
     @property
     def steps_run(self) -> int:
         return self.final_row.tick
+
+    @property
+    def ticks_to_threshold(self) -> int | None:
+        """The tick the run reached its threshold, where it stopped; None if
+        it did not."""
+        return self.final_row.tick if self.stop_reason == "threshold" else None
 
     @property
     def final_running_mean(self) -> float:
@@ -93,7 +99,6 @@ def run_experiment(
     out_dir: str | Path | None = None,
     *,
     underlying_threshold: float | None = None,
-    stop_at_threshold: bool = False,
 ) -> RunResult:
     """Execute one run. Given an out_dir, the run saves
     config-seed<S>.json there first, then writes metrics-seed<S>.csv and
@@ -101,21 +106,20 @@ def run_experiment(
     config and writes to cfg's paths, if any. Either way it keeps only the
     final row and the window mean of the underlying reward (RunResult).
 
-    underlying_threshold arms the ticks-to-threshold detector and must be
-    finite; with stop_at_threshold the run ends at the first sampled tick
-    whose underlying-reward moving average, over a full window, reaches
-    the threshold, and without a threshold it is refused.
+    underlying_threshold, which must be finite, ends the run at the first
+    sampled tick whose underlying-reward moving average, over a full
+    window, reaches it.
 
     An invalid config is refused before out_dir is created. A run with a
     CSV writes its manifest beside it (module doc).
     """
-    _check_threshold(underlying_threshold, stop_at_threshold)
+    if underlying_threshold is not None and not math.isfinite(underlying_threshold):
+        raise ValueError(f"--threshold must be a finite number, got {underlying_threshold!r}")
     start = perf_counter()
     sim = Simulation(cfg)
     if out_dir is not None:
         cfg = _resolve_paths(cfg, out_dir)
         save_config(cfg, Path(cfg.csv_path).with_name(f"config-seed{cfg.seed}.json"))
-    ticks_to_threshold: int | None = None
     window = cfg.ma_window
     # the last ma_window sampled underlying rewards: their mean is the
     # result's, and their count tells the detector when the window is full
@@ -157,14 +161,10 @@ def run_experiment(
             keep(underlying)
             if write:
                 write(format_row(row) + "\n")
-            if armed:
-                u_ma = push_underlying(underlying)
-                if len(under) >= window and u_ma >= underlying_threshold:
-                    ticks_to_threshold = t
-                    armed = False
-                    if stop_at_threshold:
-                        stop_reason = "threshold"
-                        break
+            if armed and push_underlying(underlying) >= underlying_threshold:
+                if len(under) >= window:
+                    stop_reason = "threshold"
+                    break
     except (SimulationError, ValueError) as e:
         reason = "load_diverged" if isinstance(e, LoadDiverged) else "error"
         _write_manifest(cfg, sim, reason, perf_counter() - start, str(e))
@@ -177,7 +177,7 @@ def run_experiment(
         with open(cfg.theta_path, "w", encoding="utf-8") as fh:
             write_theta(fh, sim.theta_by_router())
     _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
-    return RunResult(cfg, row, math.fsum(under) / len(under), ticks_to_threshold, stop_reason)
+    return RunResult(cfg, row, math.fsum(under) / len(under), stop_reason)
 
 
 # the values of one logit row as json.dump(..., indent=2) lays them out
@@ -205,15 +205,6 @@ def write_theta(fh: TextIO, routers: Iterable[tuple[str, dict[str, list[float]]]
         fh.write("\n  }")
         sep = ","
     fh.write("{}\n" if sep == "{" else "\n}\n")
-
-
-def _check_threshold(underlying_threshold: float | None, stop_at_threshold: bool) -> None:
-    if stop_at_threshold and underlying_threshold is None:
-        raise ValueError("--stop-at-threshold needs --threshold: no threshold to stop at")
-    if underlying_threshold is not None and not math.isfinite(underlying_threshold):
-        raise ValueError(
-            f"--threshold must be a finite number, got {underlying_threshold!r}"
-        )
 
 
 def _write_manifest(
@@ -271,16 +262,10 @@ def _resolve_paths(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentConf
     )
 
 
-def censored_ticks(res: RunResult) -> int:
-    """Ticks to threshold, else cfg.steps: a lower bound for a run that never
-    got there, which can only understate the faster arm's advantage."""
-    return res.config.steps if res.ticks_to_threshold is None else res.ticks_to_threshold
-
-
 class BatchResult(NamedTuple):
     runs: dict[int, RunResult | str]  # by seed, as given: its run, or why its load diverged
     mean_final_reward: float | None  # over the seeds that finished; None if none did
-    median_ticks_to_threshold: float | None  # the same, censored; None without a threshold
+    median_ticks_to_threshold: float | None  # their median steps_run; None without a threshold
 
     @property
     def finished(self) -> dict[int, RunResult]:
@@ -311,7 +296,6 @@ def batch(
     seeds: list[int],
     *,
     underlying_threshold: float | None = None,
-    stop_at_threshold: bool = False,
     out_dir: str | Path | None = None,
 ) -> BatchResult:
     """Run the config once per seed and aggregate the seeds that finished.
@@ -321,7 +305,11 @@ def batch(
     Each seed writes its four files to out_dir, its config first
     (run_experiment). Without an out_dir, a config that names output files
     is refused, since every seed would write to them. A seed named twice,
-    or that the config's rules refuse, is refused before any seed runs."""
+    or that the config's rules refuse, is refused before any seed runs.
+
+    underlying_threshold ends each seed's run where it is reached
+    (run_experiment), so the median steps_run of the finished runs is the
+    batch's median ticks to threshold."""
     if not seeds:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
@@ -339,10 +327,7 @@ def batch(
     for seed in seeds:
         try:
             runs[seed] = run_experiment(
-                cfg._replace(seed=seed),
-                out_dir,
-                underlying_threshold=underlying_threshold,
-                stop_at_threshold=stop_at_threshold,
+                cfg._replace(seed=seed), out_dir, underlying_threshold=underlying_threshold
             )
         except LoadDiverged as e:
             runs[seed] = str(e)
@@ -351,5 +336,5 @@ def batch(
     return BatchResult(
         runs,
         statistics.fmean(r.final_running_mean for r in done) if done else None,
-        statistics.median(float(censored_ticks(r)) for r in done) if timed else None,
+        statistics.median(float(r.steps_run) for r in done) if timed else None,
     )

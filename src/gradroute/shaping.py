@@ -5,13 +5,11 @@ reward; both components are reported separately every tick.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from math import inf
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .network import _is_int, _number_rule
-
-if TYPE_CHECKING:
-    from .engine import Packet
 
 
 class ShapingConfig(NamedTuple):
@@ -34,14 +32,14 @@ class ShapingConfig(NamedTuple):
         return v + _number_rule("shaping.drop_penalty", self.drop_penalty)
 
 
-def detect_cycle(packet: "Packet", arriving_at: int) -> bool:
-    """True iff the packet already visited `arriving_at` within its last-H
-    window; the window is then advanced by pushing the arrival node.
+def detect_cycle(history: deque, arriving_at: int) -> bool:
+    """True iff a packet's visit history, the maxlen-H deque of the nodes it
+    last visited, holds `arriving_at`; the window is then advanced by
+    pushing the arrival node.
 
     The window deliberately misses cycles longer than H between revisits
     (an A-B-C-A loop evades H=2); history is never reset on detection.
     """
-    history = packet.history
     hit = arriving_at in history
     history.append(arriving_at)  # deque with maxlen=H evicts the oldest
     return hit

@@ -27,7 +27,7 @@ from gradroute.config import (
     save_config,
 )
 from gradroute.engine import LoadDiverged, Simulation, SimulationError
-from gradroute.harness import batch, censored_ticks, run_experiment
+from gradroute.harness import batch, run_experiment
 from gradroute.metrics import column_names
 from gradroute.network import MAX_RATE, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
@@ -397,6 +397,11 @@ _RULES = {
         _set("shaping", "history_length", value=2**70),
         lambda cfg: cfg.with_overrides(history_length=2**70),
         "shaping.history_length",
+    ),
+    "ma_window_cap": (
+        _set("run", "ma_window", value=2**70),
+        lambda cfg: cfg._replace(ma_window=2**70),
+        "run.ma_window",
     ),
     "gamma": (
         _set("learner", "gamma", value=-1.0),
@@ -972,9 +977,7 @@ class TestRunExperiment:
         under = [r[header.index("reward_underlying")] for r in rows]
         ends = range(window, len(under) + 1)
         best = max(math.fsum(under[i - window : i]) / window for i in ends)
-        stopped = run_experiment(
-            cfg, tmp_path / "stopped", underlying_threshold=best, stop_at_threshold=True
-        )
+        stopped = run_experiment(cfg, tmp_path / "stopped", underlying_threshold=best)
         assert stopped.stop_reason == "threshold"
         assert window < self._check_final_fields(stopped) < 60
 
@@ -1058,9 +1061,7 @@ class TestRunManifest:
 
     def test_threshold(self, tmp_path):
         cfg = preset("contention").with_overrides(steps=5_000, sample_every=10, ma_window=4)
-        res = run_experiment(
-            cfg, tmp_path, underlying_threshold=-1e9, stop_at_threshold=True
-        )
+        res = run_experiment(cfg, tmp_path, underlying_threshold=-1e9)
         m = self.manifest(tmp_path, cfg.seed)
         assert m["stop_reason"] == res.stop_reason == "threshold"
         assert m["steps_run"] == res.steps_run == res.ticks_to_threshold == 40
@@ -1267,7 +1268,7 @@ class TestBatch:
         assert list(b.finished) == [1, 3]
         done = list(b.finished.values())
         assert b.mean_final_reward == statistics.fmean(r.final_running_mean for r in done)
-        assert b.median_ticks_to_threshold == statistics.median(map(censored_ticks, done))
+        assert b.median_ticks_to_threshold == statistics.median(r.steps_run for r in done)
         rows = b.table().splitlines()
         assert [row.split()[0] for row in rows[1:4]] == ["1", "2", "3"]
         assert rows[2] == "2     load diverged at tick 7: 99 packets in flight"
@@ -1284,19 +1285,9 @@ class TestBatch:
         with pytest.raises(ValueError, match="seed 2 is given twice"):
             batch(preset("contention"), [1, 2, 2])
 
-    def test_stop_at_threshold_needs_threshold(self, tmp_path):
-        cfg = preset("contention").with_overrides(steps=100)
-        with pytest.raises(ValueError, match="--stop-at-threshold needs --threshold"):
-            run_experiment(cfg, tmp_path / "run", stop_at_threshold=True)
-        with pytest.raises(ValueError, match="--stop-at-threshold needs --threshold"):
-            batch(cfg, [1], stop_at_threshold=True, out_dir=tmp_path / "batch")
-        assert not any(tmp_path.iterdir())
-
     def test_stop_at_threshold_shortens_run(self):
         cfg = preset("contention").with_overrides(steps=5_000, ma_window=3)
-        res = run_experiment(
-            cfg, underlying_threshold=-1e9, stop_at_threshold=True
-        )
+        res = run_experiment(cfg, underlying_threshold=-1e9)
         assert res.steps_run == 3 * cfg.sample_every
 
 
@@ -1368,15 +1359,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median_ticks_to_threshold" in out and "mean_final_reward" in out
 
+    def test_batch_threshold_ends_each_run(self, tmp_path, capsys):
+        """A reachable threshold ends each seed's run at its first full
+        window, and its manifest says so."""
+        cfg = preset("contention").with_overrides(steps=5_000, ma_window=4)
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        argv = ["batch", str(path), "--seeds", "1,2", "--threshold=-1e9"]
+        assert cli_main([*argv, "--out", str(tmp_path / "D")]) == 0
+        first_window = cfg.ma_window * cfg.sample_every
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[:2] for row in rows[1:3]] == [[s, str(first_window)] for s in "12"]
+        for seed in (1, 2):
+            m = json.loads((tmp_path / "D" / "c-batch" / f"run-seed{seed}.json").read_text())
+            assert (m["stop_reason"], m["steps_run"]) == ("threshold", first_window)
+
     @pytest.mark.parametrize(
         "flags, problem",
         [
             (["--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
             (["--seeds", "1,1"], "seed 1 is given twice"),
-            (["--seeds", "1", "--stop-at-threshold"], "--stop-at-threshold needs --threshold"),
             (["--seeds", "1,2", "--threshold", "nan"], "--threshold must be a finite number"),
         ],
-        ids=["seeds_not_integers", "seed_repeated", "stop_without_threshold", "nan_threshold"],
+        ids=["seeds_not_integers", "seed_repeated", "nan_threshold"],
     )
     def test_batch_bad_flags(self, flags, problem, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -1439,6 +1444,21 @@ class TestCli:
         out = tmp_path / "D"
         assert cli_main(["preset", "triangle", *flags, "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ma_window_past_a_deque_refused(self, tmp_path, capsys):
+        """A window no deque can hold is refused by key at load, before any
+        file is written."""
+        doc = config_to_dict(preset("triangle").with_overrides(steps=50))
+        doc["run"]["ma_window"] = sys.maxsize + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run.ma_window: must be an integer from 1 to {sys.maxsize}, "
+            f"got {sys.maxsize + 1}\n"
+        )
         assert not out.exists()
 
     def test_cyclic_node_flow_network_refused(self, tmp_path, capsys):

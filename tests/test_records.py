@@ -22,7 +22,7 @@ from gradroute.shaping import ShapingConfig
 def _records():
     cfg = preset("contention")
     row = MetricsRow(1, 0.0, 0.0, 0.0, 0.0, 0.0, (), 0, 0, 0)
-    run = RunResult(cfg, row, 0.0, None, "steps")
+    run = RunResult(cfg, row, 0.0, "steps")
     return [
         Link(0, 1),
         NodeCost(1.0, 2.0),

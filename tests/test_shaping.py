@@ -4,55 +4,51 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradroute.engine import Packet
 from gradroute.shaping import ShapingConfig, detect_cycle, shaping_reward
 
 
-def new_packet(source, h):
-    """A packet bound for node 99 whose history holds its source alone, in
-    a window of h nodes, as the engine starts one."""
-    return Packet(0, source, 99, 0, deque((source,), maxlen=h))
+def new_history(source, h):
+    """A packet's visit history as the engine starts one: its source
+    alone, in a window of h nodes."""
+    return deque((source,), maxlen=h)
 
 
-def packet_with_history(nodes, h=2):
-    p = new_packet(nodes[0], h)
-    for n in nodes[1:]:
-        p.history.append(n)
-    return p
+def history_of(nodes, h=2):
+    return deque(nodes, maxlen=h)
 
 
 class TestDetectCycle:
     def test_fresh_node_is_not_a_cycle(self):
-        p = packet_with_history([0, 1])
-        assert detect_cycle(p, 2) is False
-        assert list(p.history) == [1, 2]
+        visits = history_of([0, 1])
+        assert detect_cycle(visits, 2) is False
+        assert list(visits) == [1, 2]
 
     def test_revisit_within_window_is_a_cycle(self):
-        p = packet_with_history([0, 1])
-        assert detect_cycle(p, 0) is True
+        visits = history_of([0, 1])
+        assert detect_cycle(visits, 0) is True
 
     def test_three_cycle_evades_a_two_node_window(self):
         # walk A->B->C->A with H = 2: by the time A recurs it already left the window
-        p = new_packet(0, 2)
-        assert detect_cycle(p, 1) is False  # history (0,) -> (0, 1)
-        assert detect_cycle(p, 2) is False  # history (0, 1) -> (1, 2)
-        assert detect_cycle(p, 0) is False  # history (1, 2): 0 already evicted
+        visits = new_history(0, 2)
+        assert detect_cycle(visits, 1) is False  # history (0,) -> (0, 1)
+        assert detect_cycle(visits, 2) is False  # history (0, 1) -> (1, 2)
+        assert detect_cycle(visits, 0) is False  # history (1, 2): 0 already evicted
 
     def test_immediate_bounce_back_is_caught(self):
-        p = new_packet(0, 2)
-        assert detect_cycle(p, 1) is False
-        assert detect_cycle(p, 0) is True  # straight back to the source
+        visits = new_history(0, 2)
+        assert detect_cycle(visits, 1) is False
+        assert detect_cycle(visits, 0) is True  # straight back to the source
 
     def test_history_not_reset_after_detection(self):
-        p = packet_with_history([0, 1])
-        assert detect_cycle(p, 1) is True
-        assert list(p.history) == [1, 1]
-        assert detect_cycle(p, 1) is True  # still in window, flags again
+        visits = history_of([0, 1])
+        assert detect_cycle(visits, 1) is True
+        assert list(visits) == [1, 1]
+        assert detect_cycle(visits, 1) is True  # still in window, flags again
 
     def test_no_false_positive_on_first_h_distinct_hops(self):
-        p = new_packet(0, 4)
+        visits = new_history(0, 4)
         for node in (1, 2, 3, 4):
-            assert detect_cycle(p, node) is False
+            assert detect_cycle(visits, node) is False
 
 
 class TestShapingReward:
