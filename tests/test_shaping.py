@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from gradroute.shaping import ShapingConfig, detect_cycle, shaping_reward
 
 
-def new_history(source, h):
-    """A packet's visit history as the engine starts one: its source
-    alone, in a window of h nodes."""
-    return deque((source,), maxlen=h)
-
-
 def history_of(nodes, h=2):
+    """A packet's visit history, a window of h nodes; the engine starts one
+    as [source]."""
     return deque(nodes, maxlen=h)
 
 
@@ -29,13 +25,13 @@ class TestDetectCycle:
 
     def test_three_cycle_evades_a_two_node_window(self):
         # walk A->B->C->A with H = 2: by the time A recurs it already left the window
-        visits = new_history(0, 2)
+        visits = history_of([0])
         assert detect_cycle(visits, 1) is False  # history (0,) -> (0, 1)
         assert detect_cycle(visits, 2) is False  # history (0, 1) -> (1, 2)
         assert detect_cycle(visits, 0) is False  # history (1, 2): 0 already evicted
 
     def test_immediate_bounce_back_is_caught(self):
-        visits = new_history(0, 2)
+        visits = history_of([0])
         assert detect_cycle(visits, 1) is False
         assert detect_cycle(visits, 0) is True  # straight back to the source
 
@@ -46,7 +42,7 @@ class TestDetectCycle:
         assert detect_cycle(visits, 1) is True  # still in window, flags again
 
     def test_no_false_positive_on_first_h_distinct_hops(self):
-        visits = new_history(0, 4)
+        visits = history_of([0], 4)
         for node in (1, 2, 3, 4):
             assert detect_cycle(visits, node) is False
 
