@@ -17,9 +17,9 @@ it, a batch refuses a config that names output files.
 which the underlying reward's moving average, over a full window,
 reaches X, and its table gives that tick per seed and their median.
 `batch` exits 1 if a seed's load diverged, after its table, and
-`reproduce` if a claim fails. An error, such as a `run` whose load
-diverged or a file that cannot be read or written, prints one line and
-exits 2.
+`reproduce` if a claim fails. A claim or seed named twice is refused
+before anything runs. An error, such as a `run` whose load diverged or
+a file that cannot be read or written, prints one line and exits 2.
 """
 from __future__ import annotations
 
@@ -192,9 +192,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .claims import CLAIMS, check  # builds its oracle targets on import
 
-    for name in args.claims:
+    for i, name in enumerate(args.claims):
         if name not in CLAIMS:
             raise ValueError(f"unknown claim {name!r}; choose from {', '.join(CLAIMS)}")
+        if name in args.claims[:i]:
+            raise ValueError(f"claim {name} is given twice; reproduce checks each claim once")
     print(f"{'claim':<17}{'target':<26}per seed  |  summary  |  verdict")
     failed = 0
     for name in args.claims or CLAIMS:

@@ -8,9 +8,12 @@ Two engine modes share the learner plumbing:
   (3) generate new traffic, (4) route everything that needs a decision
   in (node id, packet id) order, with cycle detection at arrival and
   capacity drops at placement (a link without a capacity counts none);
-  a placed packet carries its next node to its arrival tick's bucket,
-  (5) hand the tick's decisions and reward to the learner, (6) emit
-  per-tick stats.
+  a placed packet's node becomes the far end of its link, and the packet
+  goes to its arrival tick's bucket, (5) hand the tick's decisions and
+  reward to the learner, (6) emit per-tick stats.
+  A packet is one list, [node, id, destination, birth tick, history],
+  which is also its routing-sort key: ids are unique, so sorting the
+  lists orders them by (node, id) and never compares past the id.
 
 * node-flow traversal (synchronous): each generated packet walks its
   whole source-to-destination path within the tick, one policy sample
@@ -116,24 +119,6 @@ class LoadDiverged(SimulationError):
     """The in-flight load passed the run's bound (module doc)."""
 
 
-class Packet:
-    """`history` is the packet's own maxlen-H deque of the nodes it last
-    visited, begun as (source,) so that a bounce-back to the source is a
-    cycle; `node` is where the packet is, or on a link, where it arrives."""
-
-    __slots__ = ("id", "source", "destination", "birth_tick", "history", "node")
-
-    def __init__(
-        self, pid: int, source: int, destination: int, birth_tick: int, history: deque
-    ):
-        self.id = pid
-        self.source = source
-        self.destination = destination
-        self.birth_tick = birth_tick
-        self.history = history
-        self.node = source
-
-
 class TickStats(NamedTuple):
     """What one tick did, for that tick alone: its counts and its reward,
     underlying + shaping = total. Immutable; built positionally, in field order."""
@@ -168,7 +153,9 @@ class Simulation:
 
         # traffic, flattened for the generation loop: (source, rate, draw
         # table of its destinations up to the last it can draw, the history
-        # a new packet copies, which is cheaper than building its deque)
+        # a new packet copies, which is cheaper than building its deque).
+        # A history begins as the maxlen-H deque (source,), so a bounce-back
+        # to the source counts as a cycle
         history_len = cfg.shaping.history_length
         self._sources: list[tuple[int, int, list[float], deque]] = []
         for s, rate in enumerate(cfg.traffic.rates):
@@ -196,9 +183,9 @@ class Simulation:
             (links[i].src * n + dest, out[links[i].src].index(i)) for dest, i in cfg.tracked
         ]
 
-        self._next_packet_id = 0
-        # packets on links by arrival tick, {tick: [packet]}, each at its `node`
-        self._arrivals: dict[int, list[Packet]] = {}
+        # packets on links by arrival tick, {tick: [packet]}, each at the
+        # node it arrives at (a packet's layout is in the module doc)
+        self._arrivals: dict[int, list[list]] = {}
         self.in_flight = 0
 
         self.generated_total = 0
@@ -277,26 +264,26 @@ class Simulation:
         underlying = 0.0
         delivered = 0
         cycles = 0
-        to_route: list[tuple[int, int, Packet]] = []
+        to_route: list[list] = []
         for packet in arrivals:
-            node = packet.node
-            if node == packet.destination:
-                underlying -= t - packet.birth_tick
+            node, _, dest, birth, history = packet
+            if node == dest:
+                underlying -= t - birth
                 delivered += 1
             else:
-                if detect_cycle(packet.history, node):
+                if detect_cycle(history, node):
                     cycles += 1
-                to_route.append((node, packet.id, packet))
+                to_route.append(packet)
 
-        # (3) new traffic, sources in node-id order, one draw per packet
+        # (3) new traffic, sources in node-id order, one draw per packet;
+        # ids follow on from every packet generated before this tick
         rng_random = self.rng.random
-        first_pid = pid = self._next_packet_id
+        first_pid = pid = self.generated_total
         for source, rate, dest_cum, history in self._sources:
             for _ in range(rate):
                 dest = bisect_right(dest_cum, rng_random())
-                to_route.append((source, pid, Packet(pid, source, dest, t, history.copy())))
+                to_route.append([source, pid, dest, t, history.copy()])
                 pid += 1
-        self._next_packet_id = pid
         generated = pid - first_pid
 
         # (4) route in (node id, packet id) order; capacity drops here
@@ -314,8 +301,9 @@ class Simulation:
         # serve every packet routed by it this tick
         recorded = trace.weights
         forced = self._forced
-        for node, pid, packet in to_route:
-            row = node * n + packet.destination
+        for packet in to_route:
+            node = packet[0]
+            row = node * n + packet[2]
             if forced[node] is not None:
                 rng_random()  # the one-slot row's draw, kept for the stream
                 slot = 0
@@ -332,7 +320,7 @@ class Simulation:
                 if placed[link_index] > capacity:
                     dropped += 1  # placement beyond capacity: packet is lost
                     continue
-            packet.node = dst
+            packet[0] = dst
             bucket = arrivals_by_tick.get(t + delay)
             if bucket is None:
                 arrivals_by_tick[t + delay] = [packet]

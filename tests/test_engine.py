@@ -41,20 +41,23 @@ def advance(sim, steps):
 
 def advance_logging_trips(sim, steps):
     """Step the simulation and return (source, destination, trip time) of
-    every delivery, read from each tick's due arrivals before its step."""
+    every delivery, read from each tick's due arrivals before its step.
+    Each tick generates one packet per unit of rate, sources in node-id
+    order, so a packet's id gives its source."""
+    source_of = [s for s, r in enumerate(sim.cfg.traffic.rates) for _ in range(r)]
     trips = []
     for _ in range(steps):
         t = sim.tick_count + 1
-        for packet in sim._arrivals.get(t, ()):
-            if packet.node == packet.destination:
-                trips.append((packet.source, packet.destination, t - packet.birth_tick))
+        for node, pid, dest, birth, _ in sim._arrivals.get(t, ()):
+            if node == dest:
+                trips.append((source_of[pid % len(source_of)], dest, t - birth))
         sim.step()
     return trips
 
 
 def oldest_in_flight_age(sim):
     """Age in ticks of the oldest packet on a link (0 when none is)."""
-    births = [p.birth_tick for bucket in sim._arrivals.values() for p in bucket]
+    births = [birth for bucket in sim._arrivals.values() for _, _, _, birth, _ in bucket]
     return sim.tick_count - min(births, default=sim.tick_count)
 
 
@@ -181,6 +184,39 @@ class TestConservationAndDeterminism:
             drop += s.dropped
             assert gen == deliv + drop + s.in_flight
             assert s.total == s.underlying + s.shaping
+
+    @pytest.mark.parametrize(
+        "cfg, drops",
+        [(forced_hops_config(), True), (preset("six_node"), False)],
+        ids=["forced_hops", "six_node"],
+    )
+    def test_buckets_hold_the_packets_in_flight(self, cfg, drops):
+        """After every tick the arrival buckets hold each packet in flight
+        once, as [node, id, destination, birth tick, history]: ids below
+        generated_total, the tick's new ids numbered on from the packets
+        generated before it (each one missing is a drop), nodes that are
+        node ids and no birth after the tick."""
+        sim = Simulation(cfg)
+        n = cfg.topology.n_nodes
+        on_links: set[int] = set()  # the ids in the buckets after the last tick
+        for _ in range(1_000):
+            t = sim.tick_count + 1
+            rerouted = {pid for node, pid, dest, _, _ in sim._arrivals.get(t, ()) if node != dest}
+            first = sim.generated_total
+            stats = sim.step()
+            packets = [p for bucket in sim._arrivals.values() for p in bucket]
+            ids = {pid for _, pid, _, _, _ in packets}
+            assert len(packets) == len(ids) == sim.in_flight
+            assert all(0 <= pid < sim.generated_total for pid in ids)
+            born = set(range(first, sim.generated_total))
+            new = ids - on_links
+            assert new == {pid for _, pid, _, birth, _ in packets if birth == t}
+            assert new <= born
+            assert len(born - new) + len(rerouted - ids) == stats.dropped
+            for node, _, dest, birth, _ in packets:
+                assert node in range(n) and dest in range(n) and birth <= t
+            on_links = ids
+        assert (sim.dropped_total > 0, sim.cycles_total > 0) == (drops, True)
 
     @pytest.mark.parametrize("name", ["triangle", "contention", "six_node", "braess1"])
     def test_same_seed_same_stats(self, name):
@@ -402,9 +438,8 @@ class TestTripTimes:
         sim = Simulation(cfg)
         stats = [sim.step() for _ in range(cfg.steps)]
         trips = advance_logging_trips(Simulation(cfg), cfg.steps)
-        on_links = sum(
-            cfg.steps - p.birth_tick + 1 for bucket in sim._arrivals.values() for p in bucket
-        )
+        births = [birth for bucket in sim._arrivals.values() for _, _, _, birth, _ in bucket]
+        on_links = sum(cfg.steps - birth + 1 for birth in births)
         assert on_links > 0
         ticks = sum(s.in_flight for s in stats)
         assert ticks == sum(trip for _, _, trip in trips) + on_links

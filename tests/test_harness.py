@@ -1390,6 +1390,23 @@ class TestCli:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_reproduce_claim_repeated(self, tmp_path, monkeypatch, capsys):
+        """A claim named twice would run twice into one directory: it is
+        refused before any claim runs."""
+        checked = []
+
+        def check(name, out):
+            checked.append(name)
+            return "target", "cells", "summary", True
+
+        monkeypatch.setattr(claims, "check", check)
+        out = tmp_path / "D"
+        assert cli_main(["reproduce", "triangle", "triangle", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: claim triangle is given twice; reproduce checks each claim once\n"
+        )
+        assert checked == [] and not out.exists()
+
     def test_oracle_subcommands(self, capsys):
         assert cli_main(["oracle", "contention-reward", "0.25", "21"]) == 0
         assert capsys.readouterr().out.strip() == "-10.75"
