@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -77,6 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="end each run at the first tick at which the windowed underlying reward "
         "reaches this value",
     )
+    # a word that starts with a minus sign and a digit, or with "-.", is a
+    # value, as newer argparse reads it, so `--threshold -1e9` parses
+    # (argparse before that took only -N and -N.N for values)
+    p_batch._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_oracle = sub.add_parser("oracle", help="evaluate an analytic baseline")
     p_oracle.add_argument("name", choices=list(_ORACLES))

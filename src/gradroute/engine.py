@@ -57,7 +57,7 @@ logit row is owed its share of the reward until the learner next
 settles it. Outside code reads logits through `theta_by_router()` and
 tracked probabilities through `probabilities()`, never through the rows
 directly. Both apply the owed credit through learner.current_logits or
-learner.current_probability and write nothing, so a run ends in the
+learner.current_probabilities and write nothing, so a run ends in the
 same state however often, and whichever rows, it is read.
 
 A simulation is single-threaded, owns a single seeded random stream, and
@@ -84,7 +84,7 @@ from .learner import (
     EligibilityTrace,
     Rows,
     current_logits,
-    current_probability,
+    current_probabilities,
     sampling_weights,
     tick_update,
 )
@@ -247,10 +247,9 @@ class Simulation:
                 yield label(router), dests
 
     def probabilities(self) -> tuple[float, ...]:
-        """The current probability of each of cfg.tracked, in order,
-        through learner.current_probability."""
-        rows, trace = self._rows, self._trace
-        return tuple([current_probability(rows, trace, y, slot) for y, slot in self._tracked])
+        """The current probability of each of cfg.tracked, in order, read
+        in one learner.current_probabilities call."""
+        return current_probabilities(self._rows, self._trace, self._tracked)
 
     # -- link-delay mode ----------------------------------------------------
 

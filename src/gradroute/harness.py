@@ -1,9 +1,11 @@
 """Run orchestration: metrics sampling, CSV/theta output, multi-seed batches.
 
-run_experiment drives one simulation, sampling a MetricsRow every
-cfg.sample_every ticks (and at the final tick). It writes each row to
-the CSV as it is sampled and keeps only the last one and the mean of the
-last ma_window sampled underlying rewards (RunResult). It keeps no
+run_experiment drives one simulation, sampling a row every
+cfg.sample_every ticks (and at the final tick). A sampled row is a flat
+tuple of its values in column order, which the loop writes to the CSV
+through format_row as it is sampled; the run keeps only the last one, as
+a MetricsRow built once at the end, and the mean of the last ma_window
+sampled underlying rewards (RunResult). It keeps no
 logits: the final logits go only to the theta file, written one router
 at a time (write_theta), and a run without a theta path builds none.
 batch is the one loop over seeds: it records a seed whose load diverges,
@@ -146,21 +148,23 @@ def run_experiment(
             if t % sample_every and t != steps:
                 continue
             underlying = stats.underlying
-            row = MetricsRow(
+            # one flat tuple in column order (metrics module doc); format_row
+            # is called through this module's global, which perfbench times
+            values = (
                 t,
                 stats.total,
                 underlying,
                 stats.shaping,
                 push(stats.total),
                 sim.running_mean,
-                probabilities(),
+                *probabilities(),
                 sim.delivered_total,
                 sim.dropped_total,
                 sim.cycles_total,
             )
             keep(underlying)
             if write:
-                write(format_row(row) + "\n")
+                write(format_row(values))
             if armed and push_underlying(underlying) >= underlying_threshold:
                 if len(under) >= window:
                     stop_reason = "threshold"
@@ -177,7 +181,7 @@ def run_experiment(
         with open(cfg.theta_path, "w", encoding="utf-8") as fh:
             write_theta(fh, sim.theta_by_router())
     _write_manifest(cfg, sim, stop_reason, perf_counter() - start, None)
-    return RunResult(cfg, row, math.fsum(under) / len(under), stop_reason)
+    return RunResult(cfg, MetricsRow.of(values), math.fsum(under) / len(under), stop_reason)
 
 
 # the values of one logit row as json.dump(..., indent=2) lays them out

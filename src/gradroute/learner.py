@@ -59,9 +59,9 @@ the learner settles, and only where the update itself needs it:
 sampling_weights() settles a row before the router samples from it,
 tick_update a row it credits, and a rescale every active row. A reader
 outside the learner takes current_logits(), which applies the owed
-credit to a copy and writes nothing, or current_probability(), one
-slot's Gibbs probability read the same way, so reading a run never
-changes how it rounds.
+credit to a copy and writes nothing, or current_probabilities(), the
+Gibbs probabilities of some (row, slot) pairs read the same way, so
+reading a run never changes how it rounds.
 
 sampling_weights() is the cost of every fresh row a tick reads, so it is
 one kernel of two passes over the row: the first settles each entry (only
@@ -92,7 +92,7 @@ from typing import Iterable, NamedTuple
 
 from .network import _number_rule
 
-# floors a reported probability (softmax_row, current_probability), so
+# floors a reported probability (softmax_row, current_probabilities), so
 # that a logit far below its row's max reads as this, never as 0.0
 _PROB_FLOOR = 1e-300
 
@@ -142,7 +142,7 @@ class EligibilityTrace:
 def softmax_row(logits: list[float]) -> list[float]:
     """Max-subtracted softmax over one logit row, each probability floored
     at _PROB_FLOOR (a NaN stays NaN): the reference that
-    current_probability is pinned to. The exponentials are totalled by a
+    current_probabilities is pinned to. The exponentials are totalled by a
     plain left-to-right loop, not the builtin sum, which compensates its
     rounding from CPython 3.12 on: the same row gives the same floats on
     every supported interpreter."""
@@ -170,24 +170,30 @@ def current_logits(rows: Rows, trace: EligibilityTrace, y: int) -> list[float]:
     return [v + d * z for v, z in zip(row, trace.rows[y])]
 
 
-def current_probability(rows: Rows, trace: EligibilityTrace, y: int, slot: int) -> float:
-    """The current Gibbs probability of `slot` in row `y`: the same float
-    as softmax_row(current_logits(rows, trace, y))[slot], floored
-    alike, without building the row's other probabilities. It copies the
-    row only when the row is owed credit, and writes neither the row nor
-    its mark."""
-    if y < 0:
-        raise ValueError(f"row {y}: no such row")
-    row = rows[y]
-    acc = trace.acc
-    if acc - trace.active.get(y, acc) != 0.0:
-        row = current_logits(rows, trace, y)
-    m = max(row)
-    total = 0.0
-    for v in row:  # left to right, as softmax_row totals
-        total += exp(v - m)
-    p = exp(row[slot] - m) / total
-    return _PROB_FLOOR if _PROB_FLOOR > p else p
+def current_probabilities(
+    rows: Rows, trace: EligibilityTrace, pairs: Iterable[tuple[int, int]]
+) -> tuple[float, ...]:
+    """The current Gibbs probability of each (row y, slot) of `pairs`, in
+    order: each the same float as
+    softmax_row(current_logits(rows, trace, y))[slot], floored alike,
+    without building the row's other probabilities. It copies a row only
+    when the row is owed credit, and writes neither the rows nor their
+    marks."""
+    acc, active = trace.acc, trace.active
+    out = []
+    for y, slot in pairs:
+        if y < 0:
+            raise ValueError(f"row {y}: no such row")
+        row = rows[y]
+        if acc - active.get(y, acc) != 0.0:
+            row = current_logits(rows, trace, y)
+        m = max(row)
+        total = 0.0
+        for v in row:  # left to right, as softmax_row totals
+            total += exp(v - m)
+        p = exp(row[slot] - m) / total
+        out.append(_PROB_FLOOR if _PROB_FLOOR > p else p)
+    return tuple(out)
 
 
 def sampling_weights(

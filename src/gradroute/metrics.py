@@ -18,6 +18,11 @@ the run length is not a multiple). Schema, in fixed column order:
 * delivered/dropped/cycles are cumulative counters.
 * probability columns are named p[<router>-><link>|dest=<node>].
 
+A sampled row is a flat tuple of its values in column order, one per
+column, as the run loop builds it: format_row encodes it, and nothing
+else is built per sample. MetricsRow, with the probabilities in one
+field, is only a run's final row (MetricsRow.of).
+
 Floats are written with repr, so equal runs produce byte-identical files.
 """
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .config import ExperimentConfig
 
 
 class MetricsRow(NamedTuple):
-    """One sampled row, in CSV column order (probs expand to one column
-    each). Immutable."""
+    """A run's final sampled row, in CSV column order (probs expand to
+    one column each). Immutable."""
 
     tick: int
     reward_total: float
@@ -42,6 +47,11 @@ class MetricsRow(NamedTuple):
     delivered: int
     dropped: int
     cycles: int
+
+    @classmethod
+    def of(cls, values: tuple) -> MetricsRow:
+        """The row of a sampled row's flat values (module doc)."""
+        return cls(*values[:6], values[6:-3], *values[-3:])
 
 
 # every finite double is an integer multiple of 2**-1074
@@ -109,13 +119,20 @@ def column_names(cfg: ExperimentConfig) -> list[str]:
     )
 
 
-def format_row(row: MetricsRow) -> str:
-    tick, total, underlying, shaping, ma, mean, probs, delivered, dropped, cycles = row
-    prob_cols = "".join([f"{p!r}," for p in probs])
-    return (
-        f"{tick},{total!r},{underlying!r},{shaping!r},{ma!r},{mean!r},"
-        f"{prob_cols}{delivered},{dropped},{cycles}"
-    )
+# the % template of a sampled row by its number of values: %d for the
+# tick and the counters, %r for the floats, the bytes of str and repr
+_TEMPLATES: dict[int, str] = {}
+
+
+def format_row(values: tuple) -> str:
+    """The CSV line of one sampled row's flat values (module doc), with
+    its newline."""
+    try:
+        template = _TEMPLATES[len(values)]
+    except KeyError:
+        template = "%d," + "%r," * (len(values) - 4) + "%d,%d,%d\n"
+        _TEMPLATES[len(values)] = template
+    return template % values
 
 
 def write_header(fh: TextIO, cfg: ExperimentConfig) -> None:

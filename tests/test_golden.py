@@ -5,14 +5,19 @@ trace, beta = 0 (`memoryless`), and of six_node tracking a 5-slot row
 (`wide_tracked`), pinned by SHA-256.
 
 A change that only makes the program faster or smaller must leave these
-files byte-identical. The digests hold for CPython 3.11, 3.12 and 3.13
-on x86-64 Linux, which print the same table; another platform may format
-or round a float differently. Regenerate them with `python3 scripts/golden_digests.py`
+files byte-identical. The digests hold for CPython 3.10 to 3.13 on x86-64
+Linux, which print the same table: the tests here run the script under
+each of python3.10, python3.12 and python3.13 that is on PATH and starts,
+beside the interpreter running the tests. Another platform may format or
+round a float differently. Regenerate them with `python3 scripts/golden_digests.py`
 only for a change meant to alter some run's output, and record why in
 CHANGES.md. braess1's learning amplifies rounding, so any change to the
 order or precision of its arithmetic moves its digests.
 """
+import ast
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,3 +87,21 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert csv_sha == GOLDEN[name][0], hint
     assert theta_sha == GOLDEN[name][1], hint
     assert config_sha == GOLDEN[name][2], hint
+
+
+@pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
+def test_other_interpreters_print_the_golden_table(interpreter):
+    """scripts/golden_digests.py, run by another supported CPython, prints
+    the GOLDEN table; an interpreter not on PATH, or one that does not
+    start, is skipped."""
+    exe = shutil.which(interpreter)
+    if exe is None:
+        pytest.skip(f"{interpreter} is not on PATH")
+    if subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode:
+        pytest.skip(f"{interpreter} does not start")
+    out = subprocess.run(
+        [exe, str(SCRIPT)], capture_output=True, text=True, check=True, timeout=300
+    ).stdout
+    name, sep, table = out.partition(" = ")
+    assert (name, sep) == ("GOLDEN", " = ")
+    assert ast.literal_eval(table) == GOLDEN

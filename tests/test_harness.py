@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gradroute
-from gradroute import claims, engine, harness
+from gradroute import claims, cli, engine, harness
 from gradroute.cli import main as cli_main
 from gradroute.config import (
     ConfigError,
@@ -33,6 +33,7 @@ from gradroute.network import MAX_RATE, Topology, TrafficSpec
 from gradroute.presets import PRESET_NAMES, _tracked, preset
 from test_claims import shrink
 from test_engine import livelock_config
+from test_metrics import reference_format_row
 
 
 def ring60(**overrides) -> ExperimentConfig:
@@ -981,6 +982,54 @@ class TestRunExperiment:
         assert stopped.stop_reason == "threshold"
         assert window < self._check_final_fields(stopped) < 60
 
+    def test_final_row_is_the_csv_last_line(self, tmp_path):
+        """The result's final_row, built once from the last sampled values,
+        reads as the CSV's last line: braess1 sampled every tick with its
+        two tracked columns, at the last step and where a threshold stops
+        the run."""
+        cfg = preset("braess1").with_overrides(steps=400, sample_every=1, ma_window=20)
+        plain = run_experiment(cfg, tmp_path / "plain")
+        header, rows = read_csv(plain.config.csv_path)
+        under = [r[header.index("reward_underlying")] for r in rows]
+        # reached by tick 300 at the latest, so the run stops early
+        best = max(math.fsum(under[i - 20 : i]) / 20 for i in range(20, 301))
+        stopped = run_experiment(cfg, tmp_path / "stopped", underlying_threshold=best)
+        assert stopped.stop_reason == "threshold" and stopped.steps_run <= 300
+        for res in (plain, stopped):
+            assert len(res.final_row.probs) == 2
+            last = Path(res.config.csv_path).read_text(encoding="utf-8").splitlines()[-1]
+            assert last == reference_format_row(res.final_row)
+        assert plain.final_row.tick == cfg.steps
+
+    @pytest.mark.parametrize(
+        "name, overrides, threshold, n_rows",
+        [
+            ("six_node", {"steps": 1_050, "sample_every": 100}, None, 11),
+            ("braess1", {"steps": 300, "sample_every": 1, "ma_window": 30}, None, 300),
+            # the first full window reaches it, so the run stops at its 30th row
+            ("braess1", {"steps": 300, "sample_every": 1, "ma_window": 30}, -1e9, 30),
+        ],
+        ids=["six_node", "braess1", "braess1_threshold"],
+    )
+    def test_format_row_called_once_a_sampled_row(
+        self, name, overrides, threshold, n_rows, tmp_path, monkeypatch
+    ):
+        """perfbench times the CSV encoding by patching harness.format_row,
+        so the run loop calls that global once for each row it writes."""
+        lines = []
+        original = harness.format_row
+
+        def counting(values):
+            lines.append(original(values))
+            return lines[-1]
+
+        monkeypatch.setattr(harness, "format_row", counting)
+        cfg = preset(name).with_overrides(**overrides)
+        res = run_experiment(cfg, tmp_path, underlying_threshold=threshold)
+        assert len(lines) == n_rows
+        csv_text = Path(res.config.csv_path).read_text(encoding="utf-8")
+        assert csv_text.split("\n", 1)[1] == "".join(lines)
+
     def test_running_mean_column_matches_exact_mean(self, tmp_path):
         cfg = preset("contention").with_overrides(steps=400, sample_every=100)
         res = run_experiment(cfg, tmp_path)
@@ -1373,6 +1422,26 @@ class TestCli:
         for seed in (1, 2):
             m = json.loads((tmp_path / "D" / "c-batch" / f"run-seed{seed}.json").read_text())
             assert (m["stop_reason"], m["steps_run"]) == ("threshold", first_window)
+
+    @pytest.mark.parametrize("value", ["-8", "-1e9", "-.5", "-2.5E+1"])
+    def test_batch_threshold_takes_a_negative_number_word(
+        self, value, tmp_path, capsys, monkeypatch
+    ):
+        """A negative threshold parses as its own word, in exponent form too,
+        as it does joined by `=`."""
+        path = tmp_path / "c.json"
+        save_config(preset("contention").with_overrides(steps=50), path)
+        seen = []
+
+        def recording_batch(cfg, seeds, *, underlying_threshold, out_dir):
+            seen.append(underlying_threshold)
+            return batch(cfg, seeds, underlying_threshold=underlying_threshold, out_dir=out_dir)
+
+        monkeypatch.setattr(cli, "batch", recording_batch)
+        for argv in (["--threshold", value], [f"--threshold={value}"]):
+            assert cli_main(["batch", str(path), "--seeds", "1", *argv]) == 0
+        assert seen == [float(value)] * 2
+        assert "median_ticks_to_threshold" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags, problem",

@@ -24,7 +24,7 @@ from gradroute.learner import (
     EligibilityTrace,
     LearnerConfig,
     current_logits,
-    current_probability,
+    current_probabilities,
     sampling_weights,
     softmax_row,
     tick_update,
@@ -268,9 +268,9 @@ class TestTickUpdate:
         [
             sampling_weights,
             current_logits,
-            lambda rows, trace, y: current_probability(rows, trace, y, 0),
+            lambda rows, trace, y: current_probabilities(rows, trace, [(y, 0)]),
         ],
-        ids=["sampling_weights", "current_logits", "current_probability"],
+        ids=["sampling_weights", "current_logits", "current_probabilities"],
     )
     @pytest.mark.parametrize("y", [-2], ids=["negative_row"])
     def test_reader_refuses_a_negative_row(self, read, y):

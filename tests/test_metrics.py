@@ -111,7 +111,8 @@ class TestSampledMovingAverage:
 
 
 def reference_format_row(row):
-    """format_row as first written, one str or repr per field, joined."""
+    """format_row as first written, one str or repr per field of a
+    MetricsRow, joined, without the newline."""
     fields = [
         str(row.tick),
         repr(row.reward_total),
@@ -125,6 +126,11 @@ def reference_format_row(row):
         str(row.cycles),
     ]
     return ",".join(fields)
+
+
+def flat_values(row):
+    """A MetricsRow as the flat tuple of values the run loop samples."""
+    return (*row[:6], *row.probs, *row[7:])
 
 
 any_float = st.one_of(
@@ -141,7 +147,7 @@ rows = st.builds(
     any_float,
     any_float,
     any_float,
-    st.sampled_from([0, 1, 3]).flatmap(
+    st.sampled_from([0, 1, 3, 5]).flatmap(
         lambda k: st.tuples(*[any_float] * k)
     ),
     counts,
@@ -151,15 +157,23 @@ rows = st.builds(
 
 
 class TestFormatRow:
+    """format_row of a sampled row's flat values is the reference's line,
+    and MetricsRow.of gives back the row they came from."""
+
     @settings(max_examples=500, deadline=None)
     @given(row=rows)
     def test_same_string_as_the_reference(self, row):
-        assert format_row(row) == reference_format_row(row)
+        values = flat_values(row)
+        assert format_row(values) == reference_format_row(row) + "\n"
+        assert MetricsRow.of(values) == row
 
-    @pytest.mark.parametrize("n_probs", [0, 1, 3])
+    @pytest.mark.parametrize("n_probs", [0, 1, 3, 5])
     def test_fixed_rows(self, n_probs):
         row = MetricsRow(
-            10**30, -0.0, TINY, 1e300, -7.0, math.nan, (math.inf, -0.0, 0.1)[:n_probs],
+            10**30, -0.0, TINY, 1e300, -7.0, math.nan,
+            (math.inf, -0.0, 0.1, -TINY, 10.0**40)[:n_probs],
             2**64, 0, -3,
         )
-        assert format_row(row) == reference_format_row(row)
+        values = flat_values(row)
+        assert format_row(values) == reference_format_row(row) + "\n"
+        assert MetricsRow.of(values) == row

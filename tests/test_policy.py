@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import sample_slot, table_of
+from dense_oracle import copy_rows, sample_slot, table_of
 from gradroute.engine import Simulation, make_tables
 from gradroute.learner import (
     _PROB_FLOOR,
     EligibilityTrace,
     LearnerConfig,
     current_logits,
-    current_probability,
+    current_probabilities,
     sampling_weights,
     softmax_row,
     tick_update,
@@ -259,10 +259,58 @@ class TestCurrentProbabilityPin:
             want = softmax_row(current_logits(rows, trace, y))
         except (OverflowError, ValueError) as e:
             with pytest.raises(type(e)):
-                current_probability(rows, trace, y, 0)
+                current_probabilities(rows, trace, [(y, 0)])
             return
-        for slot, p in enumerate(want):
-            assert same_float(current_probability(rows, trace, y, slot), p), slot
+        got = current_probabilities(rows, trace, [(y, slot) for slot in range(len(row))])
+        assert len(got) == len(want)
+        for slot, (g, p) in enumerate(zip(got, want)):
+            assert same_float(g, p), slot
         # a pure read: the row, its trace row, the marks and acc unchanged
         assert rows[y] is row
         assert (bits(row), bits(trace.rows[y]), dict(trace.active), bits([trace.acc])) == before
+
+
+class TestCurrentProbabilities:
+    """One call reads every tracked pair, each as its own single read."""
+
+    @staticmethod
+    def _table():
+        """Rows 1 (settled), 2 (owed credit) and 4 (owed credit, 5 slots),
+        a hole at 3, and a trace clock at acc = 0.75."""
+        rows = table_of({1: [0.3, -0.3], 2: [1.5, -2.0], 4: [0.1, -0.4, 2.5, 0.0, -7.0]})
+        trace = EligibilityTrace(rows)
+        trace.acc = 0.75
+        trace.active[1] = 0.75  # settled: its mark is acc
+        trace.rows[2][:] = [0.5, -0.5]
+        trace.active[2] = 0.25
+        trace.rows[4][:] = [-1.0, 0.25, 0.0, 3.0, -0.125]
+        trace.active[4] = -0.5
+        return rows, trace
+
+    def test_each_pair_as_softmax_of_current_logits(self):
+        rows, trace = self._table()
+        pairs = [(4, 2), (1, 0), (2, 1), (4, 4), (2, 0), (4, 0), (1, 1), (4, 2)]
+        got = current_probabilities(rows, trace, pairs)
+        assert type(got) is tuple and len(got) == len(pairs)
+        for (y, slot), g in zip(pairs, got):
+            assert same_float(g, softmax_row(current_logits(rows, trace, y))[slot]), (y, slot)
+        # the owed credit moved rows 2 and 4 off their stored logits
+        for y in (2, 4):
+            assert current_logits(rows, trace, y) != rows[y]
+            assert not same_float(got[pairs.index((y, 0))], softmax_row(rows[y])[0])
+
+    def test_no_pairs(self):
+        rows, trace = self._table()
+        assert current_probabilities(rows, trace, []) == ()
+
+    @pytest.mark.parametrize("y", [-1, -3])
+    def test_negative_row_refused_naming_it(self, y):
+        rows, trace = self._table()
+        with pytest.raises(ValueError, match=f"^row {y}: no such row$"):
+            current_probabilities(rows, trace, [(1, 0), (y, 0)])
+
+    def test_writes_neither_rows_nor_marks(self):
+        rows, trace = self._table()
+        before, marks = copy_rows(rows), dict(trace.active)
+        current_probabilities(rows, trace, [(1, 0), (2, 1), (4, 3)])
+        assert rows == before and trace.active == marks
